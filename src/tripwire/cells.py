@@ -1,31 +1,32 @@
 """Convex cells, near-vertical line arrangements, and inscribed squares.
 
-The inscribed-square primitive works on any convex polygon cell.  For a
-fixed orientation theta, a square of side s fits somewhere in the cell
-exactly when the cell eroded by the rotated square is non-empty.  The
-erosion of {x : n_i . x <= b_i} by a centered square is again a
-half-plane intersection with offsets reduced by the square's support
-in each normal direction:
+The inscribed-square primitive works on any convex polygon cell
+{x : n_i . x <= b_i} with unit outward normals n_i.  A square of side s
+centred at x, with unit orthogonal edge directions d1, d2 at angle
+theta, fits exactly when every constraint holds for its farthest
+corner:
 
-    {x : n_i . x <= b_i - s * u_i(theta)},
-    u_i(theta) = (|n_i . d1| + |n_i . d2|) / 2,
+    n_i . x + s * u_i(theta) <= b_i,
+    u_i(theta) = (|n_i . d1| + |n_i . d2|) / 2.
 
-where d1, d2 are the square's (unit, orthogonal) edge directions.  The
-side length at fixed theta is found by binary search on s over that
-emptiness test; orientations are scanned on a grid over [0, pi/2) (the
-square's symmetry period) and the best grid neighborhoods are refined
-by bracket zooming.
-
-Feasibility of a bounded half-plane intersection is decided from vertex
-candidates: the region is non-empty iff the intersection point of some
-pair of constraint lines satisfies every constraint (up to a small
-slack, which also admits the single-point region at the exact optimum).
-The search is vectorized over orientations and batched over cells so
-large perturbation sweeps stay cheap.
+At a fixed theta the largest square is therefore the 3-variable linear
+program  max s  over (x, s)  subject to those constraints: the
+Chebyshev-centre LP with a polyhedral norm (Boyd & Vandenberghe,
+Convex Optimization, section 8.5).  The cell is bounded, so the
+optimum sits at a vertex where three constraints are tight.  Each
+constraint triple's 3x3 system is solved by Cramer's rule, vertices
+that break a constraint by more than a slack scaled to the cell's
+coordinates are dropped, and the largest remaining s is the exact
+optimum.  Orientations are scanned on a grid over [0, pi/2) (the
+square's symmetry period) and the best grid neighbourhoods are refined
+by bracket zooming.  The solve is vectorized over orientations and
+batched over cells with the same edge count, so large perturbation
+sweeps stay cheap.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -33,7 +34,9 @@ import numpy as np
 
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 
-# Slack for the half-plane vertex test; admits degenerate (point) erosions.
+# Slack, per unit of a cell's coordinate scale, for the LP vertex test;
+# admits the rounding error of a vertex that is tight on more than three
+# constraints.
 GEO_TOL = 1e-12
 
 # Default orientation grid step for inscribed-square sweeps.
@@ -44,6 +47,11 @@ _QUARTER = math.pi / 2
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[..., 0] * b[..., 1] - a[..., 1] * b[..., 0]
+
+
+def _turn(poly: np.ndarray, k: int) -> np.ndarray:
+    """Row i holds vertex i + k (cyclic); np.roll(poly, -k, axis=0) at less call cost."""
+    return np.concatenate((poly[k:], poly[:k]))
 
 
 def convex_cell(points) -> np.ndarray:
@@ -62,13 +70,15 @@ def convex_cell(points) -> np.ndarray:
     scale = max(1.0, float(np.max(np.abs(poly))))
     eps = 1e-12 * scale * scale
 
-    # Drop consecutive duplicates (closed polygon).
-    keep = [i for i in range(len(poly)) if not np.allclose(poly[i], poly[(i + 1) % len(poly)], atol=1e-15 * scale)]
-    poly = poly[keep]
+    # Drop consecutive duplicates (closed polygon), by np.allclose's rule
+    # with atol = 1e-15 * scale and its default rtol = 1e-5.
+    nxt = _turn(poly, 1)
+    duplicate = np.all(np.abs(poly - nxt) <= 1e-15 * scale + 1e-5 * np.abs(nxt), axis=1)
+    poly = poly[~duplicate]
     if len(poly) < 3:
         raise DegenerateCellError("cell collapses to fewer than 3 distinct vertices")
 
-    area2 = float(_cross2(poly, np.roll(poly, -1, axis=0)).sum())
+    area2 = float(_cross2(poly, _turn(poly, 1)).sum())
     if abs(area2) <= 2e-15 * scale * scale:
         raise DegenerateCellError(f"cell has zero area (2A = {area2!r})")
     if area2 < 0.0:
@@ -76,8 +86,8 @@ def convex_cell(points) -> np.ndarray:
 
     # Convexity and collinear-vertex removal on the CCW polygon.
     while True:
-        prev = np.roll(poly, 1, axis=0)
-        nxt = np.roll(poly, -1, axis=0)
+        prev = _turn(poly, -1)
+        nxt = _turn(poly, 1)
         cross = _cross2(poly - prev, nxt - poly)
         if np.any(cross < -eps):
             raise DomainError("cell must be convex")
@@ -92,101 +102,77 @@ def convex_cell(points) -> np.ndarray:
 
 def cell_area(points) -> float:
     poly = np.asarray(points, dtype=float)
-    return 0.5 * abs(float(_cross2(poly, np.roll(poly, -1, axis=0)).sum()))
+    return 0.5 * abs(float(_cross2(poly, _turn(poly, 1)).sum()))
 
 
 def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals and offsets so the cell is {x : N x <= b}."""
-    edges = np.roll(poly, -1, axis=0) - poly
+    edges = _turn(poly, 1) - poly
     lengths = np.hypot(edges[:, 0], edges[:, 1])
     normals = np.stack((edges[:, 1], -edges[:, 0]), axis=1) / lengths[:, None]
     offsets = np.einsum("ij,ij->i", normals, poly)
     return normals, offsets
 
 
-def _feasible(
-    normals: np.ndarray,
-    eff_offsets: np.ndarray,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    dets: np.ndarray,
-) -> np.ndarray:
-    """Non-emptiness of {x : N x <= c} per (cell, orientation) column.
-
-    normals: (G, m, 2); eff_offsets: (G, m, T); dets: (G, P).
-    """
-    G, m, T = eff_offsets.shape
-    feasible = np.zeros((G, T), dtype=bool)
-    nx = normals[:, :, 0]
-    ny = normals[:, :, 1]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for idx in range(len(pair_i)):
-            i = pair_i[idx]
-            j = pair_j[idx]
-            det = dets[:, idx]
-            valid = np.abs(det) > 1e-14
-            if not np.any(valid):
-                continue
-            ci = eff_offsets[:, i, :]
-            cj = eff_offsets[:, j, :]
-            px = (ci * ny[:, j, None] - cj * ny[:, i, None]) / det[:, None]
-            py = (nx[:, i, None] * cj - nx[:, j, None] * ci) / det[:, None]
-            lhs = nx[:, :, None] * px[:, None, :] + ny[:, :, None] * py[:, None, :]
-            ok = np.all(lhs <= eff_offsets + GEO_TOL, axis=1)
-            feasible |= ok & valid[:, None]
-    return feasible
+def _det3(a, b, c) -> np.ndarray:
+    """Determinants of the 3x3 matrices with columns a, b, c (each a row triple)."""
+    return (
+        a[0] * (b[1] * c[2] - b[2] * c[1])
+        - a[1] * (b[0] * c[2] - b[2] * c[0])
+        + a[2] * (b[0] * c[1] - b[1] * c[0])
+    )
 
 
 def _max_sides_at_angles(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    theta: np.ndarray,
-    hi0: np.ndarray,
-    pair_i: np.ndarray,
-    pair_j: np.ndarray,
-    dets: np.ndarray,
-    side_tol: float,
+    normals: np.ndarray, offsets: np.ndarray, slack: np.ndarray, theta: np.ndarray
 ) -> np.ndarray:
-    """Binary search on square side per (cell, orientation); returns (G, T)."""
-    G, T = theta.shape
+    """Exact largest square side per (cell, orientation); returns (G, T).
+
+    normals: (G, m, 2); offsets: (G, m); slack: (G,); theta: (G, T).
+    Entries with no feasible LP vertex are -inf.
+    """
     d1 = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
     d2 = np.stack((-d1[..., 1], d1[..., 0]), axis=-1)
     nd1 = np.einsum("gmc,gtc->gmt", normals, d1)
     nd2 = np.einsum("gmc,gtc->gmt", normals, d2)
     support = 0.5 * (np.abs(nd1) + np.abs(nd2))
+    nx = normals[:, :, 0, None]
+    ny = normals[:, :, 1, None]
+    b = offsets[:, :, None]
+    limit = b + slack[:, None, None]
 
-    lo = np.zeros((G, T))
-    hi = np.broadcast_to(hi0[:, None], (G, T)).copy()
-    iters = max(1, int(math.ceil(math.log2(max(float(hi0.max()), 2.0 * side_tol) / side_tol))))
-    for _ in range(min(iters, 80)):
-        mid = 0.5 * (lo + hi)
-        eff = offsets[:, :, None] - mid[:, None, :] * support
-        feas = _feasible(normals, eff, pair_i, pair_j, dets)
-        lo = np.where(feas, mid, lo)
-        hi = np.where(feas, hi, mid)
-    return lo
+    best = np.full(theta.shape, -np.inf)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for rows in itertools.combinations(range(normals.shape[1]), 3):
+            cols_x = [nx[:, r] for r in rows]
+            cols_y = [ny[:, r] for r in rows]
+            cols_u = [support[:, r] for r in rows]
+            cols_b = [b[:, r] for r in rows]
+            det = _det3(cols_x, cols_y, cols_u)
+            s = _det3(cols_x, cols_y, cols_b) / det
+            x = _det3(cols_b, cols_y, cols_u) / det
+            y = _det3(cols_x, cols_b, cols_u) / det
+            lhs = nx * x[:, None, :] + ny * y[:, None, :] + support * s[:, None, :]
+            ok = np.all(lhs <= limit, axis=1)
+            best = np.where(ok & (s > best), s, best)
+    return best
 
 
-def _pairs(m: int) -> tuple[np.ndarray, np.ndarray]:
-    pi, pj = zip(*[(i, j) for i in range(m) for j in range(i + 1, m)])
-    return np.asarray(pi), np.asarray(pj)
-
-
-def largest_squares(
-    cells,
-    angle_resolution: float = DEFAULT_ANGLE_RESOLUTION,
-    side_tol: float = 1e-12,
-) -> np.ndarray:
+def largest_squares(cells, angle_resolution: float = DEFAULT_ANGLE_RESOLUTION) -> np.ndarray:
     """Largest inscribed square side for each convex cell in `cells`.
 
     Orientations are scanned on a grid of step <= angle_resolution over
     [0, pi/2); the two best local maxima per cell are refined by bracket
-    zooming down to ~1e-9 rad.  Results carry the binary-search
-    resolution side_tol plus the feasibility slack GEO_TOL, so they can
-    sit a few 1e-12 on either side of the exact optimum.
+    zooming down to ~1e-9 rad.  At each orientation the side is the
+    exact LP optimum (see the module docstring), so the result is exact
+    at the best orientation sampled, up to rounding.  Raises DomainError
+    for a non-finite or non-positive angle_resolution and
+    DegenerateCellError, naming the cell, where an orientation's LP has
+    no feasible vertex with a positive side (a cell with interior always
+    has one).
     """
-    if angle_resolution <= 0.0:
-        raise DomainError(f"angle_resolution must be positive, got {angle_resolution!r}")
+    if not (math.isfinite(angle_resolution) and angle_resolution > 0.0):
+        raise DomainError(f"angle_resolution must be finite and positive, got {angle_resolution!r}")
     polys = [convex_cell(c) for c in cells]
     result = np.zeros(len(polys))
 
@@ -203,19 +189,28 @@ def largest_squares(
         G = len(idxs)
         normals = np.empty((G, m, 2))
         offsets = np.empty((G, m))
-        hi0 = np.empty(G)
+        slack = np.empty(G)
         for row, idx in enumerate(idxs):
-            normals[row], offsets[row] = _halfplanes(polys[idx])
-            spans = polys[idx].max(axis=0) - polys[idx].min(axis=0)
-            hi0[row] = float(min(spans)) * (1.0 + 1e-9) + 1e-12
-        pair_i, pair_j = _pairs(m)
-        dets = (
-            normals[:, pair_i, 0] * normals[:, pair_j, 1]
-            - normals[:, pair_i, 1] * normals[:, pair_j, 0]
-        )
+            # The side does not depend on where the cell sits; centring it
+            # keeps Cramer's rule and the slack at the cell's own scale.
+            centred = polys[idx] - polys[idx].mean(axis=0)
+            normals[row], offsets[row] = _halfplanes(centred)
+            slack[row] = GEO_TOL * max(1.0, float(np.max(np.abs(centred))))
+
+        def sides(theta: np.ndarray) -> np.ndarray:
+            s = _max_sides_at_angles(normals, offsets, slack, theta)
+            bad = np.argwhere(~(s > 0.0))
+            if len(bad):
+                row, col = bad[0]
+                raise DegenerateCellError(
+                    f"cell {idxs[row]} has no feasible LP vertex with a positive side at "
+                    f"angle {float(theta[row, col])!r} (best {float(s[row, col])!r}): "
+                    f"{polys[idxs[row]].tolist()}"
+                )
+            return s
 
         grid = np.broadcast_to(np.arange(T) * step, (G, T))
-        s_grid = _max_sides_at_angles(normals, offsets, grid, hi0, pair_i, pair_j, dets, side_tol)
+        s_grid = sides(grid)
         best = s_grid.max(axis=1)
         rows = np.arange(G)
         top_idx = s_grid.argmax(axis=1)
@@ -233,9 +228,7 @@ def largest_squares(
             for _ in range(zoom_rounds):
                 offs = np.linspace(-1.0, 1.0, zoom_points) * hw
                 theta = theta_c[:, None] + offs[None, :]
-                s = _max_sides_at_angles(
-                    normals, offsets, theta, hi0, pair_i, pair_j, dets, side_tol
-                )
+                s = sides(theta)
                 pick = s.argmax(axis=1)
                 theta_c = theta[rows, pick]
                 best = np.maximum(best, s[rows, pick])
@@ -245,13 +238,9 @@ def largest_squares(
     return result
 
 
-def largest_square_in_cell(
-    cell,
-    angle_resolution: float = DEFAULT_ANGLE_RESOLUTION,
-    side_tol: float = 1e-12,
-) -> float:
+def largest_square_in_cell(cell, angle_resolution: float = DEFAULT_ANGLE_RESOLUTION) -> float:
     """Side of the largest square (any orientation) inside one convex cell."""
-    return float(largest_squares([cell], angle_resolution, side_tol)[0])
+    return float(largest_squares([cell], angle_resolution)[0])
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,9 @@ triangles, and the Pythagorean relations for the short and long sides,
     a1^2 + a2^2 = c^2
     (1 - a1)^2 + (n - a2)^2 = (c p)^2
 
-which solve in closed form with t = (n - p) / (1 - p^2):
+which solve in closed form as
 
-    a2 = t,   a1 = 1 - p t,   c = sqrt(t^2 (p^2 + 1) - 2 t p + 1).
+    a1 = (p n - 1) / (p^2 - 1),   a2 = (p - n) / (p^2 - 1),   c = hypot(a1, a2).
 
 `curve_value` evaluates the curve as a max over the feasible candidate
 placements rather than dispatching on precomputed branch boundaries, so
@@ -50,6 +50,8 @@ BRANCH_TIE_TOL = 1e-12
 
 def check_aspect(value: float, name: str = "aspect ratio") -> float:
     """Validate an aspect ratio: a finite real >= 1 (long side over short side)."""
+    if isinstance(value, bool):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
     value = float(value)
     if not math.isfinite(value):
         raise DomainError(f"{name} must be finite, got {value!r}")
@@ -102,10 +104,13 @@ def diagonal_branch(n: float, p: float) -> DiagonalSolution:
     p = check_aspect(p, "intruder aspect p")
     if p <= n:
         raise DomainError(f"diagonal placement needs p > n, got n={n}, p={p}")
-    t = (n - p) / (1.0 - p * p)
-    a2 = t
-    a1 = 1.0 - p * t
-    c = math.sqrt(t * t * (p * p + 1.0) - 2.0 * t * p + 1.0)
+    # Written so that nothing cancels: p - n, p - 1 and n - 1 are exact
+    # wherever their operands are close (Sterbenz), q is a product rather
+    # than p^2 - 1, and p n - 1 = (p - 1) n + (n - 1) adds like-signed terms.
+    q = (p - 1.0) * (p + 1.0)
+    a1 = ((p - 1.0) * n + (n - 1.0)) / q
+    a2 = (p - n) / q
+    c = math.hypot(a1, a2)
     corners = ((a1, 0.0), (1.0, n - a2), (1.0 - a1, n), (0.0, a2))
     return DiagonalSolution(a1=a1, a2=a2, c=c, corners=corners)
 

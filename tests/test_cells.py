@@ -5,13 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripwire import cells
 from tripwire.cells import (
+    DEFAULT_ANGLE_RESOLUTION,
     GeneralLine,
     PerturbationSpec,
     arrangement_cells,
     cell_area,
     convex_cell,
     largest_square_in_cell,
+    largest_squares,
     perturbed_vertical_lines,
 )
 from tripwire.errors import (
@@ -71,6 +74,13 @@ def sampled_largest_square(poly, grid=41, theta_grid=81, zoom_rounds=8):
     return best
 
 
+def regular_polygon(count, side, angle, center):
+    """Regular count-gon with the given side, turned by angle about center."""
+    radius = side / (2.0 * math.sin(math.pi / count))
+    turns = angle + 2.0 * math.pi * np.arange(count) / count
+    return radius * np.stack((np.cos(turns), np.sin(turns)), axis=1) + np.asarray(center)
+
+
 class TestConvexCell:
     def test_orientation_normalized(self):
         cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
@@ -127,6 +137,61 @@ class TestLargestSquare:
         value = largest_square_in_cell(cell)
         assert value >= 0.25
         assert value == pytest.approx(sampled_largest_square(cell), abs=1e-4)
+
+    # The turns are multiples of the orientation grid step, so the optimal
+    # orientation is sampled exactly and the LP side is exact up to rounding.
+    # Off the grid the zoom pins the orientation to ~1e-9 rad, which at these
+    # cells' kinked optima costs up to ~1e-10 relative.
+    @pytest.mark.parametrize("turns", [0, 7, 50])
+    def test_rotated_equilateral_triangle_is_exact(self, turns):
+        side = 0.37
+        cell = regular_polygon(3, side, turns * DEFAULT_ANGLE_RESOLUTION, (0.3, -0.7))
+        expected = side * (2.0 * math.sqrt(3.0) - 3.0)
+        assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("center", [(-4.0, 2.5), (1e4, -3e3)])
+    @pytest.mark.parametrize("turns", [0, 7, 50])
+    def test_rotated_regular_hexagon_is_exact(self, turns, center):
+        side = 0.37
+        cell = regular_polygon(6, side, turns * DEFAULT_ANGLE_RESOLUTION, center)
+        expected = side * (3.0 - math.sqrt(3.0))
+        assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-12)
+
+    def test_mixed_batch_matches_single_cells(self):
+        # 3- to 6-gons in one call: cells are grouped by edge count, and the
+        # 5- and 6-gons solve 10 and 20 constraint triples per orientation
+        batch = [
+            regular_polygon(3, 0.5, 0.2, (0.1, 0.2)),
+            [(0, 0), (0.7, 0), (0.6, 0.4), (0.1, 0.5)],
+            regular_polygon(5, 0.3, 0.1, (2.0, -1.0)),
+            [(0, 0), (1, 0), (1.2, 0.3), (1.0, 0.6), (0.2, 0.7), (-0.1, 0.3)],
+            regular_polygon(4, 0.4, 0.3, (0.0, 0.0)),
+            [(0, 0), (0.5, -0.1), (0.9, 0.3), (0.4, 0.8), (-0.1, 0.4)],
+            regular_polygon(6, 0.2, 0.05, (0.5, 0.5)),
+            [(0, 0), (1, 0), (0.3, 0.9)],
+        ]
+        singles = [largest_square_in_cell(cell) for cell in batch]
+        assert largest_squares(batch) == pytest.approx(singles, rel=1e-15)
+        assert all(value > 0.0 for value in singles)
+
+    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -0.01])
+    def test_bad_angle_resolution_rejected(self, resolution):
+        with pytest.raises(DomainError):
+            largest_squares([[(0, 0), (1, 0), (1, 1), (0, 1)]], angle_resolution=resolution)
+
+    def test_no_feasible_vertex_names_the_cell(self, monkeypatch):
+        # an empty half-plane system for the quad (every offset pulled in
+        # past the opposite side): its LP optimum is a negative side
+        halfplanes = cells._halfplanes
+
+        def emptied(poly):
+            normals, offsets = halfplanes(poly)
+            return normals, offsets - (2.0 if len(poly) == 4 else 0.0)
+
+        monkeypatch.setattr(cells, "_halfplanes", emptied)
+        batch = [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 1)]]
+        with pytest.raises(DegenerateCellError, match="cell 1 "):
+            largest_squares(batch)
 
     @given(
         angle=st.floats(min_value=0.0, max_value=1.5),

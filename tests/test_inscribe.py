@@ -1,5 +1,7 @@
 import math
+from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -9,6 +11,7 @@ from tripwire.inscribe import (
     BRANCH_DIAGONAL,
     BRANCH_PLATEAU,
     BRANCH_VERTICAL,
+    check_aspect,
     crossover_w,
     curve_sample,
     curve_value,
@@ -71,6 +74,20 @@ class TestDiagonalBranch:
             r1, r2, r3 = equation_residuals(n, p, diagonal_branch(n, p))
             assert r1 < 1e-12 and r2 < 1e-12 and r3 < 1e-12
 
+    @pytest.mark.parametrize("n", [*np.logspace(0.0, 9.0, 10), 1.0 + 1e-12])
+    def test_c_matches_exact_rational_value(self, n):
+        # q, a1 and a2 each carry a few roundings, none of them cancels, and
+        # hypot adds under an ulp, so c lies within a few ulps (~1e-15
+        # relative) of c^2 = a1^2 + a2^2 evaluated exactly; 1e-14 leaves
+        # headroom for that and no more.
+        ps = [n * (1.0 + d) for d in (1e-12, 1e-9, 1e-6, 1e-3)]
+        ps += [n * (1e12 / n) ** (j / 8) for j in range(1, 9)]
+        for p in ps:
+            fn, fp = Fraction(n), Fraction(p)
+            q = (fp - 1) * (fp + 1)
+            exact = math.sqrt(((fp * fn - 1) / q) ** 2 + ((fp - fn) / q) ** 2)
+            assert diagonal_branch(n, p).c == pytest.approx(exact, rel=1e-14), (n, p)
+
 
 class TestCurveValue:
     def test_plateau(self):
@@ -107,6 +124,13 @@ class TestCurveValue:
     def test_domain_errors(self, n, p):
         with pytest.raises(DomainError):
             curve_value(n, p)
+
+    @pytest.mark.parametrize("value", [True, False])
+    def test_bool_aspect_rejected(self, value):
+        with pytest.raises(DomainError):
+            check_aspect(value)
+        with pytest.raises(DomainError):
+            curve_value(2.0, value)
 
     @pytest.mark.parametrize("n", [1.0, 2.0, 3.5])
     def test_monotone_and_continuous(self, n):
