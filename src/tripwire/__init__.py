@@ -12,7 +12,6 @@ from .errors import (
     DegenerateCellError,
     DomainError,
     InvalidPerturbationError,
-    RootBracketError,
 )
 from .inscribe import (
     BRANCH_DIAGONAL,
@@ -30,12 +29,12 @@ from .inscribe import (
 from .nets import (
     HoleGrid,
     Net,
-    base_curve_even,
-    base_curve_odd,
+    base_curve,
     crossover_aspect,
     evenly_spaced,
     hole_scale,
     holes,
+    maximizing_hole,
     net_from_dict,
     net_scale_factor,
     net_to_dict,

@@ -67,18 +67,19 @@ def convex_cell(points) -> np.ndarray:
     if not np.all(np.isfinite(poly)):
         raise DomainError("cell vertices must be finite")
 
-    scale = max(1.0, float(np.max(np.abs(poly))))
+    # Tolerances follow the cell's size, not its distance from the origin.
+    centred = poly - poly.mean(axis=0)
+    scale = max(1.0, float(np.max(np.abs(centred))))
     eps = 1e-12 * scale * scale
 
-    # Drop consecutive duplicates (closed polygon), by np.allclose's rule
-    # with atol = 1e-15 * scale and its default rtol = 1e-5.
-    nxt = _turn(poly, 1)
-    duplicate = np.all(np.abs(poly - nxt) <= 1e-15 * scale + 1e-5 * np.abs(nxt), axis=1)
+    # Drop consecutive duplicates (closed polygon).
+    duplicate = np.all(np.abs(poly - _turn(poly, 1)) <= 1e-15 * scale, axis=1)
     poly = poly[~duplicate]
+    centred = centred[~duplicate]
     if len(poly) < 3:
         raise DegenerateCellError("cell collapses to fewer than 3 distinct vertices")
 
-    area2 = float(_cross2(poly, _turn(poly, 1)).sum())
+    area2 = float(_cross2(centred, _turn(centred, 1)).sum())
     if abs(area2) <= 2e-15 * scale * scale:
         raise DegenerateCellError(f"cell has zero area (2A = {area2!r})")
     if area2 < 0.0:

@@ -21,7 +21,7 @@ import sys
 from dataclasses import dataclass, replace
 
 from . import nets, svg
-from .errors import DomainError, RootBracketError
+from .errors import DomainError
 from .inscribe import (
     check_aspect,
     crossover_w,
@@ -31,6 +31,8 @@ from .inscribe import (
     placement,
 )
 from .oracle import (
+    THEOREM_P_STEP,
+    THEOREM_P_VALUES,
     SweepConfig,
     VerificationReport,
     enumerate_axis_nets,
@@ -49,6 +51,9 @@ VERIFY_SUITES = (
     "lagrange",
     "local-optimum",
 )
+
+# Most samples a p range may ask for; a larger range is a usage error.
+MAX_P_SAMPLES = 10**6
 
 
 @dataclass(frozen=True)
@@ -77,6 +82,8 @@ def _p_grid(p_min: float, p_max: float, step: float) -> list[float]:
         raise DomainError(f"step must be positive and finite, got {step!r}")
     if not (1.0 <= p_min < p_max):
         raise DomainError(f"need 1 <= p_min < p_max, got p_min={p_min!r}, p_max={p_max!r}")
+    if (p_max - p_min) / step >= MAX_P_SAMPLES:
+        raise DomainError(f"p range [{p_min!r}, {p_max!r}] at step {step!r} exceeds {MAX_P_SAMPLES} samples")
     values = []
     i = 0
     while True:
@@ -147,17 +154,6 @@ def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec
 # base-curve
 
 
-def _base_curve_point(k: int, p: float) -> tuple[float, str]:
-    parallel = curve_value(k + 1, p) / (k + 1)
-    if k % 2 == 0:
-        grid = curve_value(1, p) / (k // 2 + 1)
-    else:
-        grid = nets.net_scale_factor(nets.evenly_spaced(k - k // 2, k // 2), p)
-    if parallel <= grid + 1e-12:
-        return parallel, "parallel"
-    return grid, "grid"
-
-
 def cmd_base_curve(
     k: int,
     p_min: float,
@@ -167,12 +163,10 @@ def cmd_base_curve(
     overlay: tuple[int, int] | None = None,
 ) -> dict:
     """Sample the base curve for k lines; overlay a competitor split in SVG mode."""
-    if k < 1:
-        raise DomainError(f"line count k must be >= 1, got {k}")
     if overlay is not None and out.format != "svg":
         raise DomainError("--overlay is only supported with --format svg")
     grid_ps = _p_grid(p_min, p_max, step)
-    points = [(_p, *_base_curve_point(k, _p)) for _p in grid_ps]
+    points = [(p, *nets.base_curve(k, p)) for p in grid_ps]
     annotations = {"crossover_aspect": nets.crossover_aspect(k) if k >= 2 else None}
     if k >= 3 and k % 2 == 1:
         annotations["crossover_aspect_line_count"] = nets.odd_crossover_line_count(k)
@@ -218,10 +212,7 @@ def cmd_base_curve(
                 )
             )
             aspect_comp = (max(v, h) + 1) / (min(v, h) + 1)
-            if k % 2 == 0:
-                grid_aspect = 1.0
-            else:
-                grid_aspect = (k - k // 2 + 1) / (k // 2 + 1)
+            grid_aspect = (k - k // 2 + 1) / (k // 2 + 1)  # 1 for even k
             markers.append((aspect_comp, "p2"))
             markers.append((crossover_w(grid_aspect), "p3"))
             if aspect_comp > 1.0:
@@ -242,14 +233,7 @@ def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> dict:
     net = nets.optimal_net(k, p)
     grid = nets.holes(net)
     scale = nets.net_scale_factor(net, p)
-
-    best = None
-    for i, w in enumerate(grid.widths):
-        for j, h in enumerate(grid.heights):
-            value = nets.hole_scale(w, h, p)
-            if best is None or value > best[0] + 1e-12:
-                best = (value, i, j)
-    _, i, j = best
+    i, j = nets.maximizing_hole(net, p)
     x0 = sum(grid.widths[:i])
     y0 = sum(grid.heights[:j])
     w, h = grid.widths[i], grid.heights[j]
@@ -330,12 +314,12 @@ def _verify_theorem(k: int, parity: str) -> VerificationReport:
         raise DomainError(f"theorem-odd needs odd k >= 3, got {k}")
     scan = theorem_scan(k)
     x = scan["crossover"]
-    p_above = next(p for p in (1.0 + i / 64.0 for i in range(7 * 64 + 1)) if p > x + 1e-9)
+    p_above = next(p for p in THEOREM_P_VALUES if p > x + 1e-9)
     table = enumerate_axis_nets(k, p_above)
     parameters = {
         "k": k,
         "crossover": x,
-        "p_grid": {"min": 1.0, "max": 8.0, "step": 1 / 64},
+        "p_grid": {"min": THEOREM_P_VALUES[0], "max": THEOREM_P_VALUES[-1], "step": THEOREM_P_STEP},
         "checked": scan["checked"],
         "mismatches": scan["mismatches"][:10],
         "table_at_p": p_above,
@@ -499,7 +483,7 @@ def main(argv: list[str] | None = None) -> int:
             else:
                 print(f"{args.suite}: FAIL: {report.failures[0]}", file=sys.stderr)
             return code
-    except (DomainError, RootBracketError) as exc:
+    except DomainError as exc:
         parser.error(str(exc))
     return 2
 

@@ -5,10 +5,6 @@ class DomainError(ValueError):
     """An argument is outside the mathematical domain of an operation."""
 
 
-class RootBracketError(RuntimeError):
-    """A bracketed root search found no sign change; the message reports the bracket."""
-
-
 class DegenerateCellError(ValueError):
     """A polygon cell has (numerically) zero area or too few distinct vertices."""
 

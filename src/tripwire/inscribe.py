@@ -27,24 +27,28 @@ which solve in closed form as
 
 `curve_value` evaluates the curve as a max over the feasible candidate
 placements rather than dispatching on precomputed branch boundaries, so
-it is robust exactly at the boundaries.  The boundary between the
-vertical and diagonal branches is exposed separately as `crossover_w`.
+it is robust exactly at the boundaries; candidates within a relative
+BRANCH_TIE_TOL tie.  The boundary between the vertical and diagonal
+branches is exposed separately as `crossover_w`, the largest root of
+the cubic p^3 - 3n p^2 + p + n.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
-from .errors import DomainError, RootBracketError
+from .errors import DomainError
 
 BRANCH_PLATEAU = "horizontal-plateau"
 BRANCH_VERTICAL = "vertical"
 BRANCH_DIAGONAL = "diagonal"
 
-# Absolute tolerance for comparing candidate placements; ties go to the
+# Relative tolerance for comparing candidate placements; ties go to the
 # earlier branch in (plateau, vertical, diagonal) order so labels are
-# deterministic at the boundaries p = n and p = w_n.
+# deterministic at the boundaries p = n and p = w_n.  Relative, because
+# the curve falls like 1/p and an absolute tolerance would mislabel it.
 BRANCH_TIE_TOL = 1e-12
 
 
@@ -128,7 +132,7 @@ def curve_sample(n: float, p: float) -> CurveSample:
         ]
     best_c, best_branch = candidates[0]
     for c, branch in candidates[1:]:
-        if c > best_c + BRANCH_TIE_TOL:
+        if c > best_c * (1.0 + BRANCH_TIE_TOL):
             best_c, best_branch = c, branch
     return CurveSample(p=p, c=best_c, branch=best_branch)
 
@@ -138,46 +142,44 @@ def curve_value(n: float, p: float) -> float:
     return curve_sample(n, p).c
 
 
-def crossover_w(n: float, residual_tol: float = 1e-12, max_iter: int = 200) -> float:
+def crossover_w(n: float) -> float:
     """The intruder aspect w_n > n where the vertical and diagonal branches meet.
 
-    Found by bisection on f(p) = diagonal(n, p).c - n/p over the bracket
-    [n (1 + 1e-9), max(20, 10 n)].  f < 0 near p = n (the vertical
-    placement dominates) and f > 0 for large p (the diagonal scale decays
-    like sqrt(n^2 + 1)/p > n/p), so the bracket holds a sign change.
+    diagonal(n, p).c = n/p reduces to the quartic
+    p^4 - 4n p^3 + (3n^2+1) p^2 - n^2 = (p - n) f(p), and w_n is the
+    largest root of f(p) = p^3 - 3n p^2 + p + n.  With p = 3n + d,
+    f = (3n+d)^2 d + 4n + d is positive at d = 0 and convex for d > -2n,
+    so Newton's method from d = 0 descends onto the root; it stops once
+    a step is below an ulp of p.  The exact sign of f then settles the
+    last ulp: the result's two float neighbours bracket w_n.  Raises
+    DomainError where the iteration overflows (n above about 4e307).
     """
     n = check_aspect(n, "hole aspect n")
-    lo = n * (1.0 + 1e-9)
-    hi = max(20.0, 10.0 * n)
-
-    def f(p: float) -> float:
-        return diagonal_branch(n, p).c - n / p
-
-    flo = f(lo)
-    fhi = f(hi)
-    if not (flo < 0.0 < fhi):
-        raise RootBracketError(
-            f"no sign change for w_n on bracket [{lo!r}, {hi!r}]: "
-            f"f(lo)={flo!r}, f(hi)={fhi!r}"
-        )
-    for _ in range(max_iter):
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:
+    d = 0.0
+    while True:
+        q = 3.0 * n + d
+        # q * (q * d) rather than q * q * d: for huge n, q * q overflows
+        # while q * d is still 0 on the first step.
+        step = (q * (q * d) + 4.0 * n + d) / (q * (q + 2.0 * d) + 1.0)
+        d -= step
+        if not step > math.ulp(q):
             break
-        if f(mid) < 0.0:
-            lo = mid
+    w = 3.0 * n + d
+    if not math.isfinite(w):
+        raise DomainError(f"w_n exceeds the float range for n={n!r}")
+
+    def f(p: float) -> Fraction:
+        fp, fn = Fraction(p), Fraction(n)
+        return fp * fp * (fp - 3 * fn) + fp + fn
+
+    while True:  # f increases through its largest root
+        below, above = math.nextafter(w, 0.0), math.nextafter(w, math.inf)
+        if f(below) > 0:
+            w = below
+        elif f(above) < 0:
+            w = above
         else:
-            hi = mid
-        if hi - lo <= 1e-15 * hi:
-            break
-    root = 0.5 * (lo + hi)
-    residual = abs(f(root))
-    if residual > residual_tol:
-        raise RootBracketError(
-            f"w_n bisection stalled at p={root!r} with residual {residual!r} "
-            f"> {residual_tol!r} (bracket [{lo!r}, {hi!r}])"
-        )
-    return root
+            return w
 
 
 def placement(n: float, p: float) -> Placement:

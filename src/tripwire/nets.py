@@ -5,14 +5,16 @@ square; it partitions the square into a grid of rectangular holes.  The
 scale factor of a net against a 1 x p intruder is the largest scaled
 copy of the intruder that fits inside some hole: any strictly smaller
 copy can hide there, while at or above that scale every placement
-touches a line.
+touches a line.  A larger hole holds whatever a smaller one holds, so
+the hole where the widest column meets the tallest row decides it.
 
 The two candidate families of evenly spaced nets are k parallel lines
 (holes 1 x 1/(k+1)) and a near-square grid (holes
 1/(ceil(k/2)+1) x 1/(floor(k/2)+1)).  Their pointwise minimum over p is
-the base curve; the aspect ratio where the two families exchange the
-lead is the crossover aspect, and the optimal net for a given (k, p) is
-whichever family is ahead.
+the base curve (`base_curve`, which also names the family that attains
+it); the aspect ratio where the two families exchange the lead is the
+crossover aspect, and the optimal net for a given (k, p) is whichever
+family is ahead.
 """
 
 from __future__ import annotations
@@ -110,41 +112,52 @@ def hole_scale(w: float, h: float, p: float) -> float:
 
 
 def net_scale_factor(net: Net, p: float) -> float:
-    """Scale factor of a net: max over its holes of the largest inscribed intruder."""
+    """Scale factor of a net: the largest intruder scale over its holes.
+
+    A larger hole contains a smaller one, so hole_scale is monotone in
+    both sides and the maximum over all (V+1)(H+1) holes is attained by
+    the widest column crossed with the tallest row: one hole_scale call
+    instead of one per hole.
+    """
     p = check_aspect(p, "intruder aspect p")
     grid = holes(net)
-    return max(hole_scale(w, h, p) for w in grid.widths for h in grid.heights)
+    return hole_scale(max(grid.widths), max(grid.heights), p)
 
 
-def base_curve_even(k: int, p: float) -> float:
-    """Base curve for even k: min of the parallel-lines and square-grid net curves.
+def maximizing_hole(net: Net, p: float) -> tuple[int, int]:
+    """(column, row) of the first hole, row-major, within 1e-12 relative of the scale factor.
 
-    The parallel net N(k,0) contributes (1/(k+1)) C_{k+1}(p); the grid
-    N(k/2,k/2) has square holes of side 1/(k/2+1) and contributes
-    (1/(k/2+1)) C_1(p).
+    Not simply the widest gaps: those of an evenly spaced net differ only
+    by rounding, so there every hole ties and the answer is (0, 0).
     """
-    k = _check_count(k, "line count k", minimum=2)
-    if k % 2 != 0:
-        raise DomainError(f"base_curve_even needs even k, got {k}")
-    parallel = curve_value(k + 1, p) / (k + 1)
-    grid = curve_value(1, p) / (k // 2 + 1)
-    return min(parallel, grid)
+    scale = net_scale_factor(net, p)
+    grid = holes(net)
+    return next(
+        (i, j)
+        for i, w in enumerate(grid.widths)
+        for j, h in enumerate(grid.heights)
+        if hole_scale(w, h, p) >= scale * (1.0 - 1e-12)
+    )
 
 
-def base_curve_odd(k: int, p: float) -> float:
-    """Base curve for odd k: min of the parallel-lines and near-square-grid curves.
+def base_curve(k: int, p: float) -> tuple[float, str]:
+    """(value, family) of the k-line base curve: the lower of the two net families.
 
-    The grid N(ceil(k/2), floor(k/2)) has holes of dimensions
-    1/(ceil(k/2)+1) x 1/(floor(k/2)+1); its curve is evaluated through
-    net_scale_factor so the hole dimensions follow from the hole count
-    per axis (one more hole than lines).
+    Parallel N(k,0) gives (1/(k+1)) C_{k+1}(p).  The grid gives
+    (1/(k/2+1)) C_1(p) for even k (square holes) and, for odd k, the
+    scale factor of N(ceil(k/2), floor(k/2)), whose hole sides follow
+    from the hole count per axis.  "parallel" wins within 1e-12; the
+    value returned is the winning family's own.
     """
     k = _check_count(k, "line count k", minimum=1)
-    if k % 2 != 1:
-        raise DomainError(f"base_curve_odd needs odd k, got {k}")
     parallel = curve_value(k + 1, p) / (k + 1)
-    grid = net_scale_factor(evenly_spaced(k // 2 + 1, k // 2), p)
-    return min(parallel, grid)
+    if k % 2 == 0:
+        grid = curve_value(1, p) / (k // 2 + 1)
+    else:
+        grid = net_scale_factor(evenly_spaced(k - k // 2, k // 2), p)
+    if parallel <= grid + 1e-12:
+        return parallel, "parallel"
+    return grid, "grid"
 
 
 def crossover_aspect(k: int) -> float:

@@ -20,9 +20,9 @@ import numpy as np
 
 from . import nets
 from .cells import (
+    DEFAULT_ANGLE_RESOLUTION,
     PerturbationSpec,
     arrangement_cells,
-    largest_square_in_cell,
     largest_squares,
     perturbed_vertical_lines,
 )
@@ -34,11 +34,11 @@ __all__ = [
     "VerificationReport",
     "oracle_curve_value",
     "enumerate_axis_nets",
+    "THEOREM_P_STEP",
+    "THEOREM_P_VALUES",
     "theorem_scan",
     "lagrange_split_check",
     "irregular_spacing_check",
-    "largest_square_in_cell",
-    "PerturbationSpec",
     "local_perturbation_experiment",
     "perturbation_suite",
 ]
@@ -192,8 +192,13 @@ def enumerate_axis_nets(k: int, p: float, tie_tol: float = 1e-12) -> Verificatio
     )
 
 
+# The theorem scans' p-grid: [1, 8] in steps of 1/64, every point exact in binary.
+THEOREM_P_STEP = 1 / 64
+THEOREM_P_VALUES = tuple(1.0 + i * THEOREM_P_STEP for i in range(7 * 64 + 1))
+
+
 def theorem_scan(k: int, tie_tol: float = 1e-12, crossover_window: float = 1e-9) -> dict:
-    """Scan p over [1, 8] (step 1/64) comparing enumeration with the prediction.
+    """Scan p over THEOREM_P_VALUES comparing enumeration with the prediction.
 
     Splits are grouped into mirror classes by their larger line count
     (N(v,h) and N(h,v) always tie).  Away from the crossover the argmin
@@ -206,9 +211,7 @@ def theorem_scan(k: int, tie_tol: float = 1e-12, crossover_window: float = 1e-9)
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
     mismatches = []
-    checked = 0
-    for i in range(0, 7 * 64 + 1):
-        p = 1.0 + i / 64.0
+    for p in THEOREM_P_VALUES:
         values = {
             vmax: nets.net_scale_factor(nets.evenly_spaced(vmax, k - vmax), p)
             for vmax in range(grid_class, k + 1)
@@ -216,12 +219,11 @@ def theorem_scan(k: int, tie_tol: float = 1e-12, crossover_window: float = 1e-9)
         best = min(values.values())
         tied = sorted(v for v, value in values.items() if value <= best + tie_tol)
         predicted = k if p <= x else grid_class
-        checked += 1
         if predicted not in tied:
             mismatches.append(f"p={p!r}: predicted class {predicted} not in argmin set {tied}")
         elif abs(p - x) > crossover_window and tied != [predicted]:
             mismatches.append(f"p={p!r}: unexpected tie set {tied}, predicted {predicted}")
-    return {"crossover": x, "checked": checked, "mismatches": mismatches}
+    return {"crossover": x, "checked": len(THEOREM_P_VALUES), "mismatches": mismatches}
 
 
 def _diagonal_legs_in_hole(width: float, height: float, c_prime: float) -> tuple[float, float] | None:
@@ -363,11 +365,25 @@ def _jittered_positions(count: int, rng: np.random.Generator) -> tuple[float, ..
     return tuple((i + 1) * gap + jitter[i] for i in range(count))
 
 
+def _spec_cell_values(
+    k: int, specs: list[PerturbationSpec], pivot_height: float, angle_resolution: float
+) -> list[np.ndarray]:
+    """Largest inscribed square of every cell, one array per spec.
+
+    Each spec's perturbed lines cut the unit square into convex cells;
+    the cells of all specs go through one batched largest_squares call.
+    """
+    cells_per_spec = [arrangement_cells(perturbed_vertical_lines(k, spec, pivot_height)) for spec in specs]
+    values = largest_squares([cell for cells in cells_per_spec for cell in cells], angle_resolution)
+    ends = np.cumsum([len(cells) for cells in cells_per_spec], dtype=int)
+    return [values[end - len(cells) : end] for cells, end in zip(cells_per_spec, ends)]
+
+
 def local_perturbation_experiment(
     k: int,
     spec: PerturbationSpec,
     pivot_height: float = 0.5,
-    angle_resolution: float | None = None,
+    angle_resolution: float = DEFAULT_ANGLE_RESOLUTION,
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Shift/pivot a k-line vertical arrangement and re-measure its scale factor.
@@ -380,10 +396,7 @@ def local_perturbation_experiment(
     """
     if k <= 2:
         raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
-    lines = perturbed_vertical_lines(k, spec, pivot_height=pivot_height)
-    cell_polys = arrangement_cells(lines)
-    kwargs = {} if angle_resolution is None else {"angle_resolution": angle_resolution}
-    values = largest_squares(cell_polys, **kwargs)
+    (values,) = _spec_cell_values(k, [spec], pivot_height, angle_resolution)
     perturbed = float(values.max())
     regular = 1.0 / (k + 1)
     failures = []
@@ -415,7 +428,7 @@ def perturbation_suite(
     epsilon: float = 0.02,
     seed: int = 0,
     pivot_height: float = 0.5,
-    angle_resolution: float | None = None,
+    angle_resolution: float = DEFAULT_ANGLE_RESOLUTION,
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Run many random shift/pivot specs at once (batched across all cells).
@@ -429,28 +442,19 @@ def perturbation_suite(
     if k <= 2:
         raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
     rng = np.random.default_rng(seed)
-    specs = []
-    all_cells = []
-    cell_counts = []
-    for _ in range(trials):
-        spec = PerturbationSpec(
+    specs = [
+        PerturbationSpec(
             shifts=tuple(rng.uniform(0.0, epsilon, size=k)),
             pivots=tuple(rng.uniform(0.0, epsilon, size=k)),
             epsilon=epsilon,
         )
-        specs.append(spec)
-        cell_polys = arrangement_cells(perturbed_vertical_lines(k, spec, pivot_height))
-        cell_counts.append(len(cell_polys))
-        all_cells.extend(cell_polys)
-
-    kwargs = {} if angle_resolution is None else {"angle_resolution": angle_resolution}
-    values = largest_squares(all_cells, **kwargs)
+        for _ in range(trials)
+    ]
+    per_spec = [
+        float(values.max())
+        for values in _spec_cell_values(k, specs, pivot_height, angle_resolution)
+    ]
     regular = 1.0 / (k + 1)
-    per_spec = []
-    offset = 0
-    for count in cell_counts:
-        per_spec.append(float(values[offset : offset + count].max()))
-        offset += count
 
     failures = []
     violating = []

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from tripwire.cells import PerturbationSpec
 from tripwire.cli import OutputSpec, _verify_theorem, cmd_base_curve, cmd_curve
 from tripwire.inscribe import crossover_w, curve_value, diagonal_branch
 from tripwire.nets import (
@@ -19,7 +20,6 @@ from tripwire.nets import (
     odd_crossover_line_count,
 )
 from tripwire.oracle import (
-    PerturbationSpec,
     SweepConfig,
     enumerate_axis_nets,
     irregular_spacing_check,

@@ -157,6 +157,17 @@ class TestLargestSquare:
         expected = side * (3.0 - math.sqrt(3.0))
         assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-12)
 
+    # Far from the origin: duplicate vertices are judged on the cell's own
+    # scale, not relative to its coordinates.  1e-9 relative because the LP
+    # slack has a floor of 1e-12 absolute, which the 1e-3 cell's side feels.
+    @pytest.mark.parametrize("side,center", [(1e-3, (100.0, -30.0)), (1.0, (1e6, -3e5))])
+    @pytest.mark.parametrize("turns", [0, 7])
+    def test_regular_hexagon_far_from_the_origin(self, turns, side, center):
+        cell = regular_polygon(6, side, turns * DEFAULT_ANGLE_RESOLUTION, center)
+        assert len(convex_cell(cell)) == 6
+        expected = side * (3.0 - math.sqrt(3.0))
+        assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-9)
+
     def test_mixed_batch_matches_single_cells(self):
         # 3- to 6-gons in one call: cells are grouped by edge count, and the
         # 5- and 6-gons solve 10 and 20 constraint triples per orientation

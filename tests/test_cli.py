@@ -84,6 +84,24 @@ class TestCurveCommand:
         assert err.value.code == 2
 
 
+    def test_oversized_range_is_a_usage_error(self, tmp_path):
+        # about 1e15 samples: rejected before any is built
+        with pytest.raises(SystemExit) as err:
+            run_main(["curve", "--n", "1", "--p-max", "1e12", "--step", "1e-3",
+                      "--format", "csv", "--out", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_wide_hole_aspect(self, tmp_path):
+        out = tmp_path / "c.json"
+        code = run_main(["curve", "--n", "1e4", "--p-max", "3e4", "--step", "1000",
+                         "--format", "json", "--out", str(out), "--precision", "17"])
+        assert code == 0
+        data = json.loads(out.read_text())
+        # w_n = 3n - 4/(9n) + O(1/n^3)
+        assert data["markers"]["vertical_end"] == pytest.approx(3e4 - 4 / 9e4, rel=1e-15)
+
+
 class TestBaseCurveCommand:
     def test_even_crossover_annotation(self, tmp_path):
         out = tmp_path / "b2.csv"

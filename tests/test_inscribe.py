@@ -120,6 +120,15 @@ class TestCurveValue:
         assert sample.c == pytest.approx(diagonal_branch(2, 6).c, abs=1e-15)
         assert abs(sample.c - oracle_curve_value(2, 6, SWEEP)) <= 5e-5
 
+    @pytest.mark.parametrize("n,p", [(1.0, 1e12), (1.0, 1e9), (10.0, 1e12), (1e3, 1e12)])
+    def test_tiny_values_keep_the_diagonal_branch(self, n, p):
+        # the diagonal placement beats n/p by a factor near sqrt(n^2+1)/n,
+        # however small both are
+        sample = curve_sample(n, p)
+        assert sample.branch == BRANCH_DIAGONAL
+        assert sample.c == diagonal_branch(n, p).c
+        assert sample.c == pytest.approx(math.sqrt(n * n + 1) / p, rel=1e-6)
+
     @pytest.mark.parametrize("n,p", [(0.5, 2.0), (2.0, 0.5), (float("nan"), 2.0), (1.0, float("inf"))])
     def test_domain_errors(self, n, p):
         with pytest.raises(DomainError):
@@ -186,6 +195,23 @@ class TestCrossoverW:
         w = crossover_w(n)
         assert w > n
         assert abs(diagonal_branch(n, w).c - n / w) < 1e-10
+
+    @pytest.mark.parametrize("n", [*np.logspace(0.0, 9.0, 37), 1.0 + 1e-12, 1.4384498882876628])
+    def test_neighbours_bracket_the_exact_root(self, n):
+        # w_n is the largest root of p^3 - 3n p^2 + p + n; evaluated exactly,
+        # the cubic changes sign between the two floats next to the result.
+        w = crossover_w(n)
+
+        def cubic(p):
+            fp, fn = Fraction(p), Fraction(n)
+            return fp**3 - 3 * fn * fp**2 + fp + fn
+
+        assert cubic(math.nextafter(w, 0.0)) <= 0 <= cubic(math.nextafter(w, math.inf)), n
+
+    def test_overflow_is_a_domain_error(self):
+        assert crossover_w(1e300) == 3e300
+        with pytest.raises(DomainError):
+            crossover_w(1e308)
 
     def test_branch_labels_flip_across_w(self):
         w = crossover_w(2)

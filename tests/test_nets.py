@@ -9,19 +9,19 @@ from tripwire.errors import DomainError
 from tripwire.inscribe import curve_value
 from tripwire.nets import (
     Net,
-    base_curve_even,
-    base_curve_odd,
+    base_curve,
     crossover_aspect,
     evenly_spaced,
     hole_scale,
     holes,
+    maximizing_hole,
     net_from_dict,
     net_scale_factor,
     net_to_dict,
     odd_crossover_line_count,
     optimal_net,
 )
-from tripwire.oracle import SweepConfig, oracle_curve_value
+from tripwire.oracle import THEOREM_P_VALUES, SweepConfig, oracle_curve_value
 
 SWEEP = SweepConfig(theta_resolution=1e-5)
 
@@ -32,6 +32,14 @@ positions = st.lists(
 
 def random_net(v_positions, h_positions):
     return Net(vertical=v_positions, horizontal=h_positions)
+
+
+def all_holes_scale_factor(net, p):
+    """Test-only oracle: the largest hole_scale over every hole of the net,
+    without the monotonicity argument net_scale_factor rests on (distinct
+    widths and heights only, which leaves the maximum unchanged)."""
+    grid = holes(net)
+    return max(hole_scale(w, h, p) for w in set(grid.widths) for h in set(grid.heights))
 
 
 class TestNetConstruction:
@@ -159,12 +167,61 @@ class TestNetScaleFactor:
             assert net_scale_factor(net, p) >= net_scale_factor(evenly_spaced(v, h), p) - 1e-12
 
 
+class TestNetScaleFactorMatchesAllHoles:
+    # hole_scale rounds the same inputs the same way, so the only gap between
+    # the largest hole and the all-holes maximum is rounding of max(w,h)/min(w,h)
+    # and of the final product: a few ulps at most.
+    @given(v=positions, h=positions, p=st.floats(min_value=1.0, max_value=1e6))
+    @settings(max_examples=300, deadline=None)
+    def test_random_nets(self, v, h, p):
+        net = random_net(v, h)
+        assert net_scale_factor(net, p) == pytest.approx(all_holes_scale_factor(net, p), rel=1e-15)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_evenly_spaced_nets_over_the_theorem_grid(self, k):
+        for v in range(k + 1):
+            net = evenly_spaced(v, k - v)
+            for p in THEOREM_P_VALUES:
+                expected = all_holes_scale_factor(net, p)
+                assert net_scale_factor(net, p) == pytest.approx(expected, rel=1e-15), (v, p)
+
+
+class TestMaximizingHole:
+    @pytest.mark.parametrize("v,h", [(v, h) for v in range(0, 7) for h in range(0, 7)])
+    def test_evenly_spaced_nets_answer_the_first_hole(self, v, h):
+        for p in (1.0, 1.75, 3.0, 6.0):
+            assert maximizing_hole(evenly_spaced(v, h), p) == (0, 0)
+
+    def test_rounding_does_not_pick_a_later_gap(self):
+        # 1 - 2/3 rounds above 1/3, so a plain argmax of the widths picks column 2
+        widths = holes(evenly_spaced(2, 0)).widths
+        assert widths.index(max(widths)) == 2
+        assert maximizing_hole(evenly_spaced(2, 0), 1.0) == (0, 0)
+
+    def test_irregular_net(self):
+        # widths (0.2, 0.5, 0.3), heights (0.4, 0.6): the 0.5 x 0.6 hole
+        net = Net(vertical=(0.2, 0.7), horizontal=(0.4,))
+        assert maximizing_hole(net, 1.0) == (1, 1)
+        assert hole_scale(0.5, 0.6, 2.0) == pytest.approx(net_scale_factor(net, 2.0), abs=1e-15)
+        assert maximizing_hole(net, 2.0) == (1, 1)
+
+    def test_tiny_scale_factors_still_pick_the_largest_hole(self):
+        # at p = 1e13 every hole scores below 1e-12; the tie is relative
+        net = Net(vertical=(0.1,), horizontal=())
+        assert maximizing_hole(net, 1e13) == (1, 0)
+
+    def test_first_of_tied_holes(self):
+        # columns 0 and 2 are both 0.4 wide, the rows both 0.5 high
+        net = Net(vertical=(0.4, 0.6), horizontal=(0.5,))
+        assert maximizing_hole(net, 1.5) == (0, 0)
+
+
 class TestBaseCurves:
     def test_even_examples(self):
-        assert base_curve_even(2, 1) == pytest.approx(1 / 3, abs=1e-15)
-        # both arguments agree at the crossover p = 3/2
-        assert base_curve_even(2, 1.5) == pytest.approx(1 / 3, abs=1e-15)
-        assert base_curve_even(2, 3) == pytest.approx(math.sqrt(2) / 8, abs=1e-15)
+        assert base_curve(2, 1) == (pytest.approx(1 / 3, abs=1e-15), "parallel")
+        # both arguments agree at the crossover p = 3/2; parallel wins the tie
+        assert base_curve(2, 1.5) == (pytest.approx(1 / 3, abs=1e-15), "parallel")
+        assert base_curve(2, 3) == (pytest.approx(math.sqrt(2) / 8, abs=1e-15), "grid")
 
     def test_even_crossover_equality(self):
         for k in range(2, 13, 2):
@@ -172,12 +229,13 @@ class TestBaseCurves:
             parallel = curve_value(k + 1, x) / (k + 1)
             grid = curve_value(1, x) / (k // 2 + 1)
             assert abs(parallel - grid) < 1e-12
+            assert base_curve(k, x) == (parallel, "parallel")
 
     def test_odd_examples(self):
         # min(1/4 from N(3,0), (1/3) C_{3/2}(p) from N(2,1))
-        assert base_curve_odd(3, 1) == pytest.approx(0.25, abs=1e-15)
-        assert base_curve_odd(3, 2) == pytest.approx(0.25, abs=1e-15)
-        assert base_curve_odd(3, 3) == pytest.approx(1 / 6, abs=1e-15)
+        assert base_curve(3, 1) == (pytest.approx(0.25, abs=1e-15), "parallel")
+        assert base_curve(3, 2) == (pytest.approx(0.25, abs=1e-15), "parallel")
+        assert base_curve(3, 3) == (pytest.approx(1 / 6, abs=1e-15), "grid")
 
     def test_odd_crossover_equality(self):
         for k in range(3, 13, 2):
@@ -185,21 +243,24 @@ class TestBaseCurves:
             parallel = curve_value(k + 1, x) / (k + 1)
             grid = net_scale_factor(evenly_spaced(k - k // 2, k // 2), x)
             assert abs(parallel - grid) < 1e-12
+            assert base_curve(k, x) == (parallel, "parallel")
 
-    def test_parity_is_enforced(self):
-        with pytest.raises(DomainError):
-            base_curve_even(3, 2)
-        with pytest.raises(DomainError):
-            base_curve_odd(4, 2)
+    def test_single_line_is_the_parallel_net(self):
+        assert base_curve(1, 3.0) == (curve_value(2, 3.0) / 2, "parallel")
 
-    @pytest.mark.parametrize("k", range(2, 13))
+    @pytest.mark.parametrize("k", [0, -1, 2.0, True])
+    def test_line_count_checked(self, k):
+        with pytest.raises(DomainError):
+            base_curve(k, 2.0)
+
+    @pytest.mark.parametrize("k", range(1, 13))
     def test_base_curve_dominates_every_split(self, k):
-        base = base_curve_even if k % 2 == 0 else base_curve_odd
-        for i in range(0, 449, 7):
-            p = 1.0 + i / 64.0
-            value = base(k, p)
-            for v in range(0, k + 1):
-                assert value <= net_scale_factor(evenly_spaced(v, k - v), p) + 1e-12
+        for p in THEOREM_P_VALUES[::7]:
+            value, family = base_curve(k, p)
+            scores = [net_scale_factor(evenly_spaced(v, k - v), p) for v in range(0, k + 1)]
+            assert value <= min(scores) + 1e-12
+            # the value is the named family's own scale factor
+            assert value == pytest.approx(scores[0] if family == "parallel" else scores[k // 2], abs=1e-15)
 
 
 class TestCrossoverAspect:
