@@ -17,11 +17,11 @@ optimum sits at a vertex where three constraints are tight.  Each
 constraint triple's 3x3 system is solved by Cramer's rule, vertices
 that break a constraint by more than a slack scaled to the cell's
 coordinates are dropped, and the largest remaining s is the exact
-optimum.  Orientations are scanned on a grid over [0, pi/2) (the
-square's symmetry period) and the best grid neighbourhoods are refined
-by bracket zooming.  The solve is vectorized over orientations and
-batched over cells with the same edge count, so large perturbation
-sweeps stay cheap.
+optimum.  No search over theta (period pi/2, the square's symmetry) is
+needed: a best orientation lies in a finite set read off the cell's
+edges (see largest_squares), and the LP is solved at each member of it,
+vectorized over orientations and batched over cells with the same edge
+count, so large perturbation sweeps stay cheap.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 # admits the rounding error of a vertex that is tight on more than three
 # constraints.
 GEO_TOL = 1e-12
-
-# Default orientation grid step for inscribed-square sweeps.
-DEFAULT_ANGLE_RESOLUTION = (math.pi / 2) / 96
 
 _QUARTER = math.pi / 2
 
@@ -159,32 +156,60 @@ def _max_sides_at_angles(
     return best
 
 
-def largest_squares(cells, angle_resolution: float = DEFAULT_ANGLE_RESOLUTION) -> np.ndarray:
+def _candidate_angles(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
+    """Orientations in [0, pi/2) that hold each cell's best one (see largest_squares).
+
+    normals: (G, m, 2); offsets: (G, m); returns (G, m (1 + C(m, 4))).
+    """
+    m = normals.shape[1]
+    nx = normals[:, None, :, 0]
+    ny = normals[:, None, :, 1]
+    breaks = np.sort(np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER, axis=1)
+    mid = 0.5 * (breaks + np.concatenate((breaks[:, 1:], breaks[:, :1] + _QUARTER), axis=1))
+    cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
+    # On the piece after each breakpoint u_i = alpha_i cos(theta) + beta_i sin(theta).
+    sign1 = np.sign(nx * cos + ny * sin)
+    sign2 = np.sign(ny * cos - nx * sin)
+    alpha_beta = 0.5 * np.stack((sign1 * nx + sign2 * ny, sign1 * ny - sign2 * nx))
+
+    dets = {
+        rows: _det3(*([a[..., r] for r in rows] for a in (nx, ny, alpha_beta)))
+        for rows in itertools.combinations(range(m), 3)
+    }
+    candidates = [breaks]
+    for rows in itertools.combinations(range(m), 4):
+        # det[nx ny alpha b] and det[nx ny beta b], expanded along the b column.
+        det4 = sum(
+            (-1) ** (pos + 1) * offsets[:, None, r] * dets[rows[:pos] + rows[pos + 1 :]]
+            for pos, r in enumerate(rows)
+        )
+        candidates.append(np.arctan2(-det4[0], det4[1]))
+    return np.concatenate(candidates, axis=1) % _QUARTER
+
+
+def largest_squares(cells) -> np.ndarray:
     """Largest inscribed square side for each convex cell in `cells`.
 
-    Orientations are scanned on a grid of step <= angle_resolution over
-    [0, pi/2); the two best local maxima per cell are refined by bracket
-    zooming down to ~1e-9 rad.  At each orientation the side is the
-    exact LP optimum (see the module docstring), so the result is exact
-    at the best orientation sampled, up to rounding.  Raises DomainError
-    for a non-finite or non-positive angle_resolution and
+    The side is the exact fixed-angle LP optimum (module docstring),
+    maximised over a finite set of orientations that holds a best one.
+    Between the m breakpoints atan2(n_i) mod pi/2, where some n_i is
+    parallel to d1 or d2, u_i = alpha_i cos(theta) + beta_i sin(theta).
+    There the side is the largest basis side det[n b] / det[n u] over the
+    feasible constraint triples.  A basis side is D / (R cos(theta - phi)),
+    convex wherever it is positive, so it peaks at an end of an interval
+    where its triple is feasible: a breakpoint, or an angle where a fourth
+    constraint is tight too (det[n u b] = 0, one angle per quadruple).
+    Extra angles do no harm, since the LP is exact at each.  Raises
     DegenerateCellError, naming the cell, where an orientation's LP has
     no feasible vertex with a positive side (a cell with interior always
     has one).
     """
-    if not (math.isfinite(angle_resolution) and angle_resolution > 0.0):
-        raise DomainError(f"angle_resolution must be finite and positive, got {angle_resolution!r}")
     polys = [convex_cell(c) for c in cells]
     result = np.zeros(len(polys))
 
     by_edge_count: dict[int, list[int]] = {}
     for idx, poly in enumerate(polys):
         by_edge_count.setdefault(len(poly), []).append(idx)
-
-    T = max(8, int(math.ceil(_QUARTER / angle_resolution)))
-    step = _QUARTER / T
-    zoom_points = 9
-    zoom_rounds = max(1, int(math.ceil(math.log(step / 1e-9) / math.log((zoom_points - 1) / 2))))
 
     for m, idxs in by_edge_count.items():
         G = len(idxs)
@@ -198,50 +223,23 @@ def largest_squares(cells, angle_resolution: float = DEFAULT_ANGLE_RESOLUTION) -
             normals[row], offsets[row] = _halfplanes(centred)
             slack[row] = GEO_TOL * max(1.0, float(np.max(np.abs(centred))))
 
-        def sides(theta: np.ndarray) -> np.ndarray:
-            s = _max_sides_at_angles(normals, offsets, slack, theta)
-            bad = np.argwhere(~(s > 0.0))
-            if len(bad):
-                row, col = bad[0]
-                raise DegenerateCellError(
-                    f"cell {idxs[row]} has no feasible LP vertex with a positive side at "
-                    f"angle {float(theta[row, col])!r} (best {float(s[row, col])!r}): "
-                    f"{polys[idxs[row]].tolist()}"
-                )
-            return s
-
-        grid = np.broadcast_to(np.arange(T) * step, (G, T))
-        s_grid = sides(grid)
-        best = s_grid.max(axis=1)
-        rows = np.arange(G)
-        top_idx = s_grid.argmax(axis=1)
-
-        # Second-best local maximum (circular grid), outside the top's window.
-        is_local = (s_grid >= np.roll(s_grid, 1, axis=1)) & (s_grid >= np.roll(s_grid, -1, axis=1))
-        masked = np.where(is_local, s_grid, -np.inf)
-        for off in range(-2, 3):
-            masked[rows, (top_idx + off) % T] = -np.inf
-        second_idx = masked.argmax(axis=1)
-
-        for centers in (top_idx, second_idx):
-            theta_c = centers * step
-            hw = step
-            for _ in range(zoom_rounds):
-                offs = np.linspace(-1.0, 1.0, zoom_points) * hw
-                theta = theta_c[:, None] + offs[None, :]
-                s = sides(theta)
-                pick = s.argmax(axis=1)
-                theta_c = theta[rows, pick]
-                best = np.maximum(best, s[rows, pick])
-                hw *= 2.0 / (zoom_points - 1)
-
-        result[idxs] = best
+        theta = _candidate_angles(normals, offsets)
+        s = _max_sides_at_angles(normals, offsets, slack, theta)
+        bad = np.argwhere(~(s > 0.0))
+        if len(bad):
+            row, col = bad[0]
+            raise DegenerateCellError(
+                f"cell {idxs[row]} has no feasible LP vertex with a positive side at "
+                f"angle {float(theta[row, col])!r} (best {float(s[row, col])!r}): "
+                f"{polys[idxs[row]].tolist()}"
+            )
+        result[idxs] = s.max(axis=1)
     return result
 
 
-def largest_square_in_cell(cell, angle_resolution: float = DEFAULT_ANGLE_RESOLUTION) -> float:
+def largest_square_in_cell(cell) -> float:
     """Side of the largest square (any orientation) inside one convex cell."""
-    return float(largest_squares([cell], angle_resolution)[0])
+    return float(largest_squares([cell])[0])
 
 
 @dataclass(frozen=True)
@@ -362,6 +360,8 @@ def arrangement_cells(lines: list[GeneralLine]) -> list[np.ndarray]:
     Lines must be ordered left to right and pairwise non-crossing inside
     the open unit square (touching on the boundary is allowed); both
     conditions are checked and violations raise InvalidPerturbationError.
+    Cells are clipped counter-clockwise (m, 2) arrays, not normalised (a
+    vertex may repeat, an area may be zero); largest_squares does that.
     """
     for line in lines:
         if math.cos(line.angle) <= 1e-9:
@@ -391,5 +391,5 @@ def arrangement_cells(lines: list[GeneralLine]) -> list[np.ndarray]:
         if j < len(lines):
             nx, ny, b = lines[j].right_halfplane()
             poly = _clip_halfplane(poly, nx, ny, b)
-        cells.append(convex_cell(poly))
+        cells.append(np.asarray(poly, dtype=float))
     return cells

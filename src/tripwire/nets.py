@@ -146,8 +146,8 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     Parallel N(k,0) gives (1/(k+1)) C_{k+1}(p).  The grid gives
     (1/(k/2+1)) C_1(p) for even k (square holes) and, for odd k, the
     scale factor of N(ceil(k/2), floor(k/2)), whose hole sides follow
-    from the hole count per axis.  "parallel" wins within 1e-12; the
-    value returned is the winning family's own.
+    from the hole count per axis.  "parallel" wins within 1e-12
+    relative; the value returned is the winning family's own.
     """
     k = _check_count(k, "line count k", minimum=1)
     parallel = curve_value(k + 1, p) / (k + 1)
@@ -155,7 +155,7 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
         grid = curve_value(1, p) / (k // 2 + 1)
     else:
         grid = net_scale_factor(evenly_spaced(k - k // 2, k // 2), p)
-    if parallel <= grid + 1e-12:
+    if parallel <= grid * (1.0 + 1e-12):
         return parallel, "parallel"
     return grid, "grid"
 

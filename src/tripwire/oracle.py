@@ -20,7 +20,6 @@ import numpy as np
 
 from . import nets
 from .cells import (
-    DEFAULT_ANGLE_RESOLUTION,
     PerturbationSpec,
     arrangement_cells,
     largest_squares,
@@ -323,6 +322,8 @@ def irregular_spacing_check(
     if k < 1:
         raise DomainError(f"line count k must be >= 1, got {k}")
     p = check_aspect(p, "intruder aspect p")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
     rng = np.random.default_rng(seed)
     even_value: dict[int, float] = {}
     worst_by_split: dict[int, float] = {}
@@ -365,16 +366,14 @@ def _jittered_positions(count: int, rng: np.random.Generator) -> tuple[float, ..
     return tuple((i + 1) * gap + jitter[i] for i in range(count))
 
 
-def _spec_cell_values(
-    k: int, specs: list[PerturbationSpec], pivot_height: float, angle_resolution: float
-) -> list[np.ndarray]:
+def _spec_cell_values(k: int, specs: list[PerturbationSpec], pivot_height: float) -> list[np.ndarray]:
     """Largest inscribed square of every cell, one array per spec.
 
     Each spec's perturbed lines cut the unit square into convex cells;
     the cells of all specs go through one batched largest_squares call.
     """
     cells_per_spec = [arrangement_cells(perturbed_vertical_lines(k, spec, pivot_height)) for spec in specs]
-    values = largest_squares([cell for cells in cells_per_spec for cell in cells], angle_resolution)
+    values = largest_squares([cell for cells in cells_per_spec for cell in cells])
     ends = np.cumsum([len(cells) for cells in cells_per_spec], dtype=int)
     return [values[end - len(cells) : end] for cells, end in zip(cells_per_spec, ends)]
 
@@ -383,7 +382,6 @@ def local_perturbation_experiment(
     k: int,
     spec: PerturbationSpec,
     pivot_height: float = 0.5,
-    angle_resolution: float = DEFAULT_ANGLE_RESOLUTION,
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Shift/pivot a k-line vertical arrangement and re-measure its scale factor.
@@ -396,7 +394,7 @@ def local_perturbation_experiment(
     """
     if k <= 2:
         raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
-    (values,) = _spec_cell_values(k, [spec], pivot_height, angle_resolution)
+    (values,) = _spec_cell_values(k, [spec], pivot_height)
     perturbed = float(values.max())
     regular = 1.0 / (k + 1)
     failures = []
@@ -428,7 +426,6 @@ def perturbation_suite(
     epsilon: float = 0.02,
     seed: int = 0,
     pivot_height: float = 0.5,
-    angle_resolution: float = DEFAULT_ANGLE_RESOLUTION,
     tol: float = 1e-9,
 ) -> VerificationReport:
     """Run many random shift/pivot specs at once (batched across all cells).
@@ -441,6 +438,10 @@ def perturbation_suite(
     """
     if k <= 2:
         raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
+    if trials < 1:
+        raise DomainError(f"trials must be >= 1, got {trials}")
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     rng = np.random.default_rng(seed)
     specs = [
         PerturbationSpec(
@@ -450,10 +451,7 @@ def perturbation_suite(
         )
         for _ in range(trials)
     ]
-    per_spec = [
-        float(values.max())
-        for values in _spec_cell_values(k, specs, pivot_height, angle_resolution)
-    ]
+    per_spec = [float(values.max()) for values in _spec_cell_values(k, specs, pivot_height)]
     regular = 1.0 / (k + 1)
 
     failures = []

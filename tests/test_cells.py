@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -7,7 +8,6 @@ from hypothesis import strategies as st
 
 from tripwire import cells
 from tripwire.cells import (
-    DEFAULT_ANGLE_RESOLUTION,
     GeneralLine,
     PerturbationSpec,
     arrangement_cells,
@@ -74,6 +74,80 @@ def sampled_largest_square(poly, grid=41, theta_grid=81, zoom_rounds=8):
     return best
 
 
+def dense_fixed_angle_lp(poly, count=20001):
+    """Independent reference: the fixed-angle LP  max s  s.t.
+    n_i . x + s u_i(theta) <= b_i, solved with np.linalg.solve on every
+    constraint triple at `count` evenly spaced orientations in [0, pi/2];
+    returns the best side over them.  Off a best orientation this is low
+    by at most the side's Lipschitz constant times half the step."""
+    poly = convex_cell(poly)
+    poly = poly - poly.mean(axis=0)
+    edges = np.roll(poly, -1, axis=0) - poly
+    normals = np.stack((edges[:, 1], -edges[:, 0]), axis=1)
+    normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
+    offsets = np.einsum("ij,ij->i", normals, poly)
+    theta = np.linspace(0.0, math.pi / 2, count)
+    d1 = np.stack((np.cos(theta), np.sin(theta)), axis=1)
+    d2 = np.stack((-np.sin(theta), np.cos(theta)), axis=1)
+    u = 0.5 * (np.abs(normals @ d1.T) + np.abs(normals @ d2.T))  # (m, T)
+    tol = 1e-12 * max(1.0, float(np.abs(poly).max()))
+    best = np.full(count, -np.inf)
+    for rows in itertools.combinations(range(len(poly)), 3):
+        rows = list(rows)
+        matrix = np.empty((count, 3, 3))
+        matrix[:, :, 0] = normals[rows, 0]
+        matrix[:, :, 1] = normals[rows, 1]
+        matrix[:, :, 2] = u[rows].T
+        solvable = np.abs(np.linalg.det(matrix)) > 1e-14
+        matrix[~solvable] = np.eye(3)
+        rhs = np.broadcast_to(offsets[rows, None], (count, 3, 1))
+        x, y, s = np.linalg.solve(matrix, rhs)[:, :, 0].T
+        lhs = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + u * s
+        feasible = solvable & np.all(lhs <= offsets[:, None] + tol, axis=0)
+        best = np.where(feasible & (s > best), s, best)
+    return float(best.max())
+
+
+def random_convex_polygon(count, rng):
+    """count points on a random ellipse, turned and moved: always convex."""
+    t = np.sort(rng.uniform(0.0, 2.0 * math.pi, count))
+    a, b = rng.uniform(0.2, 2.0, size=2)
+    turn = rng.uniform(0.0, math.pi)
+    pts = np.stack((a * np.cos(t), b * np.sin(t)), axis=1)
+    rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+    return pts @ rot.T + rng.uniform(-3.0, 3.0, size=2)
+
+
+# Cells whose best orientation lies away from the two best points of a
+# 96-angle grid, so a search refined around those points ends low (by
+# 1.7e-4 and 7.3e-5 relative).
+MISSED_HEXAGON = [
+    (1.6496854063913704, -1.8704059096646677),
+    (1.6355903109620287, -1.8301601644959629),
+    (1.329842843730745, -1.5937319013386337),
+    (0.47164164721005836, -2.20475629404289),
+    (0.6996242287990428, -2.28929531406044),
+    (0.9775321594327334, -2.317848450145358),
+]
+MISSED_QUAD = [
+    (2.6332194449769104, -0.831775769389244),
+    (2.336841443215427, -0.7429724678030001),
+    (1.8166710703660391, -1.2809186725670403),
+    (2.144413529448204, -1.2944842007689583),
+]
+
+# Turning angles in radians, by test id: "7" is 7 pi / 192 and "50" is
+# 50 pi / 192; 0.1, 0.7 and 1.234 are arbitrary.
+TURNS = [
+    pytest.param(0.0, id="0"),
+    pytest.param(7 * math.pi / 192, id="7"),
+    pytest.param(50 * math.pi / 192, id="50"),
+    0.1,
+    0.7,
+    1.234,
+]
+
+
 def regular_polygon(count, side, angle, center):
     """Regular count-gon with the given side, turned by angle about center."""
     radius = side / (2.0 * math.sin(math.pi / count))
@@ -138,22 +212,20 @@ class TestLargestSquare:
         assert value >= 0.25
         assert value == pytest.approx(sampled_largest_square(cell), abs=1e-4)
 
-    # The turns are multiples of the orientation grid step, so the optimal
-    # orientation is sampled exactly and the LP side is exact up to rounding.
-    # Off the grid the zoom pins the orientation to ~1e-9 rad, which at these
-    # cells' kinked optima costs up to ~1e-10 relative.
-    @pytest.mark.parametrize("turns", [0, 7, 50])
-    def test_rotated_equilateral_triangle_is_exact(self, turns):
+    # At these cells' best orientations the side has a kink, where a search
+    # over angles converges slowly; the candidate set holds them exactly.
+    @pytest.mark.parametrize("angle", TURNS)
+    def test_rotated_equilateral_triangle_is_exact(self, angle):
         side = 0.37
-        cell = regular_polygon(3, side, turns * DEFAULT_ANGLE_RESOLUTION, (0.3, -0.7))
+        cell = regular_polygon(3, side, angle, (0.3, -0.7))
         expected = side * (2.0 * math.sqrt(3.0) - 3.0)
         assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-12)
 
     @pytest.mark.parametrize("center", [(-4.0, 2.5), (1e4, -3e3)])
-    @pytest.mark.parametrize("turns", [0, 7, 50])
-    def test_rotated_regular_hexagon_is_exact(self, turns, center):
+    @pytest.mark.parametrize("angle", TURNS)
+    def test_rotated_regular_hexagon_is_exact(self, angle, center):
         side = 0.37
-        cell = regular_polygon(6, side, turns * DEFAULT_ANGLE_RESOLUTION, center)
+        cell = regular_polygon(6, side, angle, center)
         expected = side * (3.0 - math.sqrt(3.0))
         assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-12)
 
@@ -161,9 +233,9 @@ class TestLargestSquare:
     # scale, not relative to its coordinates.  1e-9 relative because the LP
     # slack has a floor of 1e-12 absolute, which the 1e-3 cell's side feels.
     @pytest.mark.parametrize("side,center", [(1e-3, (100.0, -30.0)), (1.0, (1e6, -3e5))])
-    @pytest.mark.parametrize("turns", [0, 7])
-    def test_regular_hexagon_far_from_the_origin(self, turns, side, center):
-        cell = regular_polygon(6, side, turns * DEFAULT_ANGLE_RESOLUTION, center)
+    @pytest.mark.parametrize("angle", TURNS[:2])
+    def test_regular_hexagon_far_from_the_origin(self, angle, side, center):
+        cell = regular_polygon(6, side, angle, center)
         assert len(convex_cell(cell)) == 6
         expected = side * (3.0 - math.sqrt(3.0))
         assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-9)
@@ -185,10 +257,21 @@ class TestLargestSquare:
         assert largest_squares(batch) == pytest.approx(singles, rel=1e-15)
         assert all(value > 0.0 for value in singles)
 
-    @pytest.mark.parametrize("resolution", [float("nan"), float("inf"), 0.0, -0.01])
-    def test_bad_angle_resolution_rejected(self, resolution):
-        with pytest.raises(DomainError):
-            largest_squares([[(0, 0), (1, 0), (1, 1), (0, 1)]], angle_resolution=resolution)
+    # 20,001 orientations put every angle within pi/80000 of a sampled one,
+    # and the side moves by well under 1e-4 relative over that step.
+    @pytest.mark.parametrize(
+        "cell",
+        [pytest.param(MISSED_HEXAGON, id="hexagon"), pytest.param(MISSED_QUAD, id="quad")]
+        + [
+            pytest.param(random_convex_polygon(count, np.random.default_rng(seed)), id=f"{count}-gon-{seed}")
+            for count in range(3, 9)
+            for seed in range(4)
+        ],
+    )
+    def test_matches_dense_fixed_angle_lp(self, cell):
+        dense = dense_fixed_angle_lp(cell)
+        value = largest_square_in_cell(cell)
+        assert dense * (1.0 - 1e-12) <= value <= dense * (1.0 + 1e-4)
 
     def test_no_feasible_vertex_names_the_cell(self, monkeypatch):
         # an empty half-plane system for the quad (every offset pulled in
@@ -292,6 +375,12 @@ class TestLocalPerturbationExperiment:
         # the widened trapezoid admits at least the best axis-aligned square
         t = math.tan(0.02)
         assert value >= (0.25 + 0.5 * t) / (1.0 + t) - 1e-9
+
+    def test_coincident_lines_rejected(self):
+        # line 0 shifted onto line 1 leaves a cell of zero width between them
+        spec = PerturbationSpec(shifts=(0.25, 0.0, 0.0), pivots=(0.0, 0.0, 0.0), epsilon=0.25)
+        with pytest.raises(DegenerateCellError):
+            local_perturbation_experiment(3, spec)
 
     def test_requires_more_than_two_lines(self):
         with pytest.raises(DomainError):

@@ -255,6 +255,24 @@ class TestVerifyCommand:
         assert data["seed"] == 7
         assert data["parameters"]["min_perturbed"] >= 0.25 - 1e-9
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["local-optimum", "--trials", "0"],
+            ["irregular", "--trials", "0"],
+            ["irregular", "--trials", "-5"],
+            ["local-optimum", "--epsilon", "-1"],
+            ["local-optimum", "--epsilon", "nan"],
+        ],
+        ids=["trials-0", "irregular-trials-0", "irregular-trials-neg", "epsilon-neg", "epsilon-nan"],
+    )
+    def test_bad_input_is_a_usage_error(self, tmp_path, flags):
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as err:
+            run_main(["verify", *flags, "--k", "3", "--out", str(out)])
+        assert err.value.code == 2
+        assert not out.exists()
+
     def test_report_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         args = ["verify", "irregular", "--k", "2", "--p", "3", "--trials", "40", "--seed", "9"]

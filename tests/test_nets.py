@@ -245,6 +245,14 @@ class TestBaseCurves:
             assert abs(parallel - grid) < 1e-12
             assert base_curve(k, x) == (parallel, "parallel")
 
+    def test_tie_rule_is_relative(self):
+        # both families score about 1e-12 here; N(1,1) is lower, and an
+        # absolute 1e-12 tie would have named the parallel net
+        grid = net_scale_factor(evenly_spaced(1, 1), 1e12)
+        assert curve_value(3, 1e12) / 3 > grid * 1.4
+        assert base_curve(2, 1e12) == (curve_value(1, 1e12) / 2, "grid")
+        assert base_curve(2, 1e12)[0] == pytest.approx(grid, rel=1e-15)
+
     def test_single_line_is_the_parallel_net(self):
         assert base_curve(1, 3.0) == (curve_value(2, 3.0) / 2, "parallel")
 
