@@ -24,10 +24,9 @@ def main() -> int:
 
     irregular_trials = "100" if args.quick else "1000"
     local_trials = "50" if args.quick else "500"
-    theta_res = "1e-4" if args.quick else "1e-5"
 
     runs = [
-        ("curve-oracle", ["--n", "1", "--theta-res", theta_res]),
+        ("curve-oracle", ["--n", "1"]),
         ("theorem-even", ["--k", "4"]),
         ("theorem-odd", ["--k", "3"]),
         ("irregular", ["--k", "4", "--trials", irregular_trials, "--seed", str(args.seed)]),

@@ -4,6 +4,7 @@ from .cells import (
     GeneralLine,
     PerturbationSpec,
     arrangement_cells,
+    largest_rectangles,
     largest_square_in_cell,
     largest_squares,
     perturbed_vertical_lines,
@@ -42,7 +43,6 @@ from .nets import (
     optimal_net,
 )
 from .oracle import (
-    SweepConfig,
     VerificationReport,
     enumerate_axis_nets,
     irregular_spacing_check,

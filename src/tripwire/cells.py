@@ -1,27 +1,30 @@
-"""Convex cells, near-vertical line arrangements, and inscribed squares.
+"""Convex cells, near-vertical line arrangements, and inscribed rectangles.
 
-The inscribed-square primitive works on any convex polygon cell
-{x : n_i . x <= b_i} with unit outward normals n_i.  A square of side s
-centred at x, with unit orthogonal edge directions d1, d2 at angle
-theta, fits exactly when every constraint holds for its farthest
-corner:
+The inscribed-rectangle primitive works on any convex polygon cell
+{x : n_i . x <= b_i} with unit outward normals n_i.  A c x cp rectangle
+(p >= 1) centred at x, with unit orthogonal edge directions d1 (along
+the side c) and d2 at angle theta, fits exactly when every constraint
+holds for its farthest corner:
 
-    n_i . x + s * u_i(theta) <= b_i,
-    u_i(theta) = (|n_i . d1| + |n_i . d2|) / 2.
+    n_i . x + c * u_i(theta) <= b_i,
+    u_i(theta) = (|n_i . d1| + p |n_i . d2|) / 2.
 
-At a fixed theta the largest square is therefore the 3-variable linear
-program  max s  over (x, s)  subject to those constraints: the
+At a fixed theta the largest rectangle is therefore the 3-variable
+linear program  max c  over (x, c)  subject to those constraints: the
 Chebyshev-centre LP with a polyhedral norm (Boyd & Vandenberghe,
 Convex Optimization, section 8.5).  The cell is bounded, so the
 optimum sits at a vertex where three constraints are tight.  Each
 constraint triple's 3x3 system is solved by Cramer's rule, vertices
 that break a constraint by more than a slack scaled to the cell's
-coordinates are dropped, and the largest remaining s is the exact
-optimum.  No search over theta (period pi/2, the square's symmetry) is
-needed: a best orientation lies in a finite set read off the cell's
-edges (see largest_squares), and the LP is solved at each member of it,
-vectorized over orientations and batched over cells with the same edge
-count, so large perturbation sweeps stay cheap.
+coordinates are dropped, and the largest remaining c is the exact
+optimum.  No search over theta is needed (u_i has period pi, and
+pi/2 for a square, p = 1): a best orientation lies in a finite set read
+off the cell's edges (see largest_rectangles), the breakpoints where an
+edge normal is parallel to d1 or d2 and, on each piece between them,
+the angles where four constraints are tight at once, kept only if they
+lie in that piece.  The LP is solved there, all triples and orientations
+at once and batched over cells with the same edge count, in chunks of
+bounded size, so large perturbation sweeps stay cheap.
 """
 
 from __future__ import annotations
@@ -29,6 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -39,6 +43,10 @@ from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 # constraints.
 GEO_TOL = 1e-12
 
+# Most elements in one of the kernel's work arrays: the (orientation,
+# triple, m) vertex check, and the quadruple angles of a chunk of cells.
+CHECK_BUDGET = 1 << 20
+
 _QUARTER = math.pi / 2
 
 
@@ -47,8 +55,8 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _turn(poly: np.ndarray, k: int) -> np.ndarray:
-    """Row i holds vertex i + k (cyclic); np.roll(poly, -k, axis=0) at less call cost."""
-    return np.concatenate((poly[k:], poly[:k]))
+    """Row i holds vertex i + k (cyclic); np.roll(poly, -k, axis=-2) at less call cost."""
+    return np.concatenate((poly[..., k:, :], poly[..., :k, :]), axis=-2)
 
 
 def convex_cell(points) -> np.ndarray:
@@ -98,112 +106,197 @@ def convex_cell(points) -> np.ndarray:
     return poly
 
 
-def cell_area(points) -> float:
-    poly = np.asarray(points, dtype=float)
-    return 0.5 * abs(float(_cross2(poly, _turn(poly, 1)).sum()))
-
-
 def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Outward unit normals and offsets so the cell is {x : N x <= b}."""
+    """Outward unit normals (..., m, 2) and offsets (..., m) of CCW cells
+    (..., m, 2), so that each cell is {x : N x <= b}."""
     edges = _turn(poly, 1) - poly
-    lengths = np.hypot(edges[:, 0], edges[:, 1])
-    normals = np.stack((edges[:, 1], -edges[:, 0]), axis=1) / lengths[:, None]
-    offsets = np.einsum("ij,ij->i", normals, poly)
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    normals = np.stack((edges[..., 1], -edges[..., 0]), axis=-1) / lengths[..., None]
+    offsets = np.einsum("...ij,...ij->...i", normals, poly)
     return normals, offsets
 
 
-def _det3(a, b, c) -> np.ndarray:
-    """Determinants of the 3x3 matrices with columns a, b, c (each a row triple)."""
-    return (
-        a[0] * (b[1] * c[2] - b[2] * c[1])
-        - a[1] * (b[0] * c[2] - b[2] * c[0])
-        + a[2] * (b[0] * c[1] - b[1] * c[0])
+def _cross3(a, b) -> tuple:
+    """Cross product of 3-vectors given as component triples: det[a b c] = c . (a x b)."""
+    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
+
+
+def _dot3(a, b) -> np.ndarray:
+    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
+
+
+def _columns(a: np.ndarray, triples: np.ndarray) -> tuple:
+    """a[..., i], a[..., j], a[..., k] for every triple (i, j, k): three (..., R) arrays."""
+    return tuple(a[..., rows] for rows in triples.T)
+
+
+@lru_cache(maxsize=32)
+def _subsets(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Constraint triples (R, 3) and quadruples (Q, 4) of an m-gon, in
+    itertools.combinations order, and for each quadruple (a, b, c, d) the
+    rows in the triple array of (b, c, d), (a, c, d), (a, b, d), (a, b, c).
+    Read-only, since every caller shares them."""
+    triples = list(itertools.combinations(range(m), 3))
+    row = {t: i for i, t in enumerate(triples)}
+    quads = list(itertools.combinations(range(m), 4))
+    minors = [[row[q[:pos] + q[pos + 1 :]] for pos in range(4)] for q in quads]
+    tables = (
+        np.array(triples, dtype=np.intp).reshape(-1, 3),
+        np.array(quads, dtype=np.intp).reshape(-1, 4),
+        np.array(minors, dtype=np.intp).reshape(-1, 4),
     )
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _cramer_parts(normals: np.ndarray, offsets: np.ndarray) -> tuple:
+    """The parts of Cramer's rule on each triple's columns (nx, ny, u) that
+    do not depend on the orientation: nx x ny, b x ny, nx x b (component
+    triples of (G, R) arrays) and det[nx ny b] (G, R)."""
+    triples = _subsets(normals.shape[1])[0]
+    cx, cy, cb = (_columns(a, triples) for a in (normals[..., 0], normals[..., 1], offsets))
+    xy = _cross3(cx, cy)
+    return xy, _cross3(cb, cy), _cross3(cx, cb), _dot3(cb, xy)
 
 
 def _max_sides_at_angles(
-    normals: np.ndarray, offsets: np.ndarray, slack: np.ndarray, theta: np.ndarray
+    normals: np.ndarray,
+    offsets: np.ndarray,
+    slack: np.ndarray,
+    parts: tuple,
+    owner: np.ndarray,
+    theta: np.ndarray,
+    q: float,
+    bases: np.ndarray,
 ) -> np.ndarray:
-    """Exact largest square side per (cell, orientation); returns (G, T).
+    """Largest long side over the given constraint triples at each orientation.
 
-    normals: (G, m, 2); offsets: (G, m); slack: (G,); theta: (G, T).
-    Entries with no feasible LP vertex are -inf.
+    normals: (G, m, 2); offsets: (G, m); slack: (G,); parts: the cells'
+    _cramer_parts.  Orientation j belongs to cell owner[j], has angle
+    theta[j] and solves the triples in rows bases[j] of _subsets(m)[0]
+    (or rows `bases` (R',) for every orientation); q = 1/p.  All of them
+    are solved at once, in chunks of orientations that keep the
+    (orientation, triple, m) vertex check within CHECK_BUDGET elements.
+    With every triple this is the exact LP optimum.  Returns (P,); -inf
+    where no vertex is feasible.
     """
-    d1 = np.stack((np.cos(theta), np.sin(theta)), axis=-1)
-    d2 = np.stack((-d1[..., 1], d1[..., 0]), axis=-1)
-    nd1 = np.einsum("gmc,gtc->gmt", normals, d1)
-    nd2 = np.einsum("gmc,gtc->gmt", normals, d2)
-    support = 0.5 * (np.abs(nd1) + np.abs(nd2))
-    nx = normals[:, :, 0, None]
-    ny = normals[:, :, 1, None]
-    b = offsets[:, :, None]
-    limit = b + slack[:, None, None]
-
-    best = np.full(theta.shape, -np.inf)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for rows in itertools.combinations(range(normals.shape[1]), 3):
-            cols_x = [nx[:, r] for r in rows]
-            cols_y = [ny[:, r] for r in rows]
-            cols_u = [support[:, r] for r in rows]
-            cols_b = [b[:, r] for r in rows]
-            det = _det3(cols_x, cols_y, cols_u)
-            s = _det3(cols_x, cols_y, cols_b) / det
-            x = _det3(cols_b, cols_y, cols_u) / det
-            y = _det3(cols_x, cols_b, cols_u) / det
-            lhs = nx * x[:, None, :] + ny * y[:, None, :] + support * s[:, None, :]
-            ok = np.all(lhs <= limit, axis=1)
-            best = np.where(ok & (s > best), s, best)
+    m = normals.shape[1]
+    triples = _subsets(m)[0]
+    nx, ny = normals[..., 0], normals[..., 1]
+    xy, by, xb, top = parts
+    step = max(1, CHECK_BUDGET // (bases.shape[-1] * m))
+    best = np.empty(len(theta))
+    for lo in range(0, len(theta), step):
+        rows = owner[lo : lo + step]
+        basis = bases if bases.ndim == 1 else bases[lo : lo + step]
+        pick = (rows[:, None], basis)
+        cos = np.cos(theta[lo : lo + step])[:, None]
+        sin = np.sin(theta[lo : lo + step])[:, None]
+        rx, ry, rb = nx[rows], ny[rows], offsets[rows]
+        support = 0.5 * (q * np.abs(rx * cos + ry * sin) + np.abs(ry * cos - rx * sin))
+        corners = triples[basis]
+        cu = [support[np.arange(len(rows))[:, None], corners[..., k]] for k in range(3)]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            det = _dot3(cu, [c[pick] for c in xy])
+            s = top[pick] / det
+            x = _dot3(cu, [c[pick] for c in by]) / det
+            y = _dot3(cu, [c[pick] for c in xb]) / det
+            lhs = (
+                rx[:, None, :] * x[..., None]
+                + ry[:, None, :] * y[..., None]
+                + support[:, None, :] * s[..., None]
+            )
+        ok = np.all(lhs <= (rb + slack[rows, None])[:, None, :], axis=2)
+        best[lo : lo + step] = np.where(ok, s, -np.inf).max(axis=1)
     return best
 
 
-def _candidate_angles(normals: np.ndarray, offsets: np.ndarray) -> np.ndarray:
-    """Orientations in [0, pi/2) that hold each cell's best one (see largest_squares).
+def _candidate_angles(normals: np.ndarray, offsets: np.ndarray, xy: tuple, q: float):
+    """Orientations that hold each cell's best one (see largest_rectangles).
 
-    normals: (G, m, 2); offsets: (G, m); returns (G, m (1 + C(m, 4))).
+    normals: (G, m, 2); offsets: (G, m); xy: each triple's nx x ny from
+    _cramer_parts; q = 1/p.  Returns the sorted breakpoints (G, pieces)
+    and, for each quadruple angle inside its piece, its cell row, angle
+    and the rows of its four sub-triples.
     """
-    m = normals.shape[1]
+    triples, quads, minors = _subsets(normals.shape[1])
     nx = normals[:, None, :, 0]
     ny = normals[:, None, :, 1]
-    breaks = np.sort(np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER, axis=1)
-    mid = 0.5 * (breaks + np.concatenate((breaks[:, 1:], breaks[:, :1] + _QUARTER), axis=1))
+    breaks = np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER
+    period = _QUARTER
+    if q != 1.0:
+        breaks = np.concatenate((breaks, breaks + _QUARTER), axis=1)
+        period = math.pi
+    breaks = np.sort(breaks, axis=1)
+    ends = np.concatenate((breaks[:, 1:], breaks[:, :1] + period), axis=1)
+    width = ends - breaks
+    mid = 0.5 * (breaks + ends)
     cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
-    # On the piece after each breakpoint u_i = alpha_i cos(theta) + beta_i sin(theta).
-    sign1 = np.sign(nx * cos + ny * sin)
+    # On the piece after each breakpoint u_i / p = alpha_i cos(theta) + beta_i sin(theta).
+    sign1 = q * np.sign(nx * cos + ny * sin)
     sign2 = np.sign(ny * cos - nx * sin)
     alpha_beta = 0.5 * np.stack((sign1 * nx + sign2 * ny, sign1 * ny - sign2 * nx))
 
-    dets = {
-        rows: _det3(*([a[..., r] for r in rows] for a in (nx, ny, alpha_beta)))
-        for rows in itertools.combinations(range(m), 3)
-    }
-    candidates = [breaks]
-    for rows in itertools.combinations(range(m), 4):
-        # det[nx ny alpha b] and det[nx ny beta b], expanded along the b column.
-        det4 = sum(
-            (-1) ** (pos + 1) * offsets[:, None, r] * dets[rows[:pos] + rows[pos + 1 :]]
-            for pos, r in enumerate(rows)
-        )
-        candidates.append(np.arctan2(-det4[0], det4[1]))
-    return np.concatenate(candidates, axis=1) % _QUARTER
+    # Every triple's det[nx ny alpha] and det[nx ny beta]: (2, G, pieces, R).
+    dets = _dot3(_columns(alpha_beta, triples), [c[:, None, :] for c in xy])
+    # det[nx ny alpha b] and det[nx ny beta b] of every quadruple, expanded
+    # along the b column: (2, G, pieces, Q).
+    b = offsets[:, None, quads.T]
+    det4 = (
+        -b[..., 0, :] * dets[..., minors[:, 0]]
+        + b[..., 1, :] * dets[..., minors[:, 1]]
+        - b[..., 2, :] * dets[..., minors[:, 2]]
+        + b[..., 3, :] * dets[..., minors[:, 3]]
+    )
+    tight = np.arctan2(-det4[0], det4[1])
+    # A quadruple's angle counts only on the piece whose alpha, beta gave it.
+    inside = (tight - breaks[..., None]) % math.pi <= width[..., None]
+    cell, _, quad = np.nonzero(inside)
+    return breaks, cell, tight[inside] % period, minors[quad]
 
 
-def largest_squares(cells) -> np.ndarray:
-    """Largest inscribed square side for each convex cell in `cells`.
+def largest_rectangles(cells, p) -> np.ndarray:
+    """Largest short side c of a c x cp rectangle in each convex cell in `cells`.
 
     The side is the exact fixed-angle LP optimum (module docstring),
     maximised over a finite set of orientations that holds a best one.
-    Between the m breakpoints atan2(n_i) mod pi/2, where some n_i is
-    parallel to d1 or d2, u_i = alpha_i cos(theta) + beta_i sin(theta).
-    There the side is the largest basis side det[n b] / det[n u] over the
-    feasible constraint triples.  A basis side is D / (R cos(theta - phi)),
-    convex wherever it is positive, so it peaks at an end of an interval
-    where its triple is feasible: a breakpoint, or an angle where a fourth
-    constraint is tight too (det[n u b] = 0, one angle per quadruple).
-    Extra angles do no harm, since the LP is exact at each.  Raises
-    DegenerateCellError, naming the cell, where an orientation's LP has
-    no feasible vertex with a positive side (a cell with interior always
-    has one).
+    Each n_i gives breakpoints where it is parallel to d1 or d2:
+    atan2(n_i) mod pi/2, and for p != 1 those plus pi/2, two in [0, pi).
+    Between breakpoints u_i = alpha_i cos(theta) + beta_i sin(theta),
+    where alpha_i and beta_i carry the factor p.  There the side is the
+    largest basis side det[n b] / det[n u] over the feasible constraint
+    triples.  A basis side is D / (R cos(theta - phi)), convex wherever it
+    is positive, so it peaks at an end of an interval where its triple is
+    feasible: a breakpoint, or an angle where a fourth constraint is tight
+    too (det[n u b] = 0: one angle per quadruple and piece, kept only if
+    it lies in that piece, ((theta - break_j) mod pi) <= the piece's
+    width).  The full LP is solved at each breakpoint.  At such an end
+    inside a piece the best vertex is the one the quadruple's four
+    constraints share, so only its four triples are solved there (any
+    nonsingular one gives that vertex), each vertex checked against every
+    constraint; this keeps the work near m^5 where the full LP at every
+    quadruple angle took m^8.  Extra angles do no harm, since every vertex
+    kept is a feasible placement.  p must be a finite real >= 1 (DomainError
+    otherwise); at p = 1 this is largest_squares.  Raises
+    DegenerateCellError, naming the cell, where a breakpoint's LP has no
+    feasible vertex with a positive side (a cell with interior always has
+    one).
     """
+    if isinstance(p, bool):
+        raise DomainError(f"rectangle aspect p must be a real number, got {p!r}")
+    p = float(p)
+    if not (math.isfinite(p) and p >= 1.0):
+        raise DomainError(f"rectangle aspect p must be finite and >= 1, got {p!r}")
+    return _largest_sides(cells, p)
+
+
+def largest_squares(cells) -> np.ndarray:
+    """Largest inscribed square side for each convex cell: largest_rectangles at p = 1."""
+    return _largest_sides(cells, 1.0)
+
+
+def _largest_sides(cells, p: float) -> np.ndarray:
     polys = [convex_cell(c) for c in cells]
     result = np.zeros(len(polys))
 
@@ -213,27 +306,39 @@ def largest_squares(cells) -> np.ndarray:
 
     for m, idxs in by_edge_count.items():
         G = len(idxs)
-        normals = np.empty((G, m, 2))
-        offsets = np.empty((G, m))
-        slack = np.empty(G)
-        for row, idx in enumerate(idxs):
-            # The side does not depend on where the cell sits; centring it
-            # keeps Cramer's rule and the slack at the cell's own scale.
-            centred = polys[idx] - polys[idx].mean(axis=0)
-            normals[row], offsets[row] = _halfplanes(centred)
-            slack[row] = GEO_TOL * max(1.0, float(np.max(np.abs(centred))))
+        # The side does not depend on where a cell sits; centring it keeps
+        # Cramer's rule and the slack at the cell's own scale.
+        block = np.stack([polys[idx] for idx in idxs])
+        centred = block - block.mean(axis=1, keepdims=True)
+        normals, offsets = _halfplanes(centred)
+        slack = GEO_TOL * np.maximum(1.0, np.abs(centred).max(axis=(1, 2)))
 
-        theta = _candidate_angles(normals, offsets)
-        s = _max_sides_at_angles(normals, offsets, slack, theta)
-        bad = np.argwhere(~(s > 0.0))
-        if len(bad):
-            row, col = bad[0]
-            raise DegenerateCellError(
-                f"cell {idxs[row]} has no feasible LP vertex with a positive side at "
-                f"angle {float(theta[row, col])!r} (best {float(s[row, col])!r}): "
-                f"{polys[idxs[row]].tolist()}"
-            )
-        result[idxs] = s.max(axis=1)
+        # Solved for the long side cp, with support u_i / p, so that no
+        # product overflows at any finite p; cells go in chunks that keep the
+        # quadruple angles within the budget.
+        q = 1.0 / p
+        pieces = m if p == 1.0 else 2 * m
+        step = max(1, CHECK_BUDGET // (2 * pieces * max(math.comb(m, 3), math.comb(m, 4))))
+        everywhere = np.arange(math.comb(m, 3))
+        for lo in range(0, G, step):
+            rows = slice(lo, lo + step)
+            parts = _cramer_parts(normals[rows], offsets[rows])
+            args = (normals[rows], offsets[rows], slack[rows], parts)
+            breaks, cell, theta, bases = _candidate_angles(normals[rows], offsets[rows], parts[0], q)
+            owner = np.repeat(np.arange(len(breaks)), breaks.shape[1])
+            sides = _max_sides_at_angles(*args, owner, breaks.ravel(), q, everywhere) / p
+            bad = np.flatnonzero(~(sides > 0.0))
+            if len(bad):
+                idx = idxs[lo + owner[bad[0]]]
+                raise DegenerateCellError(
+                    f"cell {idx} has no feasible LP vertex with a positive side at "
+                    f"angle {float(breaks.flat[bad[0]])!r} (best {float(sides[bad[0]])!r}): "
+                    f"{polys[idx].tolist()}"
+                )
+            best = sides.reshape(breaks.shape).max(axis=1)
+            # Where four constraints are tight at once, their common vertex.
+            np.maximum.at(best, cell, _max_sides_at_angles(*args, cell, theta, q, bases) / p)
+            result[idxs[rows]] = best
     return result
 
 
@@ -306,10 +411,6 @@ class PerturbationSpec:
     @property
     def k(self) -> int:
         return len(self.shifts)
-
-    @staticmethod
-    def zero(k: int, epsilon: float = 0.0) -> "PerturbationSpec":
-        return PerturbationSpec(shifts=(0.0,) * k, pivots=(0.0,) * k, epsilon=epsilon)
 
 
 def perturbed_vertical_lines(

@@ -1,9 +1,12 @@
 """Independent brute-force verifiers for the curve and net-optimality claims.
 
-Nothing here reuses the closed forms it is meant to check: the
-rotation-sweep oracle rests only on the bounding-box criterion (a
-rotated rectangle fits in an axis-aligned rectangle iff its bounding
-box does), net enumeration scores every split of k lines between the
+Nothing here reuses the closed forms it is meant to check: the curve
+oracle is the exact largest-rectangle kernel of `cells` run on the hole
+as a convex cell (a fixed-angle LP at each orientation of a finite
+candidate set: the support u_i = (|n_i.d1| + p |n_i.d2|) / 2 has period
+pi, each edge normal gives two breakpoints in [0, pi), and each
+constraint quadruple one tight angle per piece, kept only inside that
+piece), net enumeration scores every split of k lines between the
 two axes, the split check re-solves the diagonal corner-contact
 equations per split, and the perturbation experiment measures inscribed
 squares in the cells of a perturbed arrangement.
@@ -14,7 +17,6 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
 
@@ -22,14 +24,14 @@ from . import nets
 from .cells import (
     PerturbationSpec,
     arrangement_cells,
+    largest_rectangles,
     largest_squares,
     perturbed_vertical_lines,
 )
-from .errors import DomainError
+from .errors import DomainError, InvalidPerturbationError
 from .inscribe import check_aspect
 
 __all__ = [
-    "SweepConfig",
     "VerificationReport",
     "oracle_curve_value",
     "enumerate_axis_nets",
@@ -42,19 +44,10 @@ __all__ = [
     "perturbation_suite",
 ]
 
-
-@dataclass(frozen=True)
-class SweepConfig:
-    """Orientation sweep resolution and golden-section refinement depth."""
-
-    theta_resolution: float = 1e-5
-    refinement: int = 50
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.theta_resolution) and self.theta_resolution > 0.0):
-            raise DomainError(f"theta_resolution must be positive, got {self.theta_resolution!r}")
-        if self.refinement < 0:
-            raise DomainError(f"refinement must be >= 0, got {self.refinement!r}")
+# Largest hole aspect the curve oracle takes: from about 4e12 on,
+# convex_cell's collinearity tolerance, which grows with the square of the
+# cell's size, reads the 1 x n hole as a segment.
+ORACLE_MAX_ASPECT = 1e12
 
 
 @dataclass(frozen=True)
@@ -101,57 +94,18 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=indent)
 
 
-@lru_cache(maxsize=8)
-def _theta_table(resolution: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    count = int(math.ceil((math.pi / 2) / resolution)) + 1
-    theta = np.linspace(0.0, math.pi / 2, count)
-    return theta, np.cos(theta), np.sin(theta)
+def oracle_curve_value(n: float, p: float) -> float:
+    """The inscribing curve at (n, p) from the exact rectangle kernel.
 
-
-def _fit_at_angle(n: float, p: float, theta: float) -> float:
-    """Largest scale at one orientation: the c x cp bounding box must fit 1 x n."""
-    c, s = math.cos(theta), math.sin(theta)
-    return min(1.0 / (c + p * s), n / (s + p * c))
-
-
-def oracle_curve_value(n: float, p: float, config: SweepConfig | None = None) -> float:
-    """Rotation-sweep estimate of the inscribing curve at (n, p).
-
-    Scans orientations on a grid of step theta_resolution over
-    [0, pi/2], then refines around the best grid point by golden
-    section; accurate to within 5 * theta_resolution of the optimum.
+    The largest c such that a c x cp rectangle fits in the [0,1] x [0,n]
+    hole, by cells.largest_rectangles on the hole as a convex cell; n up
+    to ORACLE_MAX_ASPECT.
     """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    cfg = config if config is not None else SweepConfig()
-    theta, cos_t, sin_t = _theta_table(cfg.theta_resolution)
-    fits = np.minimum(1.0 / (cos_t + p * sin_t), n / (sin_t + p * cos_t))
-    idx = int(np.argmax(fits))
-    best = float(fits[idx])
-    lo = float(theta[max(idx - 1, 0)])
-    hi = float(theta[min(idx + 1, len(theta) - 1)])
-    refined = _golden_max(lambda t: _fit_at_angle(n, p, t), lo, hi, cfg.refinement)
-    return max(best, refined)
-
-
-def _golden_max(f, lo: float, hi: float, iterations: int) -> float:
-    ratio = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - ratio * (b - a)
-    d = a + ratio * (b - a)
-    fc, fd = f(c), f(d)
-    best = max(fc, fd)
-    for _ in range(iterations):
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - ratio * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + ratio * (b - a)
-            fd = f(d)
-        best = max(best, fc, fd)
-    return best
+    if n > ORACLE_MAX_ASPECT:
+        raise DomainError(f"hole aspect n must be <= {ORACLE_MAX_ASPECT!r} for the oracle, got {n!r}")
+    return float(largest_rectangles([((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n))], p)[0])
 
 
 def enumerate_axis_nets(k: int, p: float, tie_tol: float = 1e-12) -> VerificationReport:
@@ -372,7 +326,12 @@ def _spec_cell_values(k: int, specs: list[PerturbationSpec], pivot_height: float
     Each spec's perturbed lines cut the unit square into convex cells;
     the cells of all specs go through one batched largest_squares call.
     """
-    cells_per_spec = [arrangement_cells(perturbed_vertical_lines(k, spec, pivot_height)) for spec in specs]
+    cells_per_spec = []
+    for idx, spec in enumerate(specs):
+        try:
+            cells_per_spec.append(arrangement_cells(perturbed_vertical_lines(k, spec, pivot_height)))
+        except InvalidPerturbationError as exc:
+            raise InvalidPerturbationError(f"spec {idx}: {exc}") from exc
     values = largest_squares([cell for cells in cells_per_spec for cell in cells])
     ends = np.cumsum([len(cells) for cells in cells_per_spec], dtype=int)
     return [values[end - len(cells) : end] for cells, end in zip(cells_per_spec, ends)]

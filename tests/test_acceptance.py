@@ -20,7 +20,6 @@ from tripwire.nets import (
     odd_crossover_line_count,
 )
 from tripwire.oracle import (
-    SweepConfig,
     enumerate_axis_nets,
     irregular_spacing_check,
     lagrange_split_check,
@@ -42,24 +41,24 @@ def verdict(num: int, label: str, ok: bool, detail: str = "") -> bool:
 
 def test_criterion_1_closed_form_vs_oracle():
     start = time.monotonic()
-    cfg = SweepConfig(theta_resolution=1e-5)
     worst = 0.0
     count = 0
     n = 1.0
     while n <= 5.0 + 1e-9:
         p = 1.0
         while p <= 4.0 * n + 1e-9:
-            worst = max(worst, abs(curve_value(n, p) - oracle_curve_value(n, p, cfg)))
+            exact = oracle_curve_value(n, p)
+            worst = max(worst, abs(curve_value(n, p) - exact) / exact)
             count += 1
             p += 0.125
         n += 0.25
     elapsed = time.monotonic() - start
-    ok = worst <= 5e-5 and elapsed < 30.0
+    ok = worst <= 1e-13 and elapsed < 30.0
     assert verdict(
         1,
-        "closed form vs rotation sweep",
+        "closed form vs exact rectangle kernel",
         ok,
-        f"max |dc| = {worst:.2e} over {count} points in {elapsed:.1f}s",
+        f"max |dc|/c = {worst:.2e} over {count} points in {elapsed:.1f}s",
     )
 
 

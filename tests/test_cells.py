@@ -11,8 +11,8 @@ from tripwire.cells import (
     GeneralLine,
     PerturbationSpec,
     arrangement_cells,
-    cell_area,
     convex_cell,
+    largest_rectangles,
     largest_square_in_cell,
     largest_squares,
     perturbed_vertical_lines,
@@ -22,6 +22,7 @@ from tripwire.errors import (
     DomainError,
     InvalidPerturbationError,
 )
+from tripwire.inscribe import curve_value
 from tripwire.oracle import local_perturbation_experiment, perturbation_suite
 
 
@@ -74,38 +75,72 @@ def sampled_largest_square(poly, grid=41, theta_grid=81, zoom_rounds=8):
     return best
 
 
-def dense_fixed_angle_lp(poly, count=20001):
-    """Independent reference: the fixed-angle LP  max s  s.t.
-    n_i . x + s u_i(theta) <= b_i, solved with np.linalg.solve on every
-    constraint triple at `count` evenly spaced orientations in [0, pi/2];
-    returns the best side over them.  Off a best orientation this is low
-    by at most the side's Lipschitz constant times half the step."""
+def fixed_angle_lp(poly, p, theta):
+    """Independent reference: the fixed-angle LP  max c  s.t.
+    n_i . x + c u_i(theta) <= b_i,  u_i = (|n_i . d1| + p |n_i . d2|) / 2,
+    solved with np.linalg.solve on every constraint triple at each
+    orientation in `theta`; returns the short side c per orientation."""
     poly = convex_cell(poly)
     poly = poly - poly.mean(axis=0)
     edges = np.roll(poly, -1, axis=0) - poly
     normals = np.stack((edges[:, 1], -edges[:, 0]), axis=1)
     normals /= np.hypot(normals[:, 0], normals[:, 1])[:, None]
     offsets = np.einsum("ij,ij->i", normals, poly)
-    theta = np.linspace(0.0, math.pi / 2, count)
+    count = len(theta)
     d1 = np.stack((np.cos(theta), np.sin(theta)), axis=1)
     d2 = np.stack((-np.sin(theta), np.cos(theta)), axis=1)
-    u = 0.5 * (np.abs(normals @ d1.T) + np.abs(normals @ d2.T))  # (m, T)
+    u = 0.5 * (np.abs(normals @ d1.T) + p * np.abs(normals @ d2.T))  # (m, T)
     tol = 1e-12 * max(1.0, float(np.abs(poly).max()))
     best = np.full(count, -np.inf)
-    for rows in itertools.combinations(range(len(poly)), 3):
-        rows = list(rows)
-        matrix = np.empty((count, 3, 3))
-        matrix[:, :, 0] = normals[rows, 0]
-        matrix[:, :, 1] = normals[rows, 1]
-        matrix[:, :, 2] = u[rows].T
-        solvable = np.abs(np.linalg.det(matrix)) > 1e-14
+    triples = np.array(list(itertools.combinations(range(len(poly)), 3)))
+    chunk = max(1, 200_000 // (count * len(poly)))
+    for lo in range(0, len(triples), chunk):
+        rows = triples[lo : lo + chunk]  # (B, 3)
+        matrix = np.empty((len(rows), count, 3, 3))
+        matrix[..., 0] = normals[rows, 0][:, None, :]
+        matrix[..., 1] = normals[rows, 1][:, None, :]
+        matrix[..., 2] = np.swapaxes(u[rows], 1, 2)
+        solvable = np.abs(np.linalg.det(matrix)) > 1e-14 * p
         matrix[~solvable] = np.eye(3)
-        rhs = np.broadcast_to(offsets[rows, None], (count, 3, 1))
-        x, y, s = np.linalg.solve(matrix, rhs)[:, :, 0].T
-        lhs = np.outer(normals[:, 0], x) + np.outer(normals[:, 1], y) + u * s
-        feasible = solvable & np.all(lhs <= offsets[:, None] + tol, axis=0)
-        best = np.where(feasible & (s > best), s, best)
-    return float(best.max())
+        rhs = np.broadcast_to(offsets[rows][:, None, :, None], matrix.shape[:3] + (1,))
+        solution = np.linalg.solve(matrix, rhs)[..., 0]
+        x, y, s = solution[..., 0], solution[..., 1], solution[..., 2]  # (B, T)
+        lhs = normals[:, 0, None, None] * x + normals[:, 1, None, None] * y + u[:, None, :] * s
+        feasible = solvable & np.all(lhs <= offsets[:, None, None] + tol, axis=0)
+        best = np.maximum(best, np.where(feasible, s, -np.inf).max(axis=0))
+    return best
+
+
+def dense_fixed_angle_lp(poly, count=20001, p=1.0):
+    """The best fixed_angle_lp side over `count` evenly spaced orientations
+    in one period of u_i ([0, pi/2] for p = 1, else [0, pi]).  Off a best
+    orientation this is low by at most the side's Lipschitz constant
+    times half the step."""
+    period = math.pi / 2 if p == 1.0 else math.pi
+    return float(fixed_angle_lp(poly, p, np.linspace(0.0, period, count)).max())
+
+
+def zoomed_fixed_angle_lp(poly, p, count, rounds=14, points=21):
+    """(grid, zoomed): dense_fixed_angle_lp's value, and the best side after
+    `rounds` zooms of `points` orientations around the best one found so
+    far, each spanning two steps of the last and so a tenth as wide.
+
+    Rotating a c x cp rectangle by h about its centre and shrinking it by
+    cos(h) + p sin(h) keeps it inside the original, so the grid value is
+    at least the true optimum / (cos(h) + p sin(h)), h half the step."""
+    period = math.pi / 2 if p == 1.0 else math.pi
+    theta = np.linspace(0.0, period, count)
+    sides = fixed_angle_lp(poly, p, theta)
+    grid = best = float(sides.max())
+    angle = float(theta[int(np.argmax(sides))])
+    step = period / (count - 1)
+    for _ in range(rounds):
+        theta = np.linspace(angle - step, angle + step, points)
+        sides = fixed_angle_lp(poly, p, theta)
+        if sides.max() > best:
+            best, angle = float(sides.max()), float(theta[int(np.argmax(sides))])
+        step /= (points - 1) / 2
+    return grid, best
 
 
 def random_convex_polygon(count, rng):
@@ -159,7 +194,9 @@ class TestConvexCell:
     def test_orientation_normalized(self):
         cw = [(0, 0), (0, 1), (1, 1), (1, 0)]
         poly = convex_cell(cw)
-        assert cell_area(poly) == pytest.approx(1.0)
+        # the shoelace sum is twice the signed area, positive when CCW
+        area2 = np.sum(poly[:, 0] * np.roll(poly[:, 1], -1) - np.roll(poly[:, 0], -1) * poly[:, 1])
+        assert area2 == pytest.approx(2.0)
 
     def test_collinear_vertices_dropped(self):
         poly = convex_cell([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
@@ -280,7 +317,7 @@ class TestLargestSquare:
 
         def emptied(poly):
             normals, offsets = halfplanes(poly)
-            return normals, offsets - (2.0 if len(poly) == 4 else 0.0)
+            return normals, offsets - (2.0 if poly.shape[-2] == 4 else 0.0)
 
         monkeypatch.setattr(cells, "_halfplanes", emptied)
         batch = [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 1)]]
@@ -300,6 +337,80 @@ class TestLargestSquare:
         base = np.array([(0, 0), (w, 0), (w, h), (0, h)])
         cell = base @ rot.T
         assert largest_square_in_cell(cell) == pytest.approx(min(w, h), abs=1e-8)
+
+
+def hole(n):
+    return [(0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n)]
+
+
+# Log grids over the whole domain of the closed form, with its edge 1 + 1e-12.
+HOLE_ASPECTS = [1.0, 1.0 + 1e-12] + [10.0 ** (i / 2) for i in range(1, 19)]
+INTRUDER_ASPECTS = [1.0, 1.0 + 1e-12] + [10.0 ** (i / 2) for i in range(1, 25)]
+
+
+class TestLargestRectangles:
+    @pytest.mark.parametrize("p", INTRUDER_ASPECTS)
+    def test_hole_matches_the_closed_form(self, p):
+        # the rectangle kernel shares no code with inscribe
+        values = largest_rectangles([hole(n) for n in HOLE_ASPECTS], p)
+        expected = [curve_value(n, p) for n in HOLE_ASPECTS]
+        assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_no_overflow_at_huge_aspects(self):
+        # C_1(p) = sqrt(2) / (p + 1) on the diagonal branch
+        for p in (1e100, 1e300, 1.7e308):
+            assert largest_rectangles([hole(1.0)], p)[0] == pytest.approx(math.sqrt(2.0) / p, rel=1e-12)
+
+    def test_square_is_the_p_1_case(self):
+        polys = [random_convex_polygon(count, np.random.default_rng(seed)) for count in range(3, 9) for seed in range(4)]
+        polys += [MISSED_HEXAGON, MISSED_QUAD]
+        assert np.array_equal(largest_rectangles(polys, 1.0), largest_squares(polys))
+
+    @pytest.mark.parametrize("p", [1.0, 1.7, 6.0])
+    @pytest.mark.parametrize("count", [3, 4, 6, 9])
+    def test_invariant_under_rotation_and_translation(self, count, p):
+        poly = random_convex_polygon(count, np.random.default_rng(count))
+        moved = []
+        for turn, shift in [(0.3, (0.0, 0.0)), (1.1, (5.0, -2.0)), (2.9, (-40.0, 70.0)), (math.pi / 2, (0.5, 0.5))]:
+            rot = np.array([[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+            moved.append(poly @ rot.T + np.asarray(shift))
+        base = largest_rectangles([poly], p)[0]
+        assert largest_rectangles(moved, p) == pytest.approx([base] * len(moved), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5, True, False])
+    def test_bad_aspect_rejected(self, p):
+        with pytest.raises(DomainError):
+            largest_rectangles([hole(2.0)], p)
+
+    def test_chunks_give_the_same_sides(self, monkeypatch):
+        # a budget this small solves one cell and a few orientations at a time
+        batch = [random_convex_polygon(count, np.random.default_rng(seed)) for count in (4, 5, 7) for seed in range(3)]
+        whole = {p: largest_rectangles(batch, p) for p in (1.0, 2.5)}
+        monkeypatch.setattr(cells, "CHECK_BUDGET", 50)
+        for p, values in whole.items():
+            assert np.array_equal(largest_rectangles(batch, p), values)
+
+    # zoomed: the kernel never misses a best orientation that the reference
+    # zooms onto (which its 1e-12 vertex slack can overshoot by about
+    # 1e-12 relative at a kink); grid: the kernel's side is attained.
+    @pytest.mark.parametrize(
+        "cell,p,count",
+        [
+            pytest.param(random_convex_polygon(count, np.random.default_rng(seed)), p, 2001, id=f"{count}-gon-{seed}-p{p}")
+            for count in range(3, 9)
+            for seed, p in [(4, 1.7), (5, 6.0)]
+        ]
+        + [pytest.param(MISSED_HEXAGON, 2.5, 2001, id="hexagon-p2.5")]
+        + [
+            pytest.param(random_convex_polygon(count, np.random.default_rng(0)), p, 501, id=f"{count}-gon-p{p}")
+            for count, p in [(16, 1.0), (16, 2.5), (24, 1.0)]
+        ],
+    )
+    def test_matches_zoomed_fixed_angle_lp(self, cell, p, count):
+        grid, zoomed = zoomed_fixed_angle_lp(cell, p, count)
+        half_step = (math.pi / 2 if p == 1.0 else math.pi) / (count - 1) / 2
+        value = largest_rectangles([cell], p)[0]
+        assert zoomed * (1.0 - 1e-11) <= value <= grid * (math.cos(half_step) + p * math.sin(half_step))
 
 
 class TestGeneralLine:
@@ -322,19 +433,20 @@ class TestPerturbationSpec:
         with pytest.raises(DomainError):
             PerturbationSpec(shifts=(0, 0), pivots=(0, 0, 0), epsilon=0.02)
 
-    def test_zero_factory(self):
-        spec = PerturbationSpec.zero(3)
+    def test_all_zero_spec(self):
+        spec = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
         assert spec.shifts == (0.0, 0.0, 0.0)
         assert spec.k == 3
 
 
 class TestArrangementCells:
     def test_unperturbed_cells_are_slabs(self):
-        lines = perturbed_vertical_lines(3, PerturbationSpec.zero(3))
-        cells = arrangement_cells(lines)
+        spec = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
+        cells = arrangement_cells(perturbed_vertical_lines(3, spec))
         assert len(cells) == 4
         for cell in cells:
-            assert cell_area(cell) == pytest.approx(0.25, abs=1e-12)
+            area2 = np.sum(cell[:, 0] * np.roll(cell[:, 1], -1) - np.roll(cell[:, 0], -1) * cell[:, 1])
+            assert 0.5 * abs(area2) == pytest.approx(0.25, abs=1e-12)
 
     def test_crossing_lines_rejected(self):
         # pivots large enough that consecutive lines cross inside the square
@@ -354,7 +466,8 @@ class TestArrangementCells:
 
 class TestLocalPerturbationExperiment:
     def test_identity_perturbation(self):
-        report = local_perturbation_experiment(3, PerturbationSpec.zero(3))
+        spec = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
+        report = local_perturbation_experiment(3, spec)
         assert report.passed
         assert dict(report.candidates)["perturbed"] == pytest.approx(0.25, abs=1e-9)
         assert report.parameters["cell_values"] == pytest.approx([0.25] * 4, abs=1e-9)
@@ -384,7 +497,7 @@ class TestLocalPerturbationExperiment:
 
     def test_requires_more_than_two_lines(self):
         with pytest.raises(DomainError):
-            local_perturbation_experiment(2, PerturbationSpec.zero(2))
+            local_perturbation_experiment(2, PerturbationSpec(shifts=(0.0,) * 2, pivots=(0.0,) * 2, epsilon=0.0))
 
     def test_deterministic_report(self):
         spec = PerturbationSpec(shifts=(0.0, 0.01, 0.0), pivots=(0.0, 0.005, 0.01), epsilon=0.01)

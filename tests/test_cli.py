@@ -6,8 +6,9 @@ import sys
 
 import pytest
 
+import tripwire.cli
 from tripwire.cli import OutputSpec, cmd_base_curve, cmd_curve, cmd_optimal_net, main
-from tripwire.errors import DomainError
+from tripwire.errors import DegenerateCellError, DomainError
 from tripwire.svg import NET_MARGIN, NET_UNIT
 
 
@@ -234,10 +235,10 @@ class TestVerifyCommand:
 
     def test_curve_oracle_suite(self, tmp_path):
         out = tmp_path / "rep.json"
-        code = run_main(["verify", "curve-oracle", "--n", "1", "--theta-res", "1e-3",
-                         "--out", str(out)])
+        code = run_main(["verify", "curve-oracle", "--n", "1", "--out", str(out)])
         assert code == 0
         data = json.loads(out.read_text())
+        assert data["parameters"]["tolerance"] == 1e-12
         assert data["parameters"]["max_deviation"] <= data["parameters"]["tolerance"]
 
     def test_irregular_suite(self, tmp_path):
@@ -272,6 +273,32 @@ class TestVerifyCommand:
             run_main(["verify", *flags, "--k", "3", "--out", str(out)])
         assert err.value.code == 2
         assert not out.exists()
+
+    def test_crossing_lines_are_a_numerical_failure(self, tmp_path):
+        # epsilon = 0.3 pivots neighbouring lines into each other
+        out = tmp_path / "rep.json"
+        result = subprocess.run(
+            [sys.executable, "-m", "tripwire", "verify", "local-optimum", "--k", "4",
+             "--epsilon", "0.3", "--trials", "20", "--out", str(out)],
+            capture_output=True,
+            text=True,
+        )
+        assert result.returncode == 3
+        assert "Traceback" not in result.stderr
+        lines = result.stderr.strip().splitlines()
+        assert len(lines) == 1
+        assert re.search(r"spec \d+: lines \d+ and \d+ cross", lines[0])
+        assert not out.exists()
+
+    def test_degenerate_cell_is_a_numerical_failure(self, tmp_path, monkeypatch, capsys):
+        def degenerate(*args, **kwargs):
+            raise DegenerateCellError("cell 7 has zero area (2A = 0.0)")
+
+        monkeypatch.setattr(tripwire.cli, "perturbation_suite", degenerate)
+        code = run_main(["verify", "local-optimum", "--k", "3", "--out", str(tmp_path / "rep.json")])
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "cell 7 has zero area" in err
 
     def test_report_bytes_deterministic(self, tmp_path):
         a, b = tmp_path / "a.json", tmp_path / "b.json"

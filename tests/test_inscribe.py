@@ -18,9 +18,7 @@ from tripwire.inscribe import (
     diagonal_branch,
     placement,
 )
-from tripwire.oracle import SweepConfig, oracle_curve_value
-
-SWEEP = SweepConfig(theta_resolution=1e-5)
+from tripwire.oracle import oracle_curve_value
 
 
 def equation_residuals(n, p, sol):
@@ -36,8 +34,8 @@ class TestDiagonalBranch:
         assert sol.a1 == pytest.approx(0.25, abs=1e-15)
         assert sol.a2 == pytest.approx(0.25, abs=1e-15)
         assert sol.c == pytest.approx(math.sqrt(2) / 4, abs=1e-15)
-        # independent confirmation by the rotation sweep
-        assert abs(sol.c - oracle_curve_value(1, 3, SWEEP)) <= 5e-5
+        # independent confirmation by the exact rectangle kernel
+        assert sol.c == pytest.approx(oracle_curve_value(1, 3), rel=1e-14)
 
     def test_two_by_five(self):
         sol = diagonal_branch(2, 5)
@@ -108,17 +106,17 @@ class TestCurveValue:
     def test_two_by_five_takes_the_larger_vertical_placement(self):
         # the diagonal solution gives sqrt(0.15625) ~ 0.39528, but the
         # vertical placement 2/5 = 0.4 is larger (w_2 ~ 5.77 > 5) and the
-        # curve is the max over placements; the sweep oracle agrees
+        # curve is the max over placements; the oracle agrees
         sample = curve_sample(2, 5)
         assert sample.c == pytest.approx(0.4, abs=1e-15)
         assert sample.branch == BRANCH_VERTICAL
-        assert abs(sample.c - oracle_curve_value(2, 5, SWEEP)) <= 5e-5
+        assert sample.c == pytest.approx(oracle_curve_value(2, 5), rel=1e-14)
 
     def test_diagonal_wins_beyond_w2(self):
         sample = curve_sample(2, 6)
         assert sample.branch == BRANCH_DIAGONAL
         assert sample.c == pytest.approx(diagonal_branch(2, 6).c, abs=1e-15)
-        assert abs(sample.c - oracle_curve_value(2, 6, SWEEP)) <= 5e-5
+        assert sample.c == pytest.approx(oracle_curve_value(2, 6), rel=1e-14)
 
     @pytest.mark.parametrize("n,p", [(1.0, 1e12), (1.0, 1e9), (10.0, 1e12), (1e3, 1e12)])
     def test_tiny_values_keep_the_diagonal_branch(self, n, p):
@@ -219,12 +217,12 @@ class TestCrossoverW:
         assert curve_sample(2, w * (1 + 1e-6)).branch == BRANCH_DIAGONAL
 
     def test_oracle_crosses_at_the_same_point(self):
-        # at w_n the vertical value n/p still matches the sweep optimum,
-        # and slightly beyond it the sweep exceeds n/p (diagonal regime)
+        # at w_n the vertical value n/p still matches the oracle's optimum,
+        # and slightly beyond it the oracle exceeds n/p (diagonal regime)
         w = crossover_w(2)
-        assert abs(oracle_curve_value(2, w, SWEEP) - 2 / w) <= 5e-5
+        assert oracle_curve_value(2, w) == pytest.approx(2 / w, rel=1e-14)
         beyond = w * 1.05
-        assert oracle_curve_value(2, beyond, SWEEP) > 2 / beyond + 1e-4
+        assert oracle_curve_value(2, beyond) > 2 / beyond + 1e-4
 
 
 class TestPlacement:

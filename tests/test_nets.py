@@ -21,9 +21,7 @@ from tripwire.nets import (
     odd_crossover_line_count,
     optimal_net,
 )
-from tripwire.oracle import THEOREM_P_VALUES, SweepConfig, oracle_curve_value
-
-SWEEP = SweepConfig(theta_resolution=1e-5)
+from tripwire.oracle import THEOREM_P_VALUES, oracle_curve_value
 
 positions = st.lists(
     st.floats(min_value=0.01, max_value=0.99), min_size=0, max_size=5, unique=True
@@ -99,7 +97,7 @@ class TestHoleScale:
         # n' = 3/2, p = 3 sits on the vertical branch: (1/3) * (3/2) / 3 = 1/6
         value = hole_scale(1 / 3, 1 / 2, 3)
         assert value == pytest.approx(1 / 6, abs=1e-15)
-        assert abs(value - oracle_curve_value(1.5, 3, SWEEP) / 3) <= 5e-5
+        assert value == pytest.approx(oracle_curve_value(1.5, 3) / 3, rel=1e-14)
 
     def test_square_hole_square_intruder(self):
         assert hole_scale(0.5, 0.5, 1) == pytest.approx(0.5, abs=1e-15)

@@ -7,7 +7,6 @@ from tripwire.errors import DomainError
 from tripwire.inscribe import crossover_w, curve_value, diagonal_branch
 from tripwire.nets import crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
 from tripwire.oracle import (
-    SweepConfig,
     VerificationReport,
     enumerate_axis_nets,
     irregular_spacing_check,
@@ -17,29 +16,29 @@ from tripwire.oracle import (
 
 
 class TestSweepOracle:
+    """The curve oracle: the exact rectangle kernel on the hole."""
+
     def test_unit_square(self):
-        assert oracle_curve_value(1, 1) == pytest.approx(1.0, abs=1e-9)
+        assert oracle_curve_value(1, 1) == pytest.approx(1.0, rel=1e-15)
 
     def test_square_hole_aspect_three(self):
         # by symmetry of the corner-contact solution the optimum sits at 45 degrees
-        value = oracle_curve_value(1, 3, SweepConfig(theta_resolution=1e-5))
-        assert value == pytest.approx(math.sqrt(2) / 4, abs=5e-5)
+        value = oracle_curve_value(1, 3)
+        assert value == pytest.approx(math.sqrt(2) / 4, rel=1e-14)
 
     def test_plateau_case(self):
-        assert oracle_curve_value(2, 1.5) == pytest.approx(1.0, abs=1e-9)
+        assert oracle_curve_value(2, 1.5) == pytest.approx(1.0, rel=1e-15)
 
     def test_agreement_grid(self):
-        cfg = SweepConfig(theta_resolution=1e-4)
-        tol = 5e-4
         for n in (1.0, 2.0, 3.0):
             p = 1.0
             while p <= 4.0 * n:
-                assert abs(curve_value(n, p) - oracle_curve_value(n, p, cfg)) <= tol
+                assert curve_value(n, p) == pytest.approx(oracle_curve_value(n, p), rel=1e-13)
                 p += 0.25
 
-    def test_config_validation(self):
+    def test_hole_aspect_beyond_the_kernel_tolerances_rejected(self):
         with pytest.raises(DomainError):
-            SweepConfig(theta_resolution=0.0)
+            oracle_curve_value(1e13, 2.0)
 
 
 class TestEnumerateAxisNets:
