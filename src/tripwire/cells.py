@@ -15,9 +15,9 @@ Chebyshev-centre LP with a polyhedral norm (Boyd & Vandenberghe,
 Convex Optimization, section 8.5).  The cell is bounded, so the
 optimum sits at a vertex where three constraints are tight.  Each
 constraint triple's 3x3 system is solved by Cramer's rule, vertices
-that break a constraint by more than a slack scaled to the cell's
-coordinates are dropped, and the largest remaining c is the exact
-optimum.  No search over theta is needed (u_i has period pi, and
+that break one of the other constraints by more than the rounding of
+that constraint's own terms are dropped, and the largest remaining c is
+the exact optimum.  No search over theta is needed (u_i has period pi, and
 pi/2 for a square, p = 1): a best orientation lies in a finite set read
 off the cell's edges (see largest_rectangles), the breakpoints where an
 edge normal is parallel to d1 or d2 and, on each piece between them,
@@ -38,10 +38,11 @@ import numpy as np
 
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 
-# Slack, per unit of a cell's coordinate scale, for the LP vertex test;
-# admits the rounding error of a vertex that is tight on more than three
-# constraints.
-GEO_TOL = 1e-12
+# Slack of the LP vertex test, per unit of |n_x x| + |n_y y| + |s u| + |b|
+# of the constraint checked: admits the rounding error of a vertex that is
+# tight on more than three constraints, and no more, so a vertex outside
+# a thin cell's short width is dropped however long the cell is.
+GEO_TOL = 1e-15
 
 # Most elements in one of the kernel's work arrays: the (orientation,
 # triple, m) vertex check, and the quadruple angles of a chunk of cells.
@@ -64,7 +65,9 @@ def convex_cell(points) -> np.ndarray:
 
     Consecutive duplicate and collinear vertices are dropped.  Raises
     DegenerateCellError for (numerically) zero area and DomainError for
-    a non-convex vertex sequence.
+    a non-convex vertex sequence.  Zero area and collinearity are judged
+    against the rounding of the quantities tested, so a valid cell stays
+    valid however thin it is.
     """
     poly = np.asarray(points, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
@@ -72,32 +75,37 @@ def convex_cell(points) -> np.ndarray:
     if not np.all(np.isfinite(poly)):
         raise DomainError("cell vertices must be finite")
 
-    # Tolerances follow the cell's size, not its distance from the origin.
+    # Tolerances follow the cell's size along each axis, not its distance
+    # from the origin.
     centred = poly - poly.mean(axis=0)
-    scale = max(1.0, float(np.max(np.abs(centred))))
-    eps = 1e-12 * scale * scale
+    extent = np.maximum(1.0, np.abs(centred).max(axis=0))
+    scale = float(extent.max())
 
     # Drop consecutive duplicates (closed polygon).
-    duplicate = np.all(np.abs(poly - _turn(poly, 1)) <= 1e-15 * scale, axis=1)
+    duplicate = np.all(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent, axis=1)
     poly = poly[~duplicate]
     centred = centred[~duplicate]
     if len(poly) < 3:
         raise DegenerateCellError("cell collapses to fewer than 3 distinct vertices")
 
-    area2 = float(_cross2(centred, _turn(centred, 1)).sum())
-    if abs(area2) <= 2e-15 * scale * scale:
+    # Twice the signed area, against the size of the products it sums.
+    after = _turn(centred, 1)
+    area2 = float(_cross2(centred, after).sum())
+    if abs(area2) <= 2e-15 * float(np.abs(centred * after[:, ::-1]).sum()):
         raise DegenerateCellError(f"cell has zero area (2A = {area2!r})")
     if area2 < 0.0:
         poly = poly[::-1].copy()
 
-    # Convexity and collinear-vertex removal on the CCW polygon.
+    # Convexity and collinear-vertex removal on the CCW polygon: a vertex
+    # is straight when its turn is below 1e-12 rad, and a reflex turn
+    # within 1e-12 of the cell's size squared is taken as rounding.
     while True:
-        prev = _turn(poly, -1)
-        nxt = _turn(poly, 1)
-        cross = _cross2(poly - prev, nxt - poly)
-        if np.any(cross < -eps):
+        back = poly - _turn(poly, -1)
+        ahead = _turn(poly, 1) - poly
+        cross = _cross2(back, ahead)
+        if np.any(cross < -1e-12 * scale * scale):
             raise DomainError("cell must be convex")
-        straight = cross <= eps
+        straight = cross <= 1e-12 * np.hypot(*back.T) * np.hypot(*ahead.T)
         if not np.any(straight):
             break
         poly = poly[~straight]
@@ -131,19 +139,22 @@ def _columns(a: np.ndarray, triples: np.ndarray) -> tuple:
 
 
 @lru_cache(maxsize=32)
-def _subsets(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _subsets(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Constraint triples (R, 3) and quadruples (Q, 4) of an m-gon, in
-    itertools.combinations order, and for each quadruple (a, b, c, d) the
-    rows in the triple array of (b, c, d), (a, c, d), (a, b, d), (a, b, c).
-    Read-only, since every caller shares them."""
+    itertools.combinations order, for each quadruple (a, b, c, d) the
+    rows in the triple array of (b, c, d), (a, c, d), (a, b, d), (a, b, c),
+    and an (R, m) mask of the constraints in each triple.  Read-only,
+    since every caller shares them."""
     triples = list(itertools.combinations(range(m), 3))
     row = {t: i for i, t in enumerate(triples)}
     quads = list(itertools.combinations(range(m), 4))
     minors = [[row[q[:pos] + q[pos + 1 :]] for pos in range(4)] for q in quads]
+    triples = np.array(triples, dtype=np.intp).reshape(-1, 3)
     tables = (
-        np.array(triples, dtype=np.intp).reshape(-1, 3),
+        triples,
         np.array(quads, dtype=np.intp).reshape(-1, 4),
         np.array(minors, dtype=np.intp).reshape(-1, 4),
+        (triples[:, :, None] == np.arange(m)).any(axis=1),
     )
     for table in tables:
         table.setflags(write=False)
@@ -163,7 +174,6 @@ def _cramer_parts(normals: np.ndarray, offsets: np.ndarray) -> tuple:
 def _max_sides_at_angles(
     normals: np.ndarray,
     offsets: np.ndarray,
-    slack: np.ndarray,
     parts: tuple,
     owner: np.ndarray,
     theta: np.ndarray,
@@ -172,24 +182,23 @@ def _max_sides_at_angles(
 ) -> np.ndarray:
     """Largest long side over the given constraint triples at each orientation.
 
-    normals: (G, m, 2); offsets: (G, m); slack: (G,); parts: the cells'
-    _cramer_parts.  Orientation j belongs to cell owner[j], has angle
-    theta[j] and solves the triples in rows bases[j] of _subsets(m)[0]
-    (or rows `bases` (R',) for every orientation); q = 1/p.  All of them
+    normals: (G, m, 2); offsets: (G, m); parts: the cells' _cramer_parts.
+    Orientation j belongs to cell owner[j], has angle theta[j] and solves
+    the triples in rows bases[j] of _subsets(m)[0]; q = 1/p.  All of them
     are solved at once, in chunks of orientations that keep the
     (orientation, triple, m) vertex check within CHECK_BUDGET elements.
     With every triple this is the exact LP optimum.  Returns (P,); -inf
     where no vertex is feasible.
     """
     m = normals.shape[1]
-    triples = _subsets(m)[0]
+    triples, _, _, members = _subsets(m)
     nx, ny = normals[..., 0], normals[..., 1]
     xy, by, xb, top = parts
-    step = max(1, CHECK_BUDGET // (bases.shape[-1] * m))
+    step = max(1, CHECK_BUDGET // (bases.shape[1] * m))
     best = np.empty(len(theta))
     for lo in range(0, len(theta), step):
         rows = owner[lo : lo + step]
-        basis = bases if bases.ndim == 1 else bases[lo : lo + step]
+        basis = bases[lo : lo + step]
         pick = (rows[:, None], basis)
         cos = np.cos(theta[lo : lo + step])[:, None]
         sin = np.sin(theta[lo : lo + step])[:, None]
@@ -197,30 +206,36 @@ def _max_sides_at_angles(
         support = 0.5 * (q * np.abs(rx * cos + ry * sin) + np.abs(ry * cos - rx * sin))
         corners = triples[basis]
         cu = [support[np.arange(len(rows))[:, None], corners[..., k]] for k in range(3)]
-        with np.errstate(divide="ignore", invalid="ignore"):
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             det = _dot3(cu, [c[pick] for c in xy])
             s = top[pick] / det
             x = _dot3(cu, [c[pick] for c in by]) / det
             y = _dot3(cu, [c[pick] for c in xb]) / det
-            lhs = (
-                rx[:, None, :] * x[..., None]
-                + ry[:, None, :] * y[..., None]
-                + support[:, None, :] * s[..., None]
-            )
-        ok = np.all(lhs <= (rb + slack[rows, None])[:, None, :], axis=2)
+            # Each constraint's residual n . v + s u - b, and the sum of its
+            # terms' magnitudes, which bounds the residual's rounding.  A
+            # vertex meets its own three constraints by construction.
+            residual = np.repeat(-rb[:, None, :], s.shape[1], axis=1)
+            size = np.abs(residual)
+            for coef, value in ((rx, x), (ry, y), (support, s)):
+                term = coef[:, None, :] * value[..., None]
+                residual += term
+                size += np.abs(term, out=term)
+            finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(s)
+            ok = np.all((residual <= GEO_TOL * size) | members[basis], axis=2) & finite
         best[lo : lo + step] = np.where(ok, s, -np.inf).max(axis=1)
     return best
 
 
-def _candidate_angles(normals: np.ndarray, offsets: np.ndarray, xy: tuple, q: float):
+def _candidate_angles(normals: np.ndarray, offsets: np.ndarray, parts: tuple, q: float):
     """Orientations that hold each cell's best one (see largest_rectangles).
 
-    normals: (G, m, 2); offsets: (G, m); xy: each triple's nx x ny from
-    _cramer_parts; q = 1/p.  Returns the sorted breakpoints (G, pieces)
-    and, for each quadruple angle inside its piece, its cell row, angle
-    and the rows of its four sub-triples.
+    normals: (G, m, 2); offsets: (G, m); parts: the cells' _cramer_parts;
+    q = 1/p.  Returns the sorted breakpoints (G, pieces) and, for each
+    quadruple angle inside its piece, its cell row, angle and the rows of
+    its four sub-triples.
     """
-    triples, quads, minors = _subsets(normals.shape[1])
+    triples, quads, minors, _ = _subsets(normals.shape[1])
+    xy, by, xb, top = parts
     nx = normals[:, None, :, 0]
     ny = normals[:, None, :, 1]
     breaks = np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER
@@ -249,11 +264,36 @@ def _candidate_angles(normals: np.ndarray, offsets: np.ndarray, xy: tuple, q: fl
         - b[..., 2, :] * dets[..., minors[:, 2]]
         + b[..., 3, :] * dets[..., minors[:, 3]]
     )
-    tight = np.arctan2(-det4[0], det4[1])
-    # A quadruple's angle counts only on the piece whose alpha, beta gave it.
-    inside = (tight - breaks[..., None]) % math.pi <= width[..., None]
-    cell, _, quad = np.nonzero(inside)
-    return breaks, cell, tight[inside] % period, minors[quad]
+    # A quadruple's angle counts only on the piece whose alpha, beta gave
+    # it, and is taken as the piece's start plus its offset into the piece.
+    offset = (np.arctan2(-det4[0], det4[1]) - breaks[..., None]) % math.pi
+    inside = offset <= width[..., None]
+    cell, piece, quad = np.nonzero(inside)
+    theta = breaks[cell, piece] + offset[inside]
+
+    # det4 vanishes there only up to its rounding, about eps times the
+    # cell's size, while a rectangle of long side s moves its corners by
+    # s/2 per radian.  So one Newton step follows, on det4(theta) = D r:
+    # D = det[nx ny u] of the quadruple's last three rows and r the first
+    # row's residual at their vertex, whose terms are no larger than the
+    # first row's own.  The slope comes from det4's coefficients, which
+    # are accurate relative to their size.
+    cos, sin = np.cos(theta), np.sin(theta)
+    u = alpha_beta[0, cell, piece] * cos[:, None] + alpha_beta[1, cell, piece] * sin[:, None]
+    row, first = minors[quad, 0], quads[quad, 0]
+    each = np.arange(len(theta))
+    u3 = [u[each, k] for k in triples[row].T]
+    value = (
+        normals[cell, first, 0] * _dot3(u3, [c[cell, row] for c in by])
+        + normals[cell, first, 1] * _dot3(u3, [c[cell, row] for c in xb])
+        + u[each, first] * top[cell, row]
+        - offsets[cell, first] * _dot3(u3, [c[cell, row] for c in xy])
+    )
+    slope = det4[1][inside] * cos - det4[0][inside] * sin
+    with np.errstate(divide="ignore", invalid="ignore"):
+        step = value / slope
+    theta = np.where(np.isfinite(step), theta - step, theta)
+    return breaks, cell, theta % period, minors[quad]
 
 
 def largest_rectangles(cells, p) -> np.ndarray:
@@ -275,9 +315,11 @@ def largest_rectangles(cells, p) -> np.ndarray:
     inside a piece the best vertex is the one the quadruple's four
     constraints share, so only its four triples are solved there (any
     nonsingular one gives that vertex), each vertex checked against every
-    constraint; this keeps the work near m^5 where the full LP at every
-    quadruple angle took m^8.  Extra angles do no harm, since every vertex
-    kept is a feasible placement.  p must be a finite real >= 1 (DomainError
+    other constraint; this keeps the work near m^5 where the full LP at every
+    quadruple angle took m^8.  Each quadruple angle gets one Newton step
+    first, since a long rectangle's side is sensitive to the angle's
+    rounding.  Extra angles do no harm, since every vertex kept is a
+    feasible placement.  p must be a finite real >= 1 (DomainError
     otherwise); at p = 1 this is largest_squares.  Raises
     DegenerateCellError, naming the cell, where a breakpoint's LP has no
     feasible vertex with a positive side (a cell with interior always has
@@ -288,15 +330,6 @@ def largest_rectangles(cells, p) -> np.ndarray:
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"rectangle aspect p must be finite and >= 1, got {p!r}")
-    return _largest_sides(cells, p)
-
-
-def largest_squares(cells) -> np.ndarray:
-    """Largest inscribed square side for each convex cell: largest_rectangles at p = 1."""
-    return _largest_sides(cells, 1.0)
-
-
-def _largest_sides(cells, p: float) -> np.ndarray:
     polys = [convex_cell(c) for c in cells]
     result = np.zeros(len(polys))
 
@@ -307,11 +340,9 @@ def _largest_sides(cells, p: float) -> np.ndarray:
     for m, idxs in by_edge_count.items():
         G = len(idxs)
         # The side does not depend on where a cell sits; centring it keeps
-        # Cramer's rule and the slack at the cell's own scale.
+        # Cramer's rule at the cell's own scale.
         block = np.stack([polys[idx] for idx in idxs])
-        centred = block - block.mean(axis=1, keepdims=True)
-        normals, offsets = _halfplanes(centred)
-        slack = GEO_TOL * np.maximum(1.0, np.abs(centred).max(axis=(1, 2)))
+        normals, offsets = _halfplanes(block - block.mean(axis=1, keepdims=True))
 
         # Solved for the long side cp, with support u_i / p, so that no
         # product overflows at any finite p; cells go in chunks that keep the
@@ -323,10 +354,11 @@ def _largest_sides(cells, p: float) -> np.ndarray:
         for lo in range(0, G, step):
             rows = slice(lo, lo + step)
             parts = _cramer_parts(normals[rows], offsets[rows])
-            args = (normals[rows], offsets[rows], slack[rows], parts)
-            breaks, cell, theta, bases = _candidate_angles(normals[rows], offsets[rows], parts[0], q)
+            args = (normals[rows], offsets[rows], parts)
+            breaks, cell, theta, bases = _candidate_angles(normals[rows], offsets[rows], parts, q)
             owner = np.repeat(np.arange(len(breaks)), breaks.shape[1])
-            sides = _max_sides_at_angles(*args, owner, breaks.ravel(), q, everywhere) / p
+            all_triples = np.broadcast_to(everywhere, (len(owner), len(everywhere)))
+            sides = _max_sides_at_angles(*args, owner, breaks.ravel(), q, all_triples) / p
             bad = np.flatnonzero(~(sides > 0.0))
             if len(bad):
                 idx = idxs[lo + owner[bad[0]]]
@@ -340,6 +372,11 @@ def _largest_sides(cells, p: float) -> np.ndarray:
             np.maximum.at(best, cell, _max_sides_at_angles(*args, cell, theta, q, bases) / p)
             result[idxs[rows]] = best
     return result
+
+
+def largest_squares(cells) -> np.ndarray:
+    """Largest inscribed square side for each convex cell: largest_rectangles at p = 1."""
+    return largest_rectangles(cells, 1.0)
 
 
 def largest_square_in_cell(cell) -> float:

@@ -44,12 +44,6 @@ __all__ = [
     "perturbation_suite",
 ]
 
-# Largest hole aspect the curve oracle takes: from about 4e12 on,
-# convex_cell's collinearity tolerance, which grows with the square of the
-# cell's size, reads the 1 x n hole as a segment.
-ORACLE_MAX_ASPECT = 1e12
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """Scored candidates, the minimizing winner, and run parameters.
@@ -98,13 +92,10 @@ def oracle_curve_value(n: float, p: float) -> float:
     """The inscribing curve at (n, p) from the exact rectangle kernel.
 
     The largest c such that a c x cp rectangle fits in the [0,1] x [0,n]
-    hole, by cells.largest_rectangles on the hole as a convex cell; n up
-    to ORACLE_MAX_ASPECT.
+    hole, by cells.largest_rectangles on the hole as a convex cell.
     """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    if n > ORACLE_MAX_ASPECT:
-        raise DomainError(f"hole aspect n must be <= {ORACLE_MAX_ASPECT!r} for the oracle, got {n!r}")
     return float(largest_rectangles([((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n))], p)[0])
 
 

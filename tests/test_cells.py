@@ -22,7 +22,7 @@ from tripwire.errors import (
     DomainError,
     InvalidPerturbationError,
 )
-from tripwire.inscribe import curve_value
+from tripwire.inscribe import curve_value, diagonal_branch
 from tripwire.oracle import local_perturbation_experiment, perturbation_suite
 
 
@@ -183,6 +183,15 @@ TURNS = [
 ]
 
 
+# Cells some 500 and 1800 times longer than wide, where Cramer's rule
+# misses a triple's own constraints by more than the check's rounding
+# bound, so a vertex is not re-checked against its own three.
+THIN_CELLS = {
+    "thin-triangle": [(-1.67066439, -2.10942327), (-1.54241042, -2.85022856), (-1.60716532, -2.46818489)],
+    "thin-quad": [(-2.6950037, -1.35479803), (-1.23464422, -3.5324276), (-1.90850326, -2.52577591), (-1.93430169, -2.48726444)],
+}
+
+
 def regular_polygon(count, side, angle, center):
     """Regular count-gon with the given side, turned by angle about center."""
     radius = side / (2.0 * math.sin(math.pi / count))
@@ -201,6 +210,13 @@ class TestConvexCell:
     def test_collinear_vertices_dropped(self):
         poly = convex_cell([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
         assert len(poly) == 4
+
+    @pytest.mark.parametrize("n", [1e13, 1e300])
+    def test_thin_cell_keeps_its_corners(self, n):
+        # collinearity is a turn below 1e-12 rad, not a cross product below
+        # 1e-12 times the cell's size squared
+        assert len(convex_cell([(0, 0), (1, 0), (1, n), (0, n)])) == 4
+        assert len(convex_cell([(0, 0), (0.5, 0), (1, 0), (1, n), (0, n)])) == 4
 
     def test_zero_area_rejected(self):
         with pytest.raises(DegenerateCellError):
@@ -267,8 +283,9 @@ class TestLargestSquare:
         assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-12)
 
     # Far from the origin: duplicate vertices are judged on the cell's own
-    # scale, not relative to its coordinates.  1e-9 relative because the LP
-    # slack has a floor of 1e-12 absolute, which the 1e-3 cell's side feels.
+    # scale, not relative to its coordinates.  1e-9 relative because the
+    # vertices 1e6 from the origin are themselves rounded by about 1e-10
+    # (the side comes out 2.2e-11 relative low).
     @pytest.mark.parametrize("side,center", [(1e-3, (100.0, -30.0)), (1.0, (1e6, -3e5))])
     @pytest.mark.parametrize("angle", TURNS[:2])
     def test_regular_hexagon_far_from_the_origin(self, angle, side, center):
@@ -356,6 +373,28 @@ class TestLargestRectangles:
         expected = [curve_value(n, p) for n in HOLE_ASPECTS]
         assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("p", INTRUDER_ASPECTS)
+    def test_hole_matches_the_larger_branch(self, p):
+        # exact to a few ulps: the larger of the vertical and corner-contact
+        # placements, without curve_value's 1e-12 preference for the vertical
+        values = largest_rectangles([hole(n) for n in HOLE_ASPECTS], p)
+        expected = [1.0 if p <= n else max(n / p, diagonal_branch(n, p).c) for n in HOLE_ASPECTS]
+        assert values == pytest.approx(expected, rel=4e-15, abs=0.0)
+
+    @pytest.mark.parametrize(
+        "n,p", [(1e3, 1e3 / (1 + 4e-10)), (1e9, 1e9 / (1 + 1e-4)), (1e12, 1e12 / (1 + 1e-8)), (1e16, 1e16 / (1 + 1e-6))]
+    )
+    def test_hole_just_longer_than_the_rectangle(self, n, p):
+        # 1 < n/p: the hole's width of 1 binds, however long the hole is
+        assert largest_rectangles([hole(n)], p)[0] == pytest.approx(1.0, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("n", [1e13, 1e16, 1e100, 1e300])
+    def test_thin_holes(self, n):
+        # at these aspects the curve is min(1, n/p) to double precision
+        ps = [1.0, n / 2, 1.5 * n, 10.0 * n, 1e3 * n]
+        values = [largest_rectangles([hole(n)], p)[0] for p in ps]
+        assert values == pytest.approx([min(1.0, n / p) for p in ps], rel=1e-15, abs=0.0)
+
     def test_no_overflow_at_huge_aspects(self):
         # C_1(p) = sqrt(2) / (p + 1) on the diagonal branch
         for p in (1e100, 1e300, 1.7e308):
@@ -401,6 +440,7 @@ class TestLargestRectangles:
             for seed, p in [(4, 1.7), (5, 6.0)]
         ]
         + [pytest.param(MISSED_HEXAGON, 2.5, 2001, id="hexagon-p2.5")]
+        + [pytest.param(cell, p, 2001, id=f"{name}-p{p}") for name, cell in THIN_CELLS.items() for p in (1.0, 3.0)]
         + [
             pytest.param(random_convex_polygon(count, np.random.default_rng(0)), p, 501, id=f"{count}-gon-p{p}")
             for count, p in [(16, 1.0), (16, 2.5), (24, 1.0)]

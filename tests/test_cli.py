@@ -241,6 +241,14 @@ class TestVerifyCommand:
         assert data["parameters"]["tolerance"] == 1e-12
         assert data["parameters"]["max_deviation"] <= data["parameters"]["tolerance"]
 
+    def test_curve_oracle_suite_off_the_p_grid(self, tmp_path):
+        # the grid's p = 8 sits 3e-12 relative below n: the oracle must read 1
+        out = tmp_path / "rep.json"
+        code = run_main(["verify", "curve-oracle", "--n", "8.000000000024", "--out", str(out)])
+        assert code == 0
+        data = json.loads(out.read_text())
+        assert data["parameters"]["max_deviation"] <= data["parameters"]["tolerance"]
+
     def test_irregular_suite(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run_main(["verify", "irregular", "--k", "3", "--p", "2", "--trials", "60",

@@ -36,9 +36,11 @@ class TestSweepOracle:
                 assert curve_value(n, p) == pytest.approx(oracle_curve_value(n, p), rel=1e-13)
                 p += 0.25
 
-    def test_hole_aspect_beyond_the_kernel_tolerances_rejected(self):
-        with pytest.raises(DomainError):
-            oracle_curve_value(1e13, 2.0)
+    @pytest.mark.parametrize("n", [1000.0000004, 1e13, 1e300])
+    def test_any_finite_hole_aspect(self, n):
+        # a hole barely longer than the rectangle still binds at its width of 1
+        assert oracle_curve_value(n, 1000.0 if n < 1e4 else n / (1 + 1e-9)) == pytest.approx(1.0, rel=1e-15)
+        assert oracle_curve_value(n, 1.5 * n) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
 
 class TestEnumerateAxisNets:
