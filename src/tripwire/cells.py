@@ -9,22 +9,14 @@ holds for its farthest corner:
     n_i . x + c * u_i(theta) <= b_i,
     u_i(theta) = (|n_i . d1| + p |n_i . d2|) / 2.
 
-At a fixed theta the largest rectangle is therefore the 3-variable
-linear program  max c  over (x, c)  subject to those constraints: the
-Chebyshev-centre LP with a polyhedral norm (Boyd & Vandenberghe,
-Convex Optimization, section 8.5).  The cell is bounded, so the
-optimum sits at a vertex where three constraints are tight.  Each
-constraint triple's 3x3 system is solved by Cramer's rule, vertices
-that break one of the other constraints by more than the rounding of
-that constraint's own terms are dropped, and the largest remaining c is
-the exact optimum.  No search over theta is needed (u_i has period pi, and
-pi/2 for a square, p = 1): a best orientation lies in a finite set read
-off the cell's edges (see largest_rectangles), the breakpoints where an
-edge normal is parallel to d1 or d2 and, on each piece between them,
-the angles where four constraints are tight at once, kept only if they
-lie in that piece.  The LP is solved there, all triples and orientations
-at once and batched over cells with the same edge count, in chunks of
-bounded size, so large perturbation sweeps stay cheap.
+u_i has period pi (pi/2 for a square, p = 1) and changes form only where
+n_i is parallel to d1 or d2.  Between two such breakpoints u_i / p =
+alpha_i cos(theta) + beta_i sin(theta), so with A = cp cos(theta) and
+B = cp sin(theta) the rectangles of that piece are a polytope in
+(x, A, B).  The long side |(A, B)| is convex, so its maximum there is at
+a vertex (Rockafellar, Convex Analysis, section 32): largest_rectangles
+enumerates every vertex of every piece, batched over cells with the same
+edge count, in chunks of bounded size.
 """
 
 from __future__ import annotations
@@ -38,14 +30,15 @@ import numpy as np
 
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 
-# Slack of the LP vertex test, per unit of |n_x x| + |n_y y| + |s u| + |b|
-# of the constraint checked: admits the rounding error of a vertex that is
-# tight on more than three constraints, and no more, so a vertex outside
-# a thin cell's short width is dropped however long the cell is.
+# Slack of the LP vertex test, per unit of the row's |n_x x| + |n_y y| +
+# |alpha A| + |beta B| + |b|: admits the rounding of a vertex tight on more
+# than four rows, and no more, so a vertex outside a thin cell's short width
+# is dropped however long the cell is.  Also the share of its 24 products'
+# magnitudes below which a quadruple's determinant counts as zero.
 GEO_TOL = 1e-15
 
-# Most elements in one of the kernel's work arrays: the (orientation,
-# triple, m) vertex check, and the quadruple angles of a chunk of cells.
+# Most elements in one of the kernel's work arrays: the (piece, quadruple,
+# row) vertex check of a chunk of pieces.
 CHECK_BUDGET = 1 << 20
 
 _QUARTER = math.pi / 2
@@ -72,27 +65,30 @@ def convex_cell(points) -> np.ndarray:
     poly = np.asarray(points, dtype=float)
     if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
         raise DegenerateCellError(f"cell needs at least 3 planar points, got shape {poly.shape}")
-    if not np.all(np.isfinite(poly)):
+    if not np.isfinite(poly).all():
         raise DomainError("cell vertices must be finite")
 
     # Tolerances follow the cell's size along each axis, not its distance
     # from the origin.
-    centred = poly - poly.mean(axis=0)
+    centred = poly - _centre(poly)
     extent = np.maximum(1.0, np.abs(centred).max(axis=0))
     scale = float(extent.max())
 
     # Drop consecutive duplicates (closed polygon).
-    duplicate = np.all(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent, axis=1)
-    poly = poly[~duplicate]
-    centred = centred[~duplicate]
+    distinct = ~(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent).all(axis=1)
+    poly = poly[distinct]
+    centred = centred[distinct]
     if len(poly) < 3:
         raise DegenerateCellError("cell collapses to fewer than 3 distinct vertices")
 
-    # Twice the signed area, against the size of the products it sums.
-    after = _turn(centred, 1)
-    area2 = float(_cross2(centred, after).sum())
-    if abs(area2) <= 2e-15 * float(np.abs(centred * after[:, ::-1]).sum()):
-        raise DegenerateCellError(f"cell has zero area (2A = {area2!r})")
+    # Twice the signed area, against the size of the products it sums, in
+    # units of 4**e: the cell scaled by 2**-e (exact), so that no sum overflows.
+    e = math.frexp(scale)[1]
+    unit = np.ldexp(centred, -e)
+    after = _turn(unit, 1)
+    area2 = float(_cross2(unit, after).sum())
+    if abs(area2) <= 2e-15 * float(np.abs(unit * after[:, ::-1]).sum()):
+        raise DegenerateCellError(f"cell has zero area (2A = {area2!r} * 4**{e})")
     if area2 < 0.0:
         poly = poly[::-1].copy()
 
@@ -103,10 +99,10 @@ def convex_cell(points) -> np.ndarray:
         back = poly - _turn(poly, -1)
         ahead = _turn(poly, 1) - poly
         cross = _cross2(back, ahead)
-        if np.any(cross < -1e-12 * scale * scale):
+        if (cross < -1e-12 * scale * scale).any():
             raise DomainError("cell must be convex")
         straight = cross <= 1e-12 * np.hypot(*back.T) * np.hypot(*ahead.T)
-        if not np.any(straight):
+        if not straight.any():
             break
         poly = poly[~straight]
         if len(poly) < 3:
@@ -124,206 +120,88 @@ def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return normals, offsets
 
 
-def _cross3(a, b) -> tuple:
-    """Cross product of 3-vectors given as component triples: det[a b c] = c . (a x b)."""
-    return (a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2], a[0] * b[1] - a[1] * b[0])
-
-
-def _dot3(a, b) -> np.ndarray:
-    return a[0] * b[0] + a[1] * b[1] + a[2] * b[2]
-
-
-def _columns(a: np.ndarray, triples: np.ndarray) -> tuple:
-    """a[..., i], a[..., j], a[..., k] for every triple (i, j, k): three (..., R) arrays."""
-    return tuple(a[..., rows] for rows in triples.T)
-
-
 @lru_cache(maxsize=32)
-def _subsets(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Constraint triples (R, 3) and quadruples (Q, 4) of an m-gon, in
-    itertools.combinations order, for each quadruple (a, b, c, d) the
-    rows in the triple array of (b, c, d), (a, c, d), (a, b, d), (a, b, c),
-    and an (R, m) mask of the constraints in each triple.  Read-only,
-    since every caller shares them."""
-    triples = list(itertools.combinations(range(m), 3))
-    row = {t: i for i, t in enumerate(triples)}
-    quads = list(itertools.combinations(range(m), 4))
-    minors = [[row[q[:pos] + q[pos + 1 :]] for pos in range(4)] for q in quads]
-    triples = np.array(triples, dtype=np.intp).reshape(-1, 3)
-    tables = (
-        triples,
-        np.array(quads, dtype=np.intp).reshape(-1, 4),
-        np.array(minors, dtype=np.intp).reshape(-1, 4),
-        (triples[:, :, None] == np.arange(m)).any(axis=1),
-    )
-    for table in tables:
+def _quadruples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Tables for a piece's LP on an m-gon, read-only: the pairs (2, P) of rows
+    0..m (cell rows, then the start wedge), those with i < j first, then
+    swapped; for each quadruple of rows (itertools.combinations order) and
+    split (0 1|2 3) (0 2|1 3) (0 3|1 2) (1 2|0 3) (1 3|0 2) (2 3|0 1), the
+    pair rows of the leading pair, swapped where the Laplace sign is minus,
+    and of the rest (i < j), both (6, Q); and a (Q, m + 2) row mask."""
+    pairs = np.array(list(itertools.combinations(range(m + 1), 2)), dtype=np.intp).T
+    pairs = np.concatenate((pairs, pairs[::-1]), axis=1)
+    quads = np.array(list(itertools.combinations(range(m + 1), 4)), dtype=np.intp).reshape(-1, 4)
+    row = np.zeros((m + 1, m + 1), dtype=np.intp)
+    row[pairs[0], pairs[1]] = np.arange(pairs.shape[1])
+    lead = np.ascontiguousarray(row[quads[:, [0, 2, 0, 1, 3, 2]], quads[:, [1, 0, 3, 2, 1, 3]]].T)
+    rest = np.ascontiguousarray(row[quads[:, [2, 1, 1, 0, 0, 0]], quads[:, [3, 3, 2, 3, 2, 1]]].T)
+    members = (quads[:, :, None] == np.arange(m + 2)).any(axis=1)
+    for table in (pairs, lead, rest, members):
         table.setflags(write=False)
-    return tables
+    return pairs, lead, rest, members
 
 
-def _cramer_parts(normals: np.ndarray, offsets: np.ndarray) -> tuple:
-    """The parts of Cramer's rule on each triple's columns (nx, ny, u) that
-    do not depend on the orientation: nx x ny, b x ny, nx x b (component
-    triples of (G, R) arrays) and det[nx ny b] (G, R)."""
-    triples = _subsets(normals.shape[1])[0]
-    cx, cy, cb = (_columns(a, triples) for a in (normals[..., 0], normals[..., 1], offsets))
-    xy = _cross3(cx, cy)
-    return xy, _cross3(cb, cy), _cross3(cx, cb), _dot3(cb, xy)
+def _minors(u: np.ndarray, v: np.ndarray, b: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(4, ..., P): for each pair (i, j) of rows, the 2x2 minor u_i v_j - u_j v_i
+    of the columns u, v (..., rows), the sum |u_i v_j| + |u_j v_i| that
+    bounds its rounding, and the minors of the columns (b, v) and (u, b)."""
+    ui, uj, vi, vj, bi, bj = (c[..., k] for c in (u, v, b) for k in pairs)
+    left, right = ui * vj, uj * vi
+    return np.array((left - right, abs(left) + abs(right), bi * vj - bj * vi, ui * bj - uj * bi))
 
 
-def _max_sides_at_angles(
-    normals: np.ndarray,
-    offsets: np.ndarray,
-    parts: tuple,
-    owner: np.ndarray,
-    theta: np.ndarray,
-    q: float,
-    bases: np.ndarray,
-) -> np.ndarray:
-    """Largest long side over the given constraint triples at each orientation.
+def _vertices(cell_minors, cell, alpha, beta, offsets, m: int) -> tuple:
+    """The vertex (x, y, A, B) of every row quadruple of a chunk of K pieces:
+    four (K, Q) arrays, NaN where the quadruple is singular (GEO_TOL).
 
-    normals: (G, m, 2); offsets: (G, m); parts: the cells' _cramer_parts.
-    Orientation j belongs to cell owner[j], has angle theta[j] and solves
-    the triples in rows bases[j] of _subsets(m)[0]; q = 1/p.  All of them
-    are solved at once, in chunks of orientations that keep the
-    (orientation, triple, m) vertex check within CHECK_BUDGET elements.
-    With every triple this is the exact LP optimum.  Returns (P,); -inf
-    where no vertex is feasible.
+    cell_minors (4, G, P): _minors of the cells' columns (n_x, n_y, b);
+    cell (K,): each piece's cell, ascending; alpha, beta, offsets (K, m + 2):
+    each piece's rows.  Cramer's rule, each determinant expanded along its
+    (n_x, n_y) columns term by term in a fixed order, so that chunking does
+    not change a bit.
     """
-    m = normals.shape[1]
-    triples, _, _, members = _subsets(m)
-    nx, ny = normals[..., 0], normals[..., 1]
-    xy, by, xb, top = parts
-    step = max(1, CHECK_BUDGET // (bases.shape[1] * m))
-    best = np.empty(len(theta))
-    for lo in range(0, len(theta), step):
-        rows = owner[lo : lo + step]
-        basis = bases[lo : lo + step]
-        pick = (rows[:, None], basis)
-        cos = np.cos(theta[lo : lo + step])[:, None]
-        sin = np.sin(theta[lo : lo + step])[:, None]
-        rx, ry, rb = nx[rows], ny[rows], offsets[rows]
-        support = 0.5 * (q * np.abs(rx * cos + ry * sin) + np.abs(ry * cos - rx * sin))
-        corners = triples[basis]
-        cu = [support[np.arange(len(rows))[:, None], corners[..., k]] for k in range(3)]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            det = _dot3(cu, [c[pick] for c in xy])
-            s = top[pick] / det
-            x = _dot3(cu, [c[pick] for c in by]) / det
-            y = _dot3(cu, [c[pick] for c in xb]) / det
-            # Each constraint's residual n . v + s u - b, and the sum of its
-            # terms' magnitudes, which bounds the residual's rounding.  A
-            # vertex meets its own three constraints by construction.
-            residual = np.repeat(-rb[:, None, :], s.shape[1], axis=1)
-            size = np.abs(residual)
-            for coef, value in ((rx, x), (ry, y), (support, s)):
-                term = coef[:, None, :] * value[..., None]
-                residual += term
-                size += np.abs(term, out=term)
-            finite = np.isfinite(x) & np.isfinite(y) & np.isfinite(s)
-            ok = np.all((residual <= GEO_TOL * size) | members[basis], axis=2) & finite
-        best[lo : lo + step] = np.where(ok, s, -np.inf).max(axis=1)
-    return best
+    pairs, lead, rest, _ = _quadruples(m)
+    piece_minors = _minors(alpha, beta, offsets, pairs[:, : pairs.shape[1] // 2])
+    cell_minors, cell = cell_minors[:, cell[0] : cell[-1] + 1], cell - cell[0]
+    det = size = x = y = big_a = big_b = 0.0
+    for k in range(6):
+        xy, xy_size, by, xb = cell_minors[..., lead[k]][:, cell]
+        ab, ab_size, b_beta, alpha_b = piece_minors[:, :, rest[k]]
+        det = det + xy * ab
+        size = size + xy_size * ab_size
+        x = x + by * ab
+        y = y + xb * ab
+        big_a = big_a + xy * b_beta
+        big_b = big_b + xy * alpha_b
+    det[~(np.abs(det) > GEO_TOL * size)] = np.nan
+    return x / det, y / det, big_a / det, big_b / det
 
 
-def _candidate_angles(normals: np.ndarray, offsets: np.ndarray, parts: tuple, q: float):
-    """Orientations that hold each cell's best one (see largest_rectangles).
-
-    normals: (G, m, 2); offsets: (G, m); parts: the cells' _cramer_parts;
-    q = 1/p.  Returns the sorted breakpoints (G, pieces) and, for each
-    quadruple angle inside its piece, its cell row, angle and the rows of
-    its four sub-triples.
-    """
-    triples, quads, minors, _ = _subsets(normals.shape[1])
-    xy, by, xb, top = parts
-    nx = normals[:, None, :, 0]
-    ny = normals[:, None, :, 1]
-    breaks = np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER
-    period = _QUARTER
-    if q != 1.0:
-        breaks = np.concatenate((breaks, breaks + _QUARTER), axis=1)
-        period = math.pi
-    breaks = np.sort(breaks, axis=1)
-    ends = np.concatenate((breaks[:, 1:], breaks[:, :1] + period), axis=1)
-    width = ends - breaks
-    mid = 0.5 * (breaks + ends)
-    cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
-    # On the piece after each breakpoint u_i / p = alpha_i cos(theta) + beta_i sin(theta).
-    sign1 = q * np.sign(nx * cos + ny * sin)
-    sign2 = np.sign(ny * cos - nx * sin)
-    alpha_beta = 0.5 * np.stack((sign1 * nx + sign2 * ny, sign1 * ny - sign2 * nx))
-
-    # Every triple's det[nx ny alpha] and det[nx ny beta]: (2, G, pieces, R).
-    dets = _dot3(_columns(alpha_beta, triples), [c[:, None, :] for c in xy])
-    # det[nx ny alpha b] and det[nx ny beta b] of every quadruple, expanded
-    # along the b column: (2, G, pieces, Q).
-    b = offsets[:, None, quads.T]
-    det4 = (
-        -b[..., 0, :] * dets[..., minors[:, 0]]
-        + b[..., 1, :] * dets[..., minors[:, 1]]
-        - b[..., 2, :] * dets[..., minors[:, 2]]
-        + b[..., 3, :] * dets[..., minors[:, 3]]
-    )
-    # A quadruple's angle counts only on the piece whose alpha, beta gave
-    # it, and is taken as the piece's start plus its offset into the piece.
-    offset = (np.arctan2(-det4[0], det4[1]) - breaks[..., None]) % math.pi
-    inside = offset <= width[..., None]
-    cell, piece, quad = np.nonzero(inside)
-    theta = breaks[cell, piece] + offset[inside]
-
-    # det4 vanishes there only up to its rounding, about eps times the
-    # cell's size, while a rectangle of long side s moves its corners by
-    # s/2 per radian.  So one Newton step follows, on det4(theta) = D r:
-    # D = det[nx ny u] of the quadruple's last three rows and r the first
-    # row's residual at their vertex, whose terms are no larger than the
-    # first row's own.  The slope comes from det4's coefficients, which
-    # are accurate relative to their size.
-    cos, sin = np.cos(theta), np.sin(theta)
-    u = alpha_beta[0, cell, piece] * cos[:, None] + alpha_beta[1, cell, piece] * sin[:, None]
-    row, first = minors[quad, 0], quads[quad, 0]
-    each = np.arange(len(theta))
-    u3 = [u[each, k] for k in triples[row].T]
-    value = (
-        normals[cell, first, 0] * _dot3(u3, [c[cell, row] for c in by])
-        + normals[cell, first, 1] * _dot3(u3, [c[cell, row] for c in xb])
-        + u[each, first] * top[cell, row]
-        - offsets[cell, first] * _dot3(u3, [c[cell, row] for c in xy])
-    )
-    slope = det4[1][inside] * cos - det4[0][inside] * sin
-    with np.errstate(divide="ignore", invalid="ignore"):
-        step = value / slope
-    theta = np.where(np.isfinite(step), theta - step, theta)
-    return breaks, cell, theta % period, minors[quad]
+def _centre(poly: np.ndarray) -> np.ndarray:
+    """Vertex mean (..., 1, 2) of cells (..., m, 2), summed at 2**-k > 1/m: no overflow."""
+    k = poly.shape[-2].bit_length()
+    return np.ldexp(np.ldexp(poly, -k).mean(axis=-2, keepdims=True), k)
 
 
 def largest_rectangles(cells, p) -> np.ndarray:
     """Largest short side c of a c x cp rectangle in each convex cell in `cells`.
 
-    The side is the exact fixed-angle LP optimum (module docstring),
-    maximised over a finite set of orientations that holds a best one.
-    Each n_i gives breakpoints where it is parallel to d1 or d2:
-    atan2(n_i) mod pi/2, and for p != 1 those plus pi/2, two in [0, pi).
-    Between breakpoints u_i = alpha_i cos(theta) + beta_i sin(theta),
-    where alpha_i and beta_i carry the factor p.  There the side is the
-    largest basis side det[n b] / det[n u] over the feasible constraint
-    triples.  A basis side is D / (R cos(theta - phi)), convex wherever it
-    is positive, so it peaks at an end of an interval where its triple is
-    feasible: a breakpoint, or an angle where a fourth constraint is tight
-    too (det[n u b] = 0: one angle per quadruple and piece, kept only if
-    it lies in that piece, ((theta - break_j) mod pi) <= the piece's
-    width).  The full LP is solved at each breakpoint.  At such an end
-    inside a piece the best vertex is the one the quadruple's four
-    constraints share, so only its four triples are solved there (any
-    nonsingular one gives that vertex), each vertex checked against every
-    other constraint; this keeps the work near m^5 where the full LP at every
-    quadruple angle took m^8.  Each quadruple angle gets one Newton step
-    first, since a long rectangle's side is sensitive to the angle's
-    rounding.  Extra angles do no harm, since every vertex kept is a
-    feasible placement.  p must be a finite real >= 1 (DomainError
-    otherwise); at p = 1 this is largest_squares.  Raises
-    DegenerateCellError, naming the cell, where a breakpoint's LP has no
-    feasible vertex with a positive side (a cell with interior always has
-    one).
+    Each cell is centred and scaled by a power of two (exact), so that no
+    product overflows.  Each n_i gives breakpoints atan2(n_i) mod pi/2, and
+    for p != 1 those plus pi/2.  On the piece [t0, t1] after a breakpoint
+    (alpha_i, beta_i carry q = 1/p and the signs at its midpoint) the LP in
+    (x, y, A, B) has the m cell rows (n_i, alpha_i, beta_i | b_i) and the
+    wedge rows (0, 0, sin t0, -cos t0 | 0) and (0, 0, -sin t1, cos t1 | 0).
+    Every quadruple of rows but the end wedge's gives a vertex (one at t1 is
+    one at the next piece's start), kept where its quadruple is not singular
+    (a square's inscribed squares form a continuum), it meets every row
+    outside its quadruple within GEO_TOL of that row's terms (its own rows
+    only up to Cramer's rounding, larger on a thin cell), and A cos + B sin
+    at the midpoint is >= 0 (a zero-width piece leaves the wedge a line).
+    The largest |(A, B)| kept is cp.  p must be a finite real >= 1
+    (DomainError otherwise); at p = 1 this is largest_squares.  Raises
+    DegenerateCellError, naming the cell, where no vertex has a positive
+    side (a cell with interior always has one).
     """
     if isinstance(p, bool):
         raise DomainError(f"rectangle aspect p must be a real number, got {p!r}")
@@ -332,45 +210,77 @@ def largest_rectangles(cells, p) -> np.ndarray:
         raise DomainError(f"rectangle aspect p must be finite and >= 1, got {p!r}")
     polys = [convex_cell(c) for c in cells]
     result = np.zeros(len(polys))
+    q = 1.0 / p
 
     by_edge_count: dict[int, list[int]] = {}
     for idx, poly in enumerate(polys):
         by_edge_count.setdefault(len(poly), []).append(idx)
 
     for m, idxs in by_edge_count.items():
-        G = len(idxs)
-        # The side does not depend on where a cell sits; centring it keeps
-        # Cramer's rule at the cell's own scale.
         block = np.stack([polys[idx] for idx in idxs])
-        normals, offsets = _halfplanes(block - block.mean(axis=1, keepdims=True))
+        block = block - _centre(block)
+        _, exponent = np.frexp(np.abs(block).max(axis=(1, 2)))
+        normals, cell_offsets = _halfplanes(np.ldexp(block, -exponent[:, None, None]))
+        n1, n2 = normals[:, None, :, 0], normals[:, None, :, 1]
 
-        # Solved for the long side cp, with support u_i / p, so that no
-        # product overflows at any finite p; cells go in chunks that keep the
-        # quadruple angles within the budget.
-        q = 1.0 / p
-        pieces = m if p == 1.0 else 2 * m
-        step = max(1, CHECK_BUDGET // (2 * pieces * max(math.comb(m, 3), math.comb(m, 4))))
-        everywhere = np.arange(math.comb(m, 3))
-        for lo in range(0, G, step):
-            rows = slice(lo, lo + step)
-            parts = _cramer_parts(normals[rows], offsets[rows])
-            args = (normals[rows], offsets[rows], parts)
-            breaks, cell, theta, bases = _candidate_angles(normals[rows], offsets[rows], parts, q)
-            owner = np.repeat(np.arange(len(breaks)), breaks.shape[1])
-            all_triples = np.broadcast_to(everywhere, (len(owner), len(everywhere)))
-            sides = _max_sides_at_angles(*args, owner, breaks.ravel(), q, all_triples) / p
-            bad = np.flatnonzero(~(sides > 0.0))
-            if len(bad):
-                idx = idxs[lo + owner[bad[0]]]
-                raise DegenerateCellError(
-                    f"cell {idx} has no feasible LP vertex with a positive side at "
-                    f"angle {float(breaks.flat[bad[0]])!r} (best {float(sides[bad[0]])!r}): "
-                    f"{polys[idx].tolist()}"
-                )
-            best = sides.reshape(breaks.shape).max(axis=1)
-            # Where four constraints are tight at once, their common vertex.
-            np.maximum.at(best, cell, _max_sides_at_angles(*args, cell, theta, q, bases) / p)
-            result[idxs[rows]] = best
+        breaks = np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER
+        period = _QUARTER
+        if p != 1.0:
+            breaks = np.concatenate((breaks, breaks + _QUARTER), axis=1)
+            period = math.pi
+        breaks = np.sort(breaks, axis=1)
+        ends = np.concatenate((breaks[:, 1:], breaks[:, :1] + period), axis=1)
+        pieces = breaks.shape[1]
+        mid = 0.5 * (breaks + ends)
+        cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
+        sign1 = q * np.sign(n1 * cos + n2 * sin)
+        sign2 = np.sign(n2 * cos - n1 * sin)
+        # Every piece's m + 2 rows (n_x, n_y, alpha, beta | b): the cell's,
+        # then the start and end wedges, whose n and b are 0.
+        nx, ny, offsets = np.zeros((3, len(idxs), m + 2))
+        nx[:, :m], ny[:, :m], offsets[:, :m] = normals[..., 0], normals[..., 1], cell_offsets
+        alpha, beta = np.empty((2, len(idxs), pieces, m + 2))
+        alpha[..., :m] = 0.5 * (sign1 * n1 + sign2 * n2)
+        beta[..., :m] = 0.5 * (sign1 * n2 - sign2 * n1)
+        alpha[..., m], beta[..., m] = np.sin(breaks), -np.cos(breaks)
+        alpha[..., m + 1], beta[..., m + 1] = -np.sin(ends), np.cos(ends)
+        alpha, beta = alpha.reshape(-1, m + 2), beta.reshape(-1, m + 2)
+
+        pairs, _, _, members = _quadruples(m)
+        cell_minors = _minors(nx, ny, offsets, pairs)
+        owner = np.repeat(np.arange(len(idxs)), pieces)
+        best = np.empty(len(owner))
+        step = max(1, CHECK_BUDGET // (len(members) * (m + 2)))
+        for lo in range(0, len(owner), step):
+            chunk = slice(lo, lo + step)
+            cell, a, b = owner[chunk], alpha[chunk], beta[chunk]
+            rb = offsets[cell]
+            with np.errstate(invalid="ignore", over="ignore"):
+                x, y, big_a, big_b = _vertices(cell_minors, cell, a, b, rb, m)
+                # Each row's residual n . v + alpha A + beta B - b, and GEO_TOL
+                # times its terms' magnitudes, which bound its rounding.
+                residual = np.repeat(-rb[:, None, :], x.shape[1], axis=1)
+                slack = np.abs(residual)
+                term = np.empty_like(residual)
+                for coef, value in ((nx[cell], x), (ny[cell], y), (a, big_a), (b, big_b)):
+                    np.multiply(coef[:, None, :], value[..., None], out=term)
+                    residual += term
+                    slack += np.abs(term, out=term)
+                slack *= GEO_TOL
+                ahead = big_a * cos.ravel()[chunk, None] + big_b * sin.ravel()[chunk, None]
+            ok = np.all((residual <= slack) | members, axis=2) & (ahead >= 0.0)
+            ok &= np.isfinite(x) & np.isfinite(y) & np.isfinite(big_a) & np.isfinite(big_b)
+            best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=1)
+
+        sides = np.ldexp(best.reshape(-1, pieces).max(axis=1), exponent) / p
+        bad = np.flatnonzero(~(sides > 0.0))
+        if len(bad):
+            idx = idxs[bad[0]]
+            raise DegenerateCellError(
+                f"cell {idx} has no feasible LP vertex with a positive side "
+                f"(best {float(sides[bad[0]])!r}): {polys[idx].tolist()}"
+            )
+        result[idxs] = sides
     return result
 
 

@@ -27,8 +27,9 @@ which solve in closed form as
 
 `curve_value` evaluates the curve as a max over the feasible candidate
 placements rather than dispatching on precomputed branch boundaries, so
-it is robust exactly at the boundaries; candidates within a relative
-BRANCH_TIE_TOL tie.  The boundary between the vertical and diagonal
+it is robust exactly at the boundaries; the value is the largest
+candidate's, and candidates within a relative BRANCH_TIE_TOL tie for the
+branch label.  The boundary between the vertical and diagonal
 branches is exposed separately as `crossover_w`, the largest root of
 the cubic p^3 - 3n p^2 + p + n.
 """
@@ -45,7 +46,7 @@ BRANCH_PLATEAU = "horizontal-plateau"
 BRANCH_VERTICAL = "vertical"
 BRANCH_DIAGONAL = "diagonal"
 
-# Relative tolerance for comparing candidate placements; ties go to the
+# Relative tolerance for labelling candidate placements; ties go to the
 # earlier branch in (plateau, vertical, diagonal) order so labels are
 # deterministic at the boundaries p = n and p = w_n.  Relative, because
 # the curve falls like 1/p and an absolute tolerance would mislabel it.
@@ -112,29 +113,32 @@ def diagonal_branch(n: float, p: float) -> DiagonalSolution:
     # wherever their operands are close (Sterbenz), q is a product rather
     # than p^2 - 1, and p n - 1 = (p - 1) n + (n - 1) adds like-signed terms.
     q = (p - 1.0) * (p + 1.0)
-    a1 = ((p - 1.0) * n + (n - 1.0)) / q
-    a2 = (p - n) / q
+    if math.isfinite(q):
+        a1 = ((p - 1.0) * n + (n - 1.0)) / q
+        a2 = (p - n) / q
+    else:
+        # q overflows for p above about 1.34e154: divide by its factors in
+        # turn, with a1 = (n + (n - 1) / (p - 1)) / (p + 1).
+        a1 = (n + (n - 1.0) / (p - 1.0)) / (p + 1.0)
+        a2 = (p - n) / (p - 1.0) / (p + 1.0)
     c = math.hypot(a1, a2)
     corners = ((a1, 0.0), (1.0, n - a2), (1.0 - a1, n), (0.0, a2))
     return DiagonalSolution(a1=a1, a2=a2, c=c, corners=corners)
 
 
 def curve_sample(n: float, p: float) -> CurveSample:
-    """Optimal scale and branch label for a 1 x p intruder in a 1 x n hole."""
+    """Optimal scale and branch label for a 1 x p intruder in a 1 x n hole.
+
+    The scale is the largest candidate's; the label is the earliest branch
+    within BRANCH_TIE_TOL of the largest.
+    """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
     if p <= n:
-        candidates = [(1.0, BRANCH_PLATEAU)]
-    else:
-        candidates = [
-            (n / p, BRANCH_VERTICAL),
-            (diagonal_branch(n, p).c, BRANCH_DIAGONAL),
-        ]
-    best_c, best_branch = candidates[0]
-    for c, branch in candidates[1:]:
-        if c > best_c * (1.0 + BRANCH_TIE_TOL):
-            best_c, best_branch = c, branch
-    return CurveSample(p=p, c=best_c, branch=best_branch)
+        return CurveSample(p=p, c=1.0, branch=BRANCH_PLATEAU)
+    vertical, diagonal = n / p, diagonal_branch(n, p).c
+    branch = BRANCH_DIAGONAL if diagonal > vertical * (1.0 + BRANCH_TIE_TOL) else BRANCH_VERTICAL
+    return CurveSample(p=p, c=max(vertical, diagonal), branch=branch)
 
 
 def curve_value(n: float, p: float) -> float:
@@ -187,12 +191,13 @@ def placement(n: float, p: float) -> Placement:
 
     Axis-aligned at the origin for the plateau and vertical branches
     (short side c along x, long side c*p along y), the corner-contact
-    quadrilateral for the diagonal branch.
+    quadrilateral for the diagonal branch.  c is the labelled branch's own
+    scale, which a tie leaves up to BRANCH_TIE_TOL below curve_value.
     """
-    sample = curve_sample(n, p)
-    c = sample.c
-    if sample.branch == BRANCH_DIAGONAL:
-        corners = diagonal_branch(n, p).corners
-    else:
-        corners = ((0.0, 0.0), (c, 0.0), (c, c * p), (0.0, c * p))
-    return Placement(corners=corners, branch=sample.branch, c=c)
+    branch = curve_sample(n, p).branch
+    if branch == BRANCH_DIAGONAL:
+        solution = diagonal_branch(n, p)
+        return Placement(corners=solution.corners, branch=branch, c=solution.c)
+    c = 1.0 if branch == BRANCH_PLATEAU else n / p
+    corners = ((0.0, 0.0), (c, 0.0), (c, c * p), (0.0, c * p))
+    return Placement(corners=corners, branch=branch, c=c)

@@ -1,15 +1,12 @@
 """Independent brute-force verifiers for the curve and net-optimality claims.
 
 Nothing here reuses the closed forms it is meant to check: the curve
-oracle is the exact largest-rectangle kernel of `cells` run on the hole
-as a convex cell (a fixed-angle LP at each orientation of a finite
-candidate set: the support u_i = (|n_i.d1| + p |n_i.d2|) / 2 has period
-pi, each edge normal gives two breakpoints in [0, pi), and each
-constraint quadruple one tight angle per piece, kept only inside that
-piece), net enumeration scores every split of k lines between the
-two axes, the split check re-solves the diagonal corner-contact
-equations per split, and the perturbation experiment measures inscribed
-squares in the cells of a perturbed arrangement.
+oracle is the exact largest-rectangle kernel run on the hole as a
+convex cell (see cells.largest_rectangles), net enumeration scores
+every split of k lines between the two axes, the split check re-solves
+the diagonal corner-contact equations per split, and the perturbation
+experiment measures inscribed squares in the cells of a perturbed
+arrangement.
 """
 
 from __future__ import annotations

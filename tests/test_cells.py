@@ -242,15 +242,24 @@ class TestLargestSquare:
         cell = [(0, 0), (w, 0), (w, h), (0, h)]
         assert largest_square_in_cell(cell) == pytest.approx(min(w, h), abs=1e-9)
 
-    def test_rotated_rectangle_still_min_side(self):
-        # the optimal orientation now lies off the sweep grid
-        angle = math.radians(30)
+    # The squares: inscribed squares turned against them form a continuum,
+    # so every quadruple of their four edges is singular (solving them
+    # anyway gives 0.625 for the one at 0.2 rad).
+    @pytest.mark.parametrize(
+        "w,h,angle,tol",
+        [
+            pytest.param(0.7, 0.3, math.radians(30), {"abs": 1e-9}, id="rectangle"),
+            pytest.param(0.24, 0.24, 1.0, {"rel": 1e-15, "abs": 0.0}, id="square-1.0"),
+            pytest.param(0.24, 0.24, 0.2, {"rel": 1e-15, "abs": 0.0}, id="square-0.2"),
+        ],
+    )
+    def test_rotated_rectangle_still_min_side(self, w, h, angle, tol):
         rot = np.array(
             [[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]]
         )
-        base = np.array([(0, 0), (0.7, 0), (0.7, 0.3), (0, 0.3)])
+        base = np.array([(0, 0), (w, 0), (w, h), (0, h)])
         cell = base @ rot.T + np.array([0.1, 0.2])
-        assert largest_square_in_cell(cell) == pytest.approx(0.3, abs=1e-9)
+        assert largest_square_in_cell(cell) == pytest.approx(min(w, h), **tol)
 
     def test_right_triangle(self):
         # largest square in a right triangle with legs a sits in the corner
@@ -362,7 +371,7 @@ def hole(n):
 
 # Log grids over the whole domain of the closed form, with its edge 1 + 1e-12.
 HOLE_ASPECTS = [1.0, 1.0 + 1e-12] + [10.0 ** (i / 2) for i in range(1, 19)]
-INTRUDER_ASPECTS = [1.0, 1.0 + 1e-12] + [10.0 ** (i / 2) for i in range(1, 25)]
+INTRUDER_ASPECTS = [1.0, 1.0 + 1e-12] + [10.0 ** (i / 2) for i in range(1, 25)] + [1e155, 1e300]
 
 
 class TestLargestRectangles:
@@ -371,7 +380,7 @@ class TestLargestRectangles:
         # the rectangle kernel shares no code with inscribe
         values = largest_rectangles([hole(n) for n in HOLE_ASPECTS], p)
         expected = [curve_value(n, p) for n in HOLE_ASPECTS]
-        assert values == pytest.approx(expected, rel=1e-12, abs=0.0)
+        assert values == pytest.approx(expected, rel=4e-15, abs=0.0)
 
     @pytest.mark.parametrize("p", INTRUDER_ASPECTS)
     def test_hole_matches_the_larger_branch(self, p):
@@ -422,8 +431,10 @@ class TestLargestRectangles:
             largest_rectangles([hole(2.0)], p)
 
     def test_chunks_give_the_same_sides(self, monkeypatch):
-        # a budget this small solves one cell and a few orientations at a time
+        # a budget this small solves one piece at a time, so a lone 16-gon's
+        # pieces are split over chunks
         batch = [random_convex_polygon(count, np.random.default_rng(seed)) for count in (4, 5, 7) for seed in range(3)]
+        batch.append(random_convex_polygon(16, np.random.default_rng(0)))
         whole = {p: largest_rectangles(batch, p) for p in (1.0, 2.5)}
         monkeypatch.setattr(cells, "CHECK_BUDGET", 50)
         for p, values in whole.items():

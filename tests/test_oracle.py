@@ -42,6 +42,11 @@ class TestSweepOracle:
         assert oracle_curve_value(n, 1000.0 if n < 1e4 else n / (1 + 1e-9)) == pytest.approx(1.0, rel=1e-15)
         assert oracle_curve_value(n, 1.5 * n) == pytest.approx(2.0 / 3.0, rel=1e-15)
 
+    @pytest.mark.parametrize("n,p", [(1.7e308, 1.0), (1e308, 1.5e308)])
+    def test_coordinates_near_the_float_limit(self, n, p):
+        # the hole's vertex mean and twice its area exceed the float range
+        assert oracle_curve_value(n, p) == pytest.approx(curve_value(n, p), rel=1e-15)
+
 
 class TestEnumerateAxisNets:
     def test_square_intruder_table(self):
