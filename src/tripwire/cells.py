@@ -41,6 +41,9 @@ GEO_TOL = 1e-15
 # row) vertex check of a chunk of pieces.
 CHECK_BUDGET = 1 << 20
 
+# Height on each shifted line about which perturbed_vertical_lines pivots it.
+PIVOT_HEIGHT = 0.5
+
 _QUARTER = math.pi / 2
 
 
@@ -199,16 +202,22 @@ def largest_rectangles(cells, p) -> np.ndarray:
     only up to Cramer's rounding, larger on a thin cell), and A cos + B sin
     at the midpoint is >= 0 (a zero-width piece leaves the wedge a line).
     The largest |(A, B)| kept is cp.  p must be a finite real >= 1
-    (DomainError otherwise); at p = 1 this is largest_squares.  Raises
-    DegenerateCellError, naming the cell, where no vertex has a positive
-    side (a cell with interior always has one).
+    (DomainError otherwise); at p = 1 this is largest_squares.  The errors
+    of convex_cell, and a DegenerateCellError where no vertex has a
+    positive side (a cell with interior always has one), name the cell by
+    its index in `cells`.
     """
     if isinstance(p, bool):
         raise DomainError(f"rectangle aspect p must be a real number, got {p!r}")
     p = float(p)
     if not (math.isfinite(p) and p >= 1.0):
         raise DomainError(f"rectangle aspect p must be finite and >= 1, got {p!r}")
-    polys = [convex_cell(c) for c in cells]
+    polys = []
+    for idx, cell in enumerate(cells):
+        try:
+            polys.append(convex_cell(cell))
+        except (DegenerateCellError, DomainError) as exc:
+            raise type(exc)(f"cell {idx}: {exc}") from exc
     result = np.zeros(len(polys))
     q = 1.0 / p
 
@@ -360,25 +369,21 @@ class PerturbationSpec:
         return len(self.shifts)
 
 
-def perturbed_vertical_lines(
-    k: int, spec: PerturbationSpec, pivot_height: float = 0.5
-) -> list[GeneralLine]:
+def perturbed_vertical_lines(k: int, spec: PerturbationSpec) -> list[GeneralLine]:
     """Apply a PerturbationSpec to k evenly spaced vertical lines.
 
     Line i (1-based position i/(k+1)) is shifted right by shifts[i] and
-    pivoted by pivots[i] radians about the point at height pivot_height
+    pivoted by pivots[i] radians about the point at height PIVOT_HEIGHT
     on the shifted line.
     """
     if spec.k != k:
         raise DomainError(f"spec describes {spec.k} lines, expected {k}")
-    if not 0.0 <= pivot_height <= 1.0:
-        raise DomainError(f"pivot_height must lie in [0, 1], got {pivot_height!r}")
     lines = []
     for i in range(k):
         x = (i + 1) / (k + 1) + spec.shifts[i]
         if x >= 1.0:
             raise InvalidPerturbationError(f"shifted line {i} leaves the unit square (x={x!r})")
-        lines.append(GeneralLine(anchor=(x, pivot_height), angle=spec.pivots[i]))
+        lines.append(GeneralLine(anchor=(x, PIVOT_HEIGHT), angle=spec.pivots[i]))
     return lines
 
 

@@ -35,6 +35,7 @@ from .inscribe import (
     placement,
 )
 from .oracle import (
+    CROSSOVER_WINDOW,
     THEOREM_P_STEP,
     THEOREM_P_VALUES,
     VerificationReport,
@@ -44,15 +45,6 @@ from .oracle import (
     oracle_curve_value,
     perturbation_suite,
     theorem_scan,
-)
-
-VERIFY_SUITES = (
-    "curve-oracle",
-    "theorem-even",
-    "theorem-odd",
-    "irregular",
-    "lagrange",
-    "local-optimum",
 )
 
 # Exit code for a geometric or numerical failure (module docstring).
@@ -289,10 +281,14 @@ def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> dict:
 
 def _verify_curve_oracle(n: float) -> VerificationReport:
     n = check_aspect(n, "hole aspect n")
+    try:
+        grid = _p_grid(1.0, 4.0 * n, 0.125)
+    except DomainError as exc:
+        raise DomainError(f"--n {n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
     candidates = []
     failures = []
     worst = 0.0
-    for p in _p_grid(1.0, 4.0 * n, 0.125):
+    for p in grid:
         exact = oracle_curve_value(n, p)
         deviation = abs(curve_value(n, p) - exact) / exact
         candidates.append((f"p={_num(p, 9)}", deviation))
@@ -310,8 +306,7 @@ def _verify_curve_oracle(n: float) -> VerificationReport:
             "tolerance": CURVE_ORACLE_RTOL,
             "max_deviation": worst,
         },
-        passed=not failures,
-        failures=tuple(failures[:10]),
+        failures=tuple(failures),
     )
 
 
@@ -322,7 +317,7 @@ def _verify_theorem(k: int, parity: str) -> VerificationReport:
         raise DomainError(f"theorem-odd needs odd k >= 3, got {k}")
     scan = theorem_scan(k)
     x = scan["crossover"]
-    p_above = next(p for p in THEOREM_P_VALUES if p > x + 1e-9)
+    p_above = next(p for p in THEOREM_P_VALUES if p > x + CROSSOVER_WINDOW)
     table = enumerate_axis_nets(k, p_above)
     parameters = {
         "k": k,
@@ -331,19 +326,17 @@ def _verify_theorem(k: int, parity: str) -> VerificationReport:
         "checked": scan["checked"],
         "mismatches": scan["mismatches"][:10],
         "table_at_p": p_above,
-        "tie_tolerance": 1e-12,
+        "tie_tolerance": nets.SCORE_TIE_RTOL,
     }
     if parity == "odd":
         alt = nets.odd_crossover_line_count(k)
         parameters["crossover_line_count_formula"] = alt
         parameters["formulas_disagree"] = abs(alt - x) > 1e-12
-    failures = tuple(scan["mismatches"][:10])
     return VerificationReport(
         candidates=table.candidates,
         winner=table.winner,
         parameters=parameters,
-        passed=not scan["mismatches"],
-        failures=failures,
+        failures=tuple(scan["mismatches"]),
     )
 
 
@@ -359,10 +352,9 @@ def _verify_irregular(k: int, p_values: list[float], trials: int, seed: int) -> 
     return VerificationReport(
         candidates=tuple(candidates),
         winner=winner,
-        parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": 1e-12},
+        parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": nets.SCORE_TIE_RTOL},
         seed=seed,
-        passed=not failures,
-        failures=tuple(failures[:10]),
+        failures=tuple(failures),
     )
 
 
@@ -376,25 +368,30 @@ def _verify_lagrange(k: int, p: float) -> VerificationReport:
     return replace(report, parameters={**report.parameters, "p": p})
 
 
+# Each verify suite as a function of the parsed flags; a suite that reads
+# --p or --trials sets its own default for them.
+VERIFY_SUITES = {
+    "curve-oracle": lambda args: _verify_curve_oracle(args.n),
+    "theorem-even": lambda args: _verify_theorem(args.k, "even"),
+    "theorem-odd": lambda args: _verify_theorem(args.k, "odd"),
+    "irregular": lambda args: _verify_irregular(
+        args.k,
+        [1.0, 1.5, 2.0, 3.0, 5.0] if args.p is None else [args.p],
+        1000 if args.trials is None else args.trials,
+        args.seed,
+    ),
+    "lagrange": lambda args: _verify_lagrange(args.k, 4.0 if args.p is None else args.p),
+    "local-optimum": lambda args: perturbation_suite(
+        args.k, trials=500 if args.trials is None else args.trials, epsilon=args.epsilon, seed=args.seed
+    ),
+}
+
+
 def cmd_verify(suite: str, args: argparse.Namespace, out_path: str) -> tuple[int, VerificationReport]:
     """Run one verification suite, write its JSON report, return (exit code, report)."""
-    if suite == "curve-oracle":
-        report = _verify_curve_oracle(args.n)
-    elif suite == "theorem-even":
-        report = _verify_theorem(args.k, "even")
-    elif suite == "theorem-odd":
-        report = _verify_theorem(args.k, "odd")
-    elif suite == "irregular":
-        p_values = [args.p] if args.p is not None else [1.0, 1.5, 2.0, 3.0, 5.0]
-        report = _verify_irregular(args.k, p_values, args.trials, args.seed)
-    elif suite == "lagrange":
-        report = _verify_lagrange(args.k, args.p if args.p is not None else 4.0)
-    elif suite == "local-optimum":
-        report = perturbation_suite(
-            args.k, trials=args.trials, epsilon=args.epsilon, seed=args.seed
-        )
-    else:
+    if suite not in VERIFY_SUITES:
         raise DomainError(f"unknown verification suite {suite!r}")
+    report = VERIFY_SUITES[suite](args)
     _write(out_path, report.to_json() + "\n")
     return (0 if report.passed else 1), report
 
@@ -481,8 +478,6 @@ def main(argv: list[str] | None = None) -> int:
             cmd_optimal_net(args.k, args.p, out)
             return 0
         if args.command == "verify":
-            if args.trials is None:
-                args.trials = 500 if args.suite == "local-optimum" else 1000
             out_path = args.out or f"verify-{args.suite}.json"
             code, report = cmd_verify(args.suite, args, out_path)
             if report.passed:

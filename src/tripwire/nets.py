@@ -25,6 +25,15 @@ from dataclasses import dataclass
 from .errors import DomainError
 from .inscribe import check_aspect, curve_value
 
+# Net scores within this share of the best one tie.  Scores fall like 1/p,
+# so an absolute margin would tie every split at large p.
+SCORE_TIE_RTOL = 1e-12
+
+
+def ties(value: float, best: float) -> bool:
+    """True when the net score `value` ties or beats `best` (SCORE_TIE_RTOL relative)."""
+    return value <= best * (1.0 + SCORE_TIE_RTOL)
+
 
 @dataclass(frozen=True)
 class Net:
@@ -125,7 +134,7 @@ def net_scale_factor(net: Net, p: float) -> float:
 
 
 def maximizing_hole(net: Net, p: float) -> tuple[int, int]:
-    """(column, row) of the first hole, row-major, within 1e-12 relative of the scale factor.
+    """(column, row) of the first hole, row-major, whose score ties the scale factor (ties).
 
     Not simply the widest gaps: those of an evenly spaced net differ only
     by rounding, so there every hole ties and the answer is (0, 0).
@@ -136,7 +145,7 @@ def maximizing_hole(net: Net, p: float) -> tuple[int, int]:
         (i, j)
         for i, w in enumerate(grid.widths)
         for j, h in enumerate(grid.heights)
-        if hole_scale(w, h, p) >= scale * (1.0 - 1e-12)
+        if ties(scale, hole_scale(w, h, p))
     )
 
 
@@ -146,8 +155,8 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     Parallel N(k,0) gives (1/(k+1)) C_{k+1}(p).  The grid gives
     (1/(k/2+1)) C_1(p) for even k (square holes) and, for odd k, the
     scale factor of N(ceil(k/2), floor(k/2)), whose hole sides follow
-    from the hole count per axis.  "parallel" wins within 1e-12
-    relative; the value returned is the winning family's own.
+    from the hole count per axis.  "parallel" wins when it ties the
+    grid (ties); the value returned is the winning family's own.
     """
     k = _check_count(k, "line count k", minimum=1)
     parallel = curve_value(k + 1, p) / (k + 1)
@@ -155,7 +164,7 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
         grid = curve_value(1, p) / (k // 2 + 1)
     else:
         grid = net_scale_factor(evenly_spaced(k - k // 2, k // 2), p)
-    if parallel <= grid * (1.0 + 1e-12):
+    if ties(parallel, grid):
         return parallel, "parallel"
     return grid, "grid"
 

@@ -19,6 +19,7 @@ import numpy as np
 
 from . import nets
 from .cells import (
+    PIVOT_HEIGHT,
     PerturbationSpec,
     arrangement_cells,
     largest_rectangles,
@@ -41,24 +42,30 @@ __all__ = [
     "perturbation_suite",
 ]
 
+# A theorem scan accepts a parallel-grid tie at p within this of the crossover.
+CROSSOVER_WINDOW = 1e-9
+# A perturbed arrangement fails when it scores this far below even spacing.
+PERTURBATION_TOL = 1e-9
+
+
 @dataclass(frozen=True)
 class VerificationReport:
     """Scored candidates, the minimizing winner, and run parameters.
 
     Values may be None for candidates that admit no valid configuration;
     the winner always attains the minimum among the scored candidates.
+    The report keeps the first 10 failures; it passes when it has none.
     """
 
     candidates: tuple[tuple[str, float | None], ...]
     winner: str
     parameters: dict = field(default_factory=dict)
     seed: int | None = None
-    passed: bool = True
     failures: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple((str(n), v) for n, v in self.candidates))
-        object.__setattr__(self, "failures", tuple(self.failures))
+        object.__setattr__(self, "failures", tuple(self.failures)[:10])
         scored = {name: value for name, value in self.candidates if value is not None}
         if not scored:
             raise DomainError("a report needs at least one scored candidate")
@@ -70,6 +77,10 @@ class VerificationReport:
             raise DomainError(
                 f"winner {self.winner!r} scores {scored[self.winner]!r}, above the minimum {best!r}"
             )
+
+    @property
+    def passed(self) -> bool:
+        return not self.failures
 
     def to_dict(self) -> dict:
         return {
@@ -96,12 +107,13 @@ def oracle_curve_value(n: float, p: float) -> float:
     return float(largest_rectangles([((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n))], p)[0])
 
 
-def enumerate_axis_nets(k: int, p: float, tie_tol: float = 1e-12) -> VerificationReport:
+def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     """Score every evenly spaced split v + h = k and report the argmin set.
 
-    The winner is the minimizing split with the most vertical lines (so
-    the all-parallel net wins exact ties).  The report fails if the
-    argmin set misses the predicted optimal net.
+    The argmin set holds the splits that tie the minimum (nets.ties).  The
+    winner is the one with the most vertical lines (so the all-parallel
+    net wins ties).  The report fails if the set misses the predicted
+    optimal net.
     """
     if k < 1:
         raise DomainError(f"line count k must be >= 1, got {k}")
@@ -110,7 +122,7 @@ def enumerate_axis_nets(k: int, p: float, tie_tol: float = 1e-12) -> Verificatio
         (v, nets.net_scale_factor(nets.evenly_spaced(v, k - v), p)) for v in range(k, -1, -1)
     ]
     best_value = min(value for _, value in scores)
-    tied = [f"N({v},{k - v})" for v, value in scores if value <= best_value + tie_tol]
+    tied = [f"N({v},{k - v})" for v, value in scores if nets.ties(value, best_value)]
     winner = tied[0]
     predicted = nets.optimal_net(k, p).describe()
     failures = []
@@ -124,11 +136,10 @@ def enumerate_axis_nets(k: int, p: float, tie_tol: float = 1e-12) -> Verificatio
         parameters={
             "k": k,
             "p": p,
-            "tie_tolerance": tie_tol,
+            "tie_tolerance": nets.SCORE_TIE_RTOL,
             "tied": tied,
             "predicted": predicted,
         },
-        passed=not failures,
         failures=tuple(failures),
     )
 
@@ -138,14 +149,14 @@ THEOREM_P_STEP = 1 / 64
 THEOREM_P_VALUES = tuple(1.0 + i * THEOREM_P_STEP for i in range(7 * 64 + 1))
 
 
-def theorem_scan(k: int, tie_tol: float = 1e-12, crossover_window: float = 1e-9) -> dict:
+def theorem_scan(k: int) -> dict:
     """Scan p over THEOREM_P_VALUES comparing enumeration with the prediction.
 
     Splits are grouped into mirror classes by their larger line count
-    (N(v,h) and N(h,v) always tie).  Away from the crossover the argmin
-    class must be exactly the predicted family; at (or within
-    crossover_window of) the crossover a tie between the parallel and
-    grid families is accepted.
+    (N(v,h) and N(h,v) always tie).  Away from the crossover the set of
+    classes that tie the minimum (nets.ties) must be exactly the
+    predicted family; at (or within CROSSOVER_WINDOW of) the crossover a
+    tie between the parallel and grid families is accepted.
     """
     if k < 2:
         raise DomainError(f"theorem scan needs k >= 2, got {k}")
@@ -158,11 +169,11 @@ def theorem_scan(k: int, tie_tol: float = 1e-12, crossover_window: float = 1e-9)
             for vmax in range(grid_class, k + 1)
         }
         best = min(values.values())
-        tied = sorted(v for v, value in values.items() if value <= best + tie_tol)
+        tied = sorted(v for v, value in values.items() if nets.ties(value, best))
         predicted = k if p <= x else grid_class
         if predicted not in tied:
             mismatches.append(f"p={p!r}: predicted class {predicted} not in argmin set {tied}")
-        elif abs(p - x) > crossover_window and tied != [predicted]:
+        elif abs(p - x) > CROSSOVER_WINDOW and tied != [predicted]:
             mismatches.append(f"p={p!r}: unexpected tie set {tied}, predicted {predicted}")
     return {"crossover": x, "checked": len(THEOREM_P_VALUES), "mismatches": mismatches}
 
@@ -201,8 +212,8 @@ def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
     For each split v + h = k the hole is 1/(v+1) x 1/(h+1); a rectangle
     with short side c_prime placed corner-to-corner there has squared
     long side (1/(v+1) - a1)^2 + (1/(h+1) - a2)^2.  The balanced split
-    must give the smallest long side; splits whose holes cannot hold the
-    short side at all are reported unscored.
+    must tie the smallest long side (nets.ties); splits whose holes cannot
+    hold the short side at all are reported unscored.
     """
     if k < 2 or k % 2 != 0:
         raise DomainError(f"the split check needs even k >= 2, got {k}")
@@ -233,7 +244,7 @@ def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
     winner = min(scored, key=lambda name: scored[name])
     balanced = f"N({k // 2},{k // 2})"
     failures = []
-    if scored.get(balanced, math.inf) > best + 1e-12:
+    if not nets.ties(scored.get(balanced, math.inf), best):
         failures.append(
             f"balanced split {balanced} scores {scored.get(balanced)!r}, above the minimum {best!r}"
         )
@@ -242,24 +253,17 @@ def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
     return VerificationReport(
         candidates=tuple(candidates),
         winner=winner,
-        parameters={"k": k, "c_prime": c_prime, "tie_tolerance": 1e-12},
-        passed=not failures,
+        parameters={"k": k, "c_prime": c_prime, "tie_tolerance": nets.SCORE_TIE_RTOL},
         failures=tuple(failures),
     )
 
 
-def irregular_spacing_check(
-    k: int,
-    p: float,
-    trials: int = 1000,
-    seed: int = 0,
-    tol: float = 1e-12,
-) -> VerificationReport:
+def irregular_spacing_check(k: int, p: float, trials: int = 1000, seed: int = 0) -> VerificationReport:
     """Random position jitters never beat even spacing for the same split.
 
     Each trial draws a split v + h = k and jitters every cut position by
-    up to 49% of its even gap (order-preserving); the jittered net's
-    scale factor must stay >= the evenly spaced net's, within tol.
+    up to 49% of its even gap (order-preserving); the evenly spaced net's
+    scale factor must tie or beat the jittered net's (nets.ties).
     """
     if k < 1:
         raise DomainError(f"line count k must be >= 1, got {k}")
@@ -278,10 +282,8 @@ def irregular_spacing_check(
         vertical = _jittered_positions(v, rng)
         horizontal = _jittered_positions(h, rng)
         value = nets.net_scale_factor(nets.Net(vertical=vertical, horizontal=horizontal), p)
-        margin = value - even_value[v]
-        if margin < worst_by_split.get(v, math.inf):
-            worst_by_split[v] = margin
-        if margin < -tol:
+        worst_by_split[v] = min(worst_by_split.get(v, math.inf), value - even_value[v])
+        if not nets.ties(even_value[v], value):
             failures.append(
                 f"trial {trial}: jittered N({v},{h}) scores {value!r} below even "
                 f"spacing {even_value[v]!r} at p={p}"
@@ -293,10 +295,9 @@ def irregular_spacing_check(
     return VerificationReport(
         candidates=candidates,
         winner=winner,
-        parameters={"k": k, "p": p, "trials": trials, "tolerance": tol},
+        parameters={"k": k, "p": p, "trials": trials, "tolerance": nets.SCORE_TIE_RTOL},
         seed=seed,
-        passed=not failures,
-        failures=tuple(failures[:10]),
+        failures=tuple(failures),
     )
 
 
@@ -308,7 +309,7 @@ def _jittered_positions(count: int, rng: np.random.Generator) -> tuple[float, ..
     return tuple((i + 1) * gap + jitter[i] for i in range(count))
 
 
-def _spec_cell_values(k: int, specs: list[PerturbationSpec], pivot_height: float) -> list[np.ndarray]:
+def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> list[np.ndarray]:
     """Largest inscribed square of every cell, one array per spec.
 
     Each spec's perturbed lines cut the unit square into convex cells;
@@ -317,7 +318,7 @@ def _spec_cell_values(k: int, specs: list[PerturbationSpec], pivot_height: float
     cells_per_spec = []
     for idx, spec in enumerate(specs):
         try:
-            cells_per_spec.append(arrangement_cells(perturbed_vertical_lines(k, spec, pivot_height)))
+            cells_per_spec.append(arrangement_cells(perturbed_vertical_lines(k, spec)))
         except InvalidPerturbationError as exc:
             raise InvalidPerturbationError(f"spec {idx}: {exc}") from exc
     values = largest_squares([cell for cells in cells_per_spec for cell in cells])
@@ -325,44 +326,39 @@ def _spec_cell_values(k: int, specs: list[PerturbationSpec], pivot_height: float
     return [values[end - len(cells) : end] for cells, end in zip(cells_per_spec, ends)]
 
 
-def local_perturbation_experiment(
-    k: int,
-    spec: PerturbationSpec,
-    pivot_height: float = 0.5,
-    tol: float = 1e-9,
-) -> VerificationReport:
+def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> VerificationReport:
     """Shift/pivot a k-line vertical arrangement and re-measure its scale factor.
 
     Builds the perturbed lines, cuts the unit square into k+1 convex
     cells, and takes the largest inscribed square over the cells (the
     square intruder's scale factor).  Evenly spaced lines being a local
     optimum means the perturbed value never drops below 1/(k+1); the
-    report carries the per-cell values and fails on any drop beyond tol.
+    report carries the per-cell values and fails on any drop beyond
+    PERTURBATION_TOL.
     """
     if k <= 2:
         raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
-    (values,) = _spec_cell_values(k, [spec], pivot_height)
+    (values,) = _spec_cell_values(k, [spec])
     perturbed = float(values.max())
     regular = 1.0 / (k + 1)
     failures = []
-    if perturbed < regular - tol:
+    if perturbed < regular - PERTURBATION_TOL:
         failures.append(
             f"perturbed arrangement scores {perturbed!r} below the even spacing value "
             f"{regular!r} (spec shifts={spec.shifts}, pivots={spec.pivots})"
         )
     return VerificationReport(
         candidates=(("evenly-spaced", regular), ("perturbed", perturbed)),
-        winner="evenly-spaced" if perturbed >= regular - tol else "perturbed",
+        winner="perturbed" if failures else "evenly-spaced",
         parameters={
             "k": k,
-            "pivot_height": pivot_height,
-            "tie_tolerance": tol,
+            "pivot_height": PIVOT_HEIGHT,
+            "tie_tolerance": PERTURBATION_TOL,
             "cell_values": [float(x) for x in values],
             "shifts": list(spec.shifts),
             "pivots": list(spec.pivots),
             "epsilon": spec.epsilon,
         },
-        passed=not failures,
         failures=tuple(failures),
     )
 
@@ -372,16 +368,15 @@ def perturbation_suite(
     trials: int = 500,
     epsilon: float = 0.02,
     seed: int = 0,
-    pivot_height: float = 0.5,
-    tol: float = 1e-9,
 ) -> VerificationReport:
     """Run many random shift/pivot specs at once (batched across all cells).
 
     Draws `trials` specs with shifts and pivots uniform in [0, epsilon]
-    and checks that no perturbed arrangement beats even spacing.  All
-    trials' cells go through one batched inscribed-square computation,
-    which keeps large sweeps fast; results are identical to running
-    local_perturbation_experiment per spec.
+    and checks that no perturbed arrangement scores more than
+    PERTURBATION_TOL below even spacing.  All trials' cells go through
+    one batched inscribed-square computation, which keeps large sweeps
+    fast; results are identical to running local_perturbation_experiment
+    per spec.
     """
     if k <= 2:
         raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
@@ -398,13 +393,13 @@ def perturbation_suite(
         )
         for _ in range(trials)
     ]
-    per_spec = [float(values.max()) for values in _spec_cell_values(k, specs, pivot_height)]
+    per_spec = [float(values.max()) for values in _spec_cell_values(k, specs)]
     regular = 1.0 / (k + 1)
 
     failures = []
     violating = []
     for idx, value in enumerate(per_spec):
-        if value < regular - tol:
+        if value < regular - PERTURBATION_TOL:
             failures.append(
                 f"spec {idx} scores {value!r} below even spacing {regular!r}"
             )
@@ -424,12 +419,11 @@ def perturbation_suite(
             "k": k,
             "trials": trials,
             "epsilon": epsilon,
-            "pivot_height": pivot_height,
-            "tie_tolerance": tol,
+            "pivot_height": PIVOT_HEIGHT,
+            "tie_tolerance": PERTURBATION_TOL,
             "min_perturbed": per_spec[worst_idx],
             "violating_specs": violating[:10],
         },
         seed=seed,
-        passed=not failures,
-        failures=tuple(failures[:10]),
+        failures=tuple(failures),
     )

@@ -425,6 +425,19 @@ class TestLargestRectangles:
         base = largest_rectangles([poly], p)[0]
         assert largest_rectangles(moved, p) == pytest.approx([base] * len(moved), rel=1e-12)
 
+    @pytest.mark.parametrize(
+        "bad,error,message",
+        [
+            ([(0, 0), (1, 0), (2, 0)], DegenerateCellError, "cell 1: cell has zero area"),
+            ([(0, 0), (2, 0), (1, 0.5), (1, 2)], DomainError, "cell 1: cell must be convex"),
+        ],
+        ids=["zero-area", "non-convex"],
+    )
+    def test_rejected_cell_is_named_by_its_index(self, bad, error, message):
+        triangle = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises(error, match=f"^{message}"):
+            largest_squares([triangle, bad, triangle])
+
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5, True, False])
     def test_bad_aspect_rejected(self, p):
         with pytest.raises(DomainError):
@@ -555,13 +568,6 @@ class TestLocalPerturbationExperiment:
         a = local_perturbation_experiment(3, spec)
         b = local_perturbation_experiment(3, spec)
         assert a.to_dict() == b.to_dict()
-
-    def test_pivot_height_knob_changes_geometry_not_conclusion(self):
-        spec = PerturbationSpec(shifts=(0.0, 0.0, 0.0), pivots=(0.0, 0.02, 0.0), epsilon=0.02)
-        low = local_perturbation_experiment(3, spec, pivot_height=0.0)
-        mid = local_perturbation_experiment(3, spec, pivot_height=0.5)
-        assert low.passed and mid.passed
-        assert dict(low.candidates)["perturbed"] != dict(mid.candidates)["perturbed"]
 
 
 class TestPerturbationSuite:

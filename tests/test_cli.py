@@ -249,6 +249,16 @@ class TestVerifyCommand:
         data = json.loads(out.read_text())
         assert data["parameters"]["max_deviation"] <= data["parameters"]["tolerance"]
 
+    def test_curve_oracle_names_n_when_its_grid_is_too_long(self, tmp_path, capsys):
+        # p = 1 .. 4n at step 1/8 exceeds the sample limit above n = 31250
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as err:
+            run_main(["verify", "curve-oracle", "--n", "1e5", "--out", str(out)])
+        assert err.value.code == 2
+        message = capsys.readouterr().err
+        assert "--n 100000.0 is too large" in message and "4n" in message
+        assert not out.exists()
+
     def test_irregular_suite(self, tmp_path):
         out = tmp_path / "rep.json"
         code = run_main(["verify", "irregular", "--k", "3", "--p", "2", "--trials", "60",

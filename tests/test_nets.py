@@ -20,6 +20,7 @@ from tripwire.nets import (
     net_to_dict,
     odd_crossover_line_count,
     optimal_net,
+    ties,
 )
 from tripwire.oracle import THEOREM_P_VALUES, oracle_curve_value
 
@@ -212,6 +213,19 @@ class TestMaximizingHole:
         # columns 0 and 2 are both 0.4 wide, the rows both 0.5 high
         net = Net(vertical=(0.4, 0.6), horizontal=(0.5,))
         assert maximizing_hole(net, 1.5) == (0, 0)
+
+
+class TestTies:
+    def test_relative_to_the_best_score(self):
+        assert ties(1e-13 * (1 + 5e-13), 1e-13)
+        assert not ties(1e-13 * (1 + 2e-12), 1e-13)
+        # an absolute 1e-12 margin would call these a tie
+        assert not ties(1.02e-12, 4.71e-13)
+
+    def test_equal_and_lower_scores_tie(self):
+        assert ties(0.25, 0.25)
+        assert ties(0.2, 0.25)
+        assert not ties(0.25 * (1 + 1e-11), 0.25)
 
 
 class TestBaseCurves:

@@ -82,6 +82,12 @@ class TestEnumerateAxisNets:
             assert report.passed
             if crossover is None or abs(p - crossover) > 1e-9:
                 assert report.winner == optimal_net(k, p).describe()
+        # scores fall like 1/p: the tie rule must still tell the splits apart
+        for i in range(121):
+            p = 10.0 ** (i / 10)
+            report = enumerate_axis_nets(k, p)
+            assert report.winner == optimal_net(k, p).describe(), p
+            assert report.passed
 
 
 class TestLagrangeSplitCheck:
@@ -146,6 +152,16 @@ class TestVerificationReport:
                 winner="b",
                 parameters={},
             )
+
+    def test_passed_means_no_failures(self):
+        failing = VerificationReport(candidates=(("a", 1.0),), winner="a", failures=["a broke"])
+        assert failing.passed is False
+        assert json.loads(failing.to_json())["passed"] is False
+
+    def test_keeps_the_first_ten_failures(self):
+        failures = [f"failure {i}" for i in range(25)]
+        report = VerificationReport(candidates=(("a", 1.0),), winner="a", failures=failures)
+        assert report.failures == tuple(failures[:10])
 
     def test_unscored_candidates_are_allowed(self):
         report = VerificationReport(
