@@ -297,10 +297,8 @@ def _verify_curve_oracle(n: float) -> VerificationReport:
             failures.append(
                 f"|curve - oracle| / oracle = {deviation!r} > {CURVE_ORACLE_RTOL!r} at n={n}, p={p}"
             )
-    winner = min(candidates, key=lambda item: item[1])[0]
     return VerificationReport(
         candidates=tuple(candidates),
-        winner=winner,
         parameters={
             "n": n,
             "tolerance": CURVE_ORACLE_RTOL,
@@ -334,7 +332,6 @@ def _verify_theorem(k: int, parity: str) -> VerificationReport:
         parameters["formulas_disagree"] = abs(alt - x) > 1e-12
     return VerificationReport(
         candidates=table.candidates,
-        winner=table.winner,
         parameters=parameters,
         failures=tuple(scan["mismatches"]),
     )
@@ -348,10 +345,8 @@ def _verify_irregular(k: int, p_values: list[float], trials: int, seed: int) -> 
         worst = min(value for _, value in sub.candidates)
         candidates.append((f"p={_num(p, 9)} worst margin", worst))
         failures.extend(sub.failures)
-    winner = min(candidates, key=lambda item: item[1])[0]
     return VerificationReport(
         candidates=tuple(candidates),
-        winner=winner,
         parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": nets.SCORE_TIE_RTOL},
         seed=seed,
         failures=tuple(failures),

@@ -31,8 +31,8 @@ SCORE_TIE_RTOL = 1e-12
 
 
 def ties(value: float, best: float) -> bool:
-    """True when the net score `value` ties or beats `best` (SCORE_TIE_RTOL relative)."""
-    return value <= best * (1.0 + SCORE_TIE_RTOL)
+    """True when `value` ties or beats `best`: it is at most SCORE_TIE_RTOL * |best| above it."""
+    return value <= best + abs(best) * SCORE_TIE_RTOL
 
 
 @dataclass(frozen=True)
@@ -79,7 +79,8 @@ def _validated_cuts(positions, axis: str) -> tuple[float, ...]:
     return cuts
 
 
-def _check_count(value: int, name: str, minimum: int = 0) -> int:
+def check_count(value: int, name: str, minimum: int = 0) -> int:
+    """`value` if it is an int (not a bool) of at least `minimum`, else DomainError."""
     if not isinstance(value, int) or isinstance(value, bool):
         raise DomainError(f"{name} must be an integer, got {value!r}")
     if value < minimum:
@@ -89,8 +90,8 @@ def _check_count(value: int, name: str, minimum: int = 0) -> int:
 
 def evenly_spaced(v: int, h: int) -> Net:
     """The net with v evenly spaced vertical and h evenly spaced horizontal lines."""
-    v = _check_count(v, "vertical line count")
-    h = _check_count(h, "horizontal line count")
+    v = check_count(v, "vertical line count")
+    h = check_count(h, "horizontal line count")
     vertical = tuple(i / (v + 1) for i in range(1, v + 1))
     horizontal = tuple(j / (h + 1) for j in range(1, h + 1))
     return Net(vertical=vertical, horizontal=horizontal)
@@ -158,7 +159,7 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     from the hole count per axis.  "parallel" wins when it ties the
     grid (ties); the value returned is the winning family's own.
     """
-    k = _check_count(k, "line count k", minimum=1)
+    k = check_count(k, "line count k", minimum=1)
     parallel = curve_value(k + 1, p) / (k + 1)
     if k % 2 == 0:
         grid = curve_value(1, p) / (k // 2 + 1)
@@ -176,7 +177,7 @@ def crossover_aspect(k: int) -> float:
     point of the two base-curve arguments with hole dimensions counted
     per axis (always exactly 2 for odd k).
     """
-    k = _check_count(k, "line count k", minimum=2)
+    k = check_count(k, "line count k", minimum=2)
     # floor(k/2) == k/2 for even k, so one expression covers both parities.
     return (k + 1) / (k // 2 + 1)
 
@@ -190,7 +191,7 @@ def odd_crossover_line_count(k: int) -> float:
     (at k=3 it gives 1 while the observed switch is at 2); it is kept
     only for side-by-side reporting.
     """
-    k = _check_count(k, "line count k", minimum=3)
+    k = check_count(k, "line count k", minimum=3)
     if k % 2 != 1:
         raise DomainError(f"odd_crossover_line_count needs odd k, got {k}")
     lo = k // 2
@@ -205,7 +206,7 @@ def optimal_net(k: int, p: float) -> Net:
     grid N(ceil(k/2), floor(k/2)) beyond it.  At the crossover both nets
     tie and the parallel net is returned.
     """
-    k = _check_count(k, "line count k", minimum=1)
+    k = check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
     if k == 1:
         return evenly_spaced(1, 0)

@@ -50,15 +50,15 @@ PERTURBATION_TOL = 1e-9
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """Scored candidates, the minimizing winner, and run parameters.
+    """Scored candidates, their winner, and run parameters.
 
-    Values may be None for candidates that admit no valid configuration;
-    the winner always attains the minimum among the scored candidates.
-    The report keeps the first 10 failures; it passes when it has none.
+    Values may be None for candidates that admit no valid configuration.
+    The winner is the first scored candidate, in list order, that ties
+    the minimum (nets.ties).  The report keeps the first 10 failures; it
+    passes when it has none.
     """
 
     candidates: tuple[tuple[str, float | None], ...]
-    winner: str
     parameters: dict = field(default_factory=dict)
     seed: int | None = None
     failures: tuple[str, ...] = ()
@@ -66,17 +66,14 @@ class VerificationReport:
     def __post_init__(self) -> None:
         object.__setattr__(self, "candidates", tuple((str(n), v) for n, v in self.candidates))
         object.__setattr__(self, "failures", tuple(self.failures)[:10])
-        scored = {name: value for name, value in self.candidates if value is not None}
-        if not scored:
+        if all(value is None for _, value in self.candidates):
             raise DomainError("a report needs at least one scored candidate")
-        if self.winner not in scored:
-            raise DomainError(f"winner {self.winner!r} is not a scored candidate")
-        best = min(scored.values())
-        tie_tol = max(1e-12, float(self.parameters.get("tie_tolerance", 1e-12)))
-        if scored[self.winner] > best + tie_tol:
-            raise DomainError(
-                f"winner {self.winner!r} scores {scored[self.winner]!r}, above the minimum {best!r}"
-            )
+
+    @property
+    def winner(self) -> str:
+        scored = [(name, value) for name, value in self.candidates if value is not None]
+        best = min(value for _, value in scored)
+        return next(name for name, value in scored if nets.ties(value, best))
 
     @property
     def passed(self) -> bool:
@@ -92,8 +89,8 @@ class VerificationReport:
             "failures": list(self.failures),
         }
 
-    def to_json(self, indent: int = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def oracle_curve_value(n: float, p: float) -> float:
@@ -110,20 +107,19 @@ def oracle_curve_value(n: float, p: float) -> float:
 def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     """Score every evenly spaced split v + h = k and report the argmin set.
 
-    The argmin set holds the splits that tie the minimum (nets.ties).  The
-    winner is the one with the most vertical lines (so the all-parallel
-    net wins ties).  The report fails if the set misses the predicted
-    optimal net.
+    The argmin set holds the splits that tie the minimum (nets.ties).
+    Candidates run from the most vertical lines down, so the report's
+    winner is the tied split with the most vertical lines (the
+    all-parallel net wins ties).  The report fails if the set misses the
+    predicted optimal net.
     """
-    if k < 1:
-        raise DomainError(f"line count k must be >= 1, got {k}")
+    k = nets.check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
     scores = [
         (v, nets.net_scale_factor(nets.evenly_spaced(v, k - v), p)) for v in range(k, -1, -1)
     ]
     best_value = min(value for _, value in scores)
     tied = [f"N({v},{k - v})" for v, value in scores if nets.ties(value, best_value)]
-    winner = tied[0]
     predicted = nets.optimal_net(k, p).describe()
     failures = []
     if predicted not in tied:
@@ -132,7 +128,6 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
         )
     return VerificationReport(
         candidates=tuple((f"N({v},{k - v})", value) for v, value in scores),
-        winner=winner,
         parameters={
             "k": k,
             "p": p,
@@ -158,8 +153,6 @@ def theorem_scan(k: int) -> dict:
     predicted family; at (or within CROSSOVER_WINDOW of) the crossover a
     tie between the parallel and grid families is accepted.
     """
-    if k < 2:
-        raise DomainError(f"theorem scan needs k >= 2, got {k}")
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
     mismatches = []
@@ -213,10 +206,13 @@ def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
     with short side c_prime placed corner-to-corner there has squared
     long side (1/(v+1) - a1)^2 + (1/(h+1) - a2)^2.  The balanced split
     must tie the smallest long side (nets.ties); splits whose holes cannot
-    hold the short side at all are reported unscored.
+    hold the short side at all are reported unscored.  Candidates run
+    from N(k,0) down to N(0,k); the report's winner is the first of them
+    that ties the minimum.
     """
-    if k < 2 or k % 2 != 0:
-        raise DomainError(f"the split check needs even k >= 2, got {k}")
+    k = nets.check_count(k, "line count k", minimum=2)
+    if k % 2 != 0:
+        raise DomainError(f"the split check needs even k, got {k}")
     c_prime = float(c_prime)
     if not (math.isfinite(c_prime) and c_prime > 0.0):
         raise DomainError(f"c_prime must be positive and finite, got {c_prime!r}")
@@ -241,35 +237,30 @@ def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
 
     scored = {name: value for name, value in candidates if value is not None}
     best = min(scored.values())
-    winner = min(scored, key=lambda name: scored[name])
     balanced = f"N({k // 2},{k // 2})"
     failures = []
     if not nets.ties(scored.get(balanced, math.inf), best):
         failures.append(
             f"balanced split {balanced} scores {scored.get(balanced)!r}, above the minimum {best!r}"
         )
-    else:
-        winner = balanced
     return VerificationReport(
         candidates=tuple(candidates),
-        winner=winner,
         parameters={"k": k, "c_prime": c_prime, "tie_tolerance": nets.SCORE_TIE_RTOL},
         failures=tuple(failures),
     )
 
 
-def irregular_spacing_check(k: int, p: float, trials: int = 1000, seed: int = 0) -> VerificationReport:
+def irregular_spacing_check(k: int, p: float, trials: int, seed: int) -> VerificationReport:
     """Random position jitters never beat even spacing for the same split.
 
     Each trial draws a split v + h = k and jitters every cut position by
     up to 49% of its even gap (order-preserving); the evenly spaced net's
     scale factor must tie or beat the jittered net's (nets.ties).
     """
-    if k < 1:
-        raise DomainError(f"line count k must be >= 1, got {k}")
+    k = nets.check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    trials = nets.check_count(trials, "trials", minimum=1)
+    seed = nets.check_count(seed, "seed")
     rng = np.random.default_rng(seed)
     even_value: dict[int, float] = {}
     worst_by_split: dict[int, float] = {}
@@ -288,13 +279,10 @@ def irregular_spacing_check(k: int, p: float, trials: int = 1000, seed: int = 0)
                 f"trial {trial}: jittered N({v},{h}) scores {value!r} below even "
                 f"spacing {even_value[v]!r} at p={p}"
             )
-    candidates = tuple(
-        (f"N({v},{k - v}) worst margin", worst_by_split[v]) for v in sorted(worst_by_split)
-    )
-    winner = min(candidates, key=lambda item: item[1])[0]
     return VerificationReport(
-        candidates=candidates,
-        winner=winner,
+        candidates=tuple(
+            (f"N({v},{k - v}) worst margin", worst_by_split[v]) for v in sorted(worst_by_split)
+        ),
         parameters={"k": k, "p": p, "trials": trials, "tolerance": nets.SCORE_TIE_RTOL},
         seed=seed,
         failures=tuple(failures),
@@ -336,8 +324,7 @@ def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> Verificatio
     report carries the per-cell values and fails on any drop beyond
     PERTURBATION_TOL.
     """
-    if k <= 2:
-        raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
+    k = nets.check_count(k, "line count k", minimum=3)
     (values,) = _spec_cell_values(k, [spec])
     perturbed = float(values.max())
     regular = 1.0 / (k + 1)
@@ -349,7 +336,6 @@ def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> Verificatio
         )
     return VerificationReport(
         candidates=(("evenly-spaced", regular), ("perturbed", perturbed)),
-        winner="perturbed" if failures else "evenly-spaced",
         parameters={
             "k": k,
             "pivot_height": PIVOT_HEIGHT,
@@ -363,12 +349,7 @@ def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> Verificatio
     )
 
 
-def perturbation_suite(
-    k: int,
-    trials: int = 500,
-    epsilon: float = 0.02,
-    seed: int = 0,
-) -> VerificationReport:
+def perturbation_suite(k: int, trials: int, epsilon: float, seed: int) -> VerificationReport:
     """Run many random shift/pivot specs at once (batched across all cells).
 
     Draws `trials` specs with shifts and pivots uniform in [0, epsilon]
@@ -378,10 +359,9 @@ def perturbation_suite(
     fast; results are identical to running local_perturbation_experiment
     per spec.
     """
-    if k <= 2:
-        raise DomainError(f"the perturbation experiment needs k > 2, got {k}")
-    if trials < 1:
-        raise DomainError(f"trials must be >= 1, got {trials}")
+    k = nets.check_count(k, "line count k", minimum=3)
+    trials = nets.check_count(trials, "trials", minimum=1)
+    seed = nets.check_count(seed, "seed")
     if not (math.isfinite(epsilon) and epsilon >= 0.0):
         raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
     rng = np.random.default_rng(seed)
@@ -407,14 +387,11 @@ def perturbation_suite(
                 {"index": idx, "shifts": list(specs[idx].shifts), "pivots": list(specs[idx].pivots)}
             )
     worst_idx = int(np.argmin(per_spec))
-    candidates = (
-        ("evenly-spaced", regular),
-        (f"worst perturbed (spec {worst_idx})", per_spec[worst_idx]),
-    )
-    winner = "evenly-spaced" if not failures else f"worst perturbed (spec {worst_idx})"
     return VerificationReport(
-        candidates=candidates,
-        winner=winner,
+        candidates=(
+            ("evenly-spaced", regular),
+            (f"worst perturbed (spec {worst_idx})", per_spec[worst_idx]),
+        ),
         parameters={
             "k": k,
             "trials": trials,

@@ -292,6 +292,15 @@ class TestVerifyCommand:
         assert err.value.code == 2
         assert not out.exists()
 
+    @pytest.mark.parametrize("suite", ["irregular", "local-optimum"])
+    def test_negative_seed_is_a_usage_error(self, tmp_path, capsys, suite):
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as err:
+            run_main(["verify", suite, "--k", "3", "--seed", "-1", "--out", str(out)])
+        assert err.value.code == 2
+        assert "seed must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_crossing_lines_are_a_numerical_failure(self, tmp_path):
         # epsilon = 0.3 pivots neighbouring lines into each other
         out = tmp_path / "rep.json"

@@ -227,6 +227,11 @@ class TestTies:
         assert ties(0.2, 0.25)
         assert not ties(0.25 * (1 + 1e-11), 0.25)
 
+    def test_a_negative_best_ties_itself(self):
+        assert ties(-1e-17, -1e-17)
+        assert ties(-1e-17 * (1 - 5e-13), -1e-17)
+        assert not ties(-1e-17 * (1 - 2e-12), -1e-17)
+
 
 class TestBaseCurves:
     def test_even_examples(self):

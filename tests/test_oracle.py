@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from tripwire.cells import PerturbationSpec
 from tripwire.errors import DomainError
 from tripwire.inscribe import crossover_w, curve_value, diagonal_branch
 from tripwire.nets import crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
@@ -11,7 +12,9 @@ from tripwire.oracle import (
     enumerate_axis_nets,
     irregular_spacing_check,
     lagrange_split_check,
+    local_perturbation_experiment,
     oracle_curve_value,
+    perturbation_suite,
 )
 
 
@@ -145,28 +148,72 @@ class TestVerificationReport:
         assert data["candidates"] == [[name, value] for name, value in report.candidates]
         assert "seed" in data and "parameters" in data
 
-    def test_winner_must_attain_the_minimum(self):
+    def test_winner_is_the_minimum_below_1e_12(self):
+        # an absolute 1e-12 margin would let N(4,0) win here
+        report = VerificationReport(candidates=(("N(4,0)", 1.02e-12), ("N(2,2)", 4.71e-13)))
+        assert report.winner == "N(2,2)"
+
+    def test_negative_minimum_wins(self):
+        report = VerificationReport(candidates=(("a", 0.0), ("b", -1e-17), ("c", -1e-17)))
+        assert report.winner == "b"
+
+    def test_ties_go_to_the_first_candidate(self):
+        report = VerificationReport(candidates=(("a", 2.0), ("b", 0.5), ("c", 0.5 * (1 + 1e-13))))
+        assert report.winner == "b"
+        report = VerificationReport(candidates=(("c", 0.5 * (1 + 1e-13)), ("b", 0.5)))
+        assert report.winner == "c"
+
+    def test_unscored_candidates_never_win(self):
+        report = VerificationReport(candidates=(("a", None), ("b", 3.0), ("c", None)))
+        assert report.winner == "b"
         with pytest.raises(DomainError):
-            VerificationReport(
-                candidates=(("a", 1.0), ("b", 2.0)),
-                winner="b",
-                parameters={},
-            )
+            VerificationReport(candidates=(("a", None),))
 
     def test_passed_means_no_failures(self):
-        failing = VerificationReport(candidates=(("a", 1.0),), winner="a", failures=["a broke"])
+        failing = VerificationReport(candidates=(("a", 1.0),), failures=["a broke"])
         assert failing.passed is False
         assert json.loads(failing.to_json())["passed"] is False
 
     def test_keeps_the_first_ten_failures(self):
         failures = [f"failure {i}" for i in range(25)]
-        report = VerificationReport(candidates=(("a", 1.0),), winner="a", failures=failures)
+        report = VerificationReport(candidates=(("a", 1.0),), failures=failures)
         assert report.failures == tuple(failures[:10])
 
     def test_unscored_candidates_are_allowed(self):
         report = VerificationReport(
             candidates=(("a", 1.0), ("b", None)),
-            winner="a",
             parameters={},
         )
         assert report.to_dict()["candidates"][1] == ["b", None]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: enumerate_axis_nets(2.5, 2),
+        lambda: enumerate_axis_nets(0, 2),
+        lambda: lagrange_split_check(4.0, 0.1),
+        lambda: lagrange_split_check(True, 0.1),
+        lambda: irregular_spacing_check(3, 2.0, 2.5, 0),
+        lambda: irregular_spacing_check(3, 2.0, 10, -1),
+        lambda: local_perturbation_experiment(2, PerturbationSpec(shifts=(0.0, 0.0), pivots=(0.0, 0.0), epsilon=0.02)),
+        lambda: perturbation_suite(3.5, 10, 0.02, 0),
+        lambda: perturbation_suite(3, True, 0.02, 0),
+        lambda: perturbation_suite(3, 10, 0.02, 1.0),
+    ],
+    ids=[
+        "enumerate-k-float",
+        "enumerate-k-0",
+        "lagrange-k-float",
+        "lagrange-k-bool",
+        "irregular-trials-float",
+        "irregular-seed-negative",
+        "experiment-k-2",
+        "suite-k-float",
+        "suite-trials-bool",
+        "suite-seed-float",
+    ],
+)
+def test_counts_are_checked_integers(call):
+    with pytest.raises(DomainError):
+        call()
