@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Emit the standard figure assets (SVG + CSV) into an output directory.
+"""Emit the standard figure assets (SVG, CSV and JSON) into an output directory.
 
     python scripts/make_figures.py --out-dir out/figures
 """
@@ -23,10 +23,12 @@ def main() -> int:
     # inscribing curve for the square hole, branch markers at p=1 and p=1+sqrt(2)
     cmd_curve(1.0, 1.0, 4.0, 0.01, spec("curve_n1.svg", "svg"))
     cmd_curve(1.0, 1.0, 4.0, 0.01, spec("curve_n1.csv", "csv"))
+    cmd_curve(1.0, 1.0, 4.0, 0.01, spec("curve_n1.json", "json"))
 
     # base curves: even (k=4, with a competitor overlay) and odd (k=5)
     cmd_base_curve(4, 1.0, 12.0, 0.02, spec("base_curve_k4.svg", "svg"), overlay=(3, 1))
     cmd_base_curve(4, 1.0, 12.0, 0.02, spec("base_curve_k4.csv", "csv"))
+    cmd_base_curve(4, 1.0, 12.0, 0.02, spec("base_curve_k4.json", "json"))
     cmd_base_curve(5, 1.0, 12.0, 0.02, spec("base_curve_k5.svg", "svg"))
     cmd_base_curve(5, 1.0, 12.0, 0.02, spec("base_curve_k5.csv", "csv"))
 

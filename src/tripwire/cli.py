@@ -22,24 +22,13 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import nets, svg
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
-from .inscribe import (
-    check_aspect,
-    crossover_w,
-    curve_sample,
-    curve_value,
-    diagonal_branch,
-    placement,
-)
+from .inscribe import check_aspect, crossover_w, curve_sample, curve_value, placement
 from .oracle import (
-    CROSSOVER_WINDOW,
-    THEOREM_P_STEP,
-    THEOREM_P_VALUES,
     VerificationReport,
-    enumerate_axis_nets,
     irregular_spacing_check,
     lagrange_split_check,
     oracle_curve_value,
@@ -65,7 +54,7 @@ class OutputSpec:
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json", "svg"):
             raise DomainError(f"unsupported output format {self.format!r}")
-        if not 1 <= int(self.precision) <= 17:
+        if nets.check_count(self.precision, "precision", minimum=1) > 17:
             raise DomainError(f"precision must lie in [1, 17], got {self.precision!r}")
 
 
@@ -100,6 +89,37 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
+def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dict, rows, plot) -> dict:
+    """Write a (p, c, branch) sample table to out.path and return its JSON payload.
+
+    Each number is formatted once at out.precision: CSV prints that
+    string and JSON the float it parses back to.  The table leads with
+    `head` = value (an int is written as is), then the `notes_key` block
+    of notes, whose None values are JSON nulls and left out of the CSV.
+    `plot()` returns the SVG document.
+    """
+    head_text = str(value) if isinstance(value, int) else _num(value, out.precision)
+    note_texts = {key: None if x is None else _num(x, out.precision) for key, x in notes.items()}
+    row_texts = [(_num(p, out.precision), _num(c, out.precision), branch) for p, c, branch in rows]
+    payload = {
+        head: value if isinstance(value, int) else float(head_text),
+        "precision": out.precision,
+        notes_key: {key: None if text is None else float(text) for key, text in note_texts.items()},
+        "samples": [{"p": float(p), "c": float(c), "branch": branch} for p, c, branch in row_texts],
+    }
+    if out.format == "csv":
+        lines = [f"# {head}={head_text}"]
+        lines += [f"# {key}={text}" for key, text in note_texts.items() if text is not None]
+        lines.append("p,c,branch")
+        lines += [",".join(row) for row in row_texts]
+        _write(out.path, "\n".join(lines) + "\n")
+    elif out.format == "json":
+        _write(out.path, json.dumps(payload, indent=2) + "\n")
+    else:
+        _write(out.path, plot())
+    return payload
+
+
 # ----------------------------------------------------------------------------
 # curve
 
@@ -107,47 +127,21 @@ def _write(path: str, text: str) -> None:
 def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec) -> dict:
     """Sample the inscribing curve for hole aspect n and write it to out.path."""
     n = check_aspect(n, "hole aspect n")
-    grid = _p_grid(p_min, p_max, step)
-    samples = [curve_sample(n, p) for p in grid]
+    samples = [curve_sample(n, p) for p in _p_grid(p_min, p_max, step)]
     w_n = crossover_w(n)
-    payload = {
-        "n": _round_sig(n, out.precision),
-        "precision": out.precision,
-        "markers": {
-            "plateau_end": _round_sig(n, out.precision),
-            "vertical_end": _round_sig(w_n, out.precision),
-        },
-        "samples": [
-            {
-                "p": _round_sig(s.p, out.precision),
-                "c": _round_sig(s.c, out.precision),
-                "branch": s.branch,
-            }
-            for s in samples
-        ],
-    }
-    if out.format == "csv":
-        lines = [
-            f"# n={_num(n, out.precision)}",
-            f"# plateau_end={_num(n, out.precision)}",
-            f"# vertical_end={_num(w_n, out.precision)}",
-            "p,c,branch",
-        ]
-        lines += [
-            f"{_num(s.p, out.precision)},{_num(s.c, out.precision)},{s.branch}"
-            for s in samples
-        ]
-        _write(out.path, "\n".join(lines) + "\n")
-    elif out.format == "json":
-        _write(out.path, json.dumps(payload, indent=2) + "\n")
-    else:
-        doc = svg.curve_plot_svg(
+    return _write_samples(
+        out,
+        "n",
+        n,
+        "markers",
+        {"plateau_end": n, "vertical_end": w_n},
+        [(s.p, s.c, s.branch) for s in samples],
+        lambda: svg.curve_plot_svg(
             [("inscribing-curve", [(s.p, s.c) for s in samples], "#2040a0")],
             markers=[(n, "p=n"), (w_n, "p=w")],
             title=f"Inscribing curve, hole aspect n={_num(n, 6)}",
-        )
-        _write(out.path, doc)
-    return payload
+        ),
+    )
 
 
 # ----------------------------------------------------------------------------
@@ -170,31 +164,8 @@ def cmd_base_curve(
     annotations = {"crossover_aspect": nets.crossover_aspect(k) if k >= 2 else None}
     if k >= 3 and k % 2 == 1:
         annotations["crossover_aspect_line_count"] = nets.odd_crossover_line_count(k)
-    payload = {
-        "k": k,
-        "precision": out.precision,
-        "annotations": {
-            key: (None if value is None else _round_sig(value, out.precision))
-            for key, value in annotations.items()
-        },
-        "samples": [
-            {"p": _round_sig(p, out.precision), "c": _round_sig(c, out.precision), "branch": b}
-            for p, c, b in points
-        ],
-    }
-    if out.format == "csv":
-        lines = [f"# k={k}"]
-        for key, value in annotations.items():
-            if value is not None:
-                lines.append(f"# {key}={_num(value, out.precision)}")
-        lines.append("p,c,branch")
-        lines += [
-            f"{_num(p, out.precision)},{_num(c, out.precision)},{b}" for p, c, b in points
-        ]
-        _write(out.path, "\n".join(lines) + "\n")
-    elif out.format == "json":
-        _write(out.path, json.dumps(payload, indent=2) + "\n")
-    else:
+
+    def plot() -> str:
         series = [("base-curve", [(p, c) for p, c, _ in points], "#2040a0")]
         markers: list[tuple[float, str]] = []
         if annotations["crossover_aspect"] is not None:
@@ -217,9 +188,9 @@ def cmd_base_curve(
             markers.append((crossover_w(grid_aspect), "p3"))
             if aspect_comp > 1.0:
                 markers.append((crossover_w(aspect_comp), "p4"))
-        doc = svg.curve_plot_svg(series, markers, title=f"Base curve, k={k}")
-        _write(out.path, doc)
-    return payload
+        return svg.curve_plot_svg(series, markers, title=f"Base curve, k={k}")
+
+    return _write_samples(out, "k", k, "annotations", annotations, points, plot)
 
 
 # ----------------------------------------------------------------------------
@@ -313,54 +284,7 @@ def _verify_theorem(k: int, parity: str) -> VerificationReport:
         raise DomainError(f"theorem-even needs even k >= 2, got {k}")
     if parity == "odd" and (k < 3 or k % 2 != 1):
         raise DomainError(f"theorem-odd needs odd k >= 3, got {k}")
-    scan = theorem_scan(k)
-    x = scan["crossover"]
-    p_above = next(p for p in THEOREM_P_VALUES if p > x + CROSSOVER_WINDOW)
-    table = enumerate_axis_nets(k, p_above)
-    parameters = {
-        "k": k,
-        "crossover": x,
-        "p_grid": {"min": THEOREM_P_VALUES[0], "max": THEOREM_P_VALUES[-1], "step": THEOREM_P_STEP},
-        "checked": scan["checked"],
-        "mismatches": scan["mismatches"][:10],
-        "table_at_p": p_above,
-        "tie_tolerance": nets.SCORE_TIE_RTOL,
-    }
-    if parity == "odd":
-        alt = nets.odd_crossover_line_count(k)
-        parameters["crossover_line_count_formula"] = alt
-        parameters["formulas_disagree"] = abs(alt - x) > 1e-12
-    return VerificationReport(
-        candidates=table.candidates,
-        parameters=parameters,
-        failures=tuple(scan["mismatches"]),
-    )
-
-
-def _verify_irregular(k: int, p_values: list[float], trials: int, seed: int) -> VerificationReport:
-    candidates = []
-    failures = []
-    for p in p_values:
-        sub = irregular_spacing_check(k, p, trials=trials, seed=seed)
-        worst = min(value for _, value in sub.candidates)
-        candidates.append((f"p={_num(p, 9)} worst margin", worst))
-        failures.extend(sub.failures)
-    return VerificationReport(
-        candidates=tuple(candidates),
-        parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": nets.SCORE_TIE_RTOL},
-        seed=seed,
-        failures=tuple(failures),
-    )
-
-
-def _verify_lagrange(k: int, p: float) -> VerificationReport:
-    if p <= crossover_w(1):
-        raise DomainError(
-            f"the split check needs the diagonal branch of the square hole: p > {crossover_w(1)!r}"
-        )
-    c_prime = diagonal_branch(1, p).c / (k // 2 + 1)
-    report = lagrange_split_check(k, c_prime)
-    return replace(report, parameters={**report.parameters, "p": p})
+    return theorem_scan(k)
 
 
 # Each verify suite as a function of the parsed flags; a suite that reads
@@ -369,13 +293,13 @@ VERIFY_SUITES = {
     "curve-oracle": lambda args: _verify_curve_oracle(args.n),
     "theorem-even": lambda args: _verify_theorem(args.k, "even"),
     "theorem-odd": lambda args: _verify_theorem(args.k, "odd"),
-    "irregular": lambda args: _verify_irregular(
+    "irregular": lambda args: irregular_spacing_check(
         args.k,
         [1.0, 1.5, 2.0, 3.0, 5.0] if args.p is None else [args.p],
         1000 if args.trials is None else args.trials,
         args.seed,
     ),
-    "lagrange": lambda args: _verify_lagrange(args.k, 4.0 if args.p is None else args.p),
+    "lagrange": lambda args: lagrange_split_check(args.k, 4.0 if args.p is None else args.p),
     "local-optimum": lambda args: perturbation_suite(
         args.k, trials=500 if args.trials is None else args.trials, epsilon=args.epsilon, seed=args.seed
     ),

@@ -28,8 +28,8 @@ which solve in closed form as
 `curve_value` evaluates the curve as a max over the feasible candidate
 placements rather than dispatching on precomputed branch boundaries, so
 it is robust exactly at the boundaries; the value is the largest
-candidate's, and candidates within a relative BRANCH_TIE_TOL tie for the
-branch label.  The boundary between the vertical and diagonal
+candidate's, and the label goes to the earliest candidate that it ties
+(`ties`).  The boundary between the vertical and diagonal
 branches is exposed separately as `crossover_w`, the largest root of
 the cubic p^3 - 3n p^2 + p + n.
 """
@@ -46,11 +46,10 @@ BRANCH_PLATEAU = "horizontal-plateau"
 BRANCH_VERTICAL = "vertical"
 BRANCH_DIAGONAL = "diagonal"
 
-# Relative tolerance for labelling candidate placements; ties go to the
-# earlier branch in (plateau, vertical, diagonal) order so labels are
-# deterministic at the boundaries p = n and p = w_n.  Relative, because
-# the curve falls like 1/p and an absolute tolerance would mislabel it.
-BRANCH_TIE_TOL = 1e-12
+# Two values within this share of each other tie: branch labels and net
+# scores alike.  Relative, because both fall like 1/p and an absolute
+# margin would tie everything at large p.
+TIE_RTOL = 1e-12
 
 
 def check_aspect(value: float, name: str = "aspect ratio") -> float:
@@ -63,6 +62,11 @@ def check_aspect(value: float, name: str = "aspect ratio") -> float:
     if value < 1.0:
         raise DomainError(f"{name} must be >= 1, got {value!r}")
     return value
+
+
+def ties(value: float, best: float) -> bool:
+    """True when `value` is at most TIE_RTOL * |best| above `best`: it ties or beats a minimum `best`."""
+    return value <= best + abs(best) * TIE_RTOL
 
 
 @dataclass(frozen=True)
@@ -129,15 +133,17 @@ def diagonal_branch(n: float, p: float) -> DiagonalSolution:
 def curve_sample(n: float, p: float) -> CurveSample:
     """Optimal scale and branch label for a 1 x p intruder in a 1 x n hole.
 
-    The scale is the largest candidate's; the label is the earliest branch
-    within BRANCH_TIE_TOL of the largest.
+    The scale is the largest candidate's; the label is the earliest branch,
+    in (plateau, vertical, diagonal) order, whose value the largest ties
+    (`ties(largest, value)`), so labels are deterministic at the
+    boundaries p = n and p = w_n.
     """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
     if p <= n:
         return CurveSample(p=p, c=1.0, branch=BRANCH_PLATEAU)
     vertical, diagonal = n / p, diagonal_branch(n, p).c
-    branch = BRANCH_DIAGONAL if diagonal > vertical * (1.0 + BRANCH_TIE_TOL) else BRANCH_VERTICAL
+    branch = BRANCH_VERTICAL if ties(diagonal, vertical) else BRANCH_DIAGONAL
     return CurveSample(p=p, c=max(vertical, diagonal), branch=branch)
 
 
@@ -192,7 +198,7 @@ def placement(n: float, p: float) -> Placement:
     Axis-aligned at the origin for the plateau and vertical branches
     (short side c along x, long side c*p along y), the corner-contact
     quadrilateral for the diagonal branch.  c is the labelled branch's own
-    scale, which a tie leaves up to BRANCH_TIE_TOL below curve_value.
+    scale, which a tie (`ties`) leaves up to TIE_RTOL below curve_value.
     """
     branch = curve_sample(n, p).branch
     if branch == BRANCH_DIAGONAL:

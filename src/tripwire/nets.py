@@ -23,16 +23,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError
-from .inscribe import check_aspect, curve_value
-
-# Net scores within this share of the best one tie.  Scores fall like 1/p,
-# so an absolute margin would tie every split at large p.
-SCORE_TIE_RTOL = 1e-12
-
-
-def ties(value: float, best: float) -> bool:
-    """True when `value` ties or beats `best`: it is at most SCORE_TIE_RTOL * |best| above it."""
-    return value <= best + abs(best) * SCORE_TIE_RTOL
+from .inscribe import check_aspect, curve_value, ties
 
 
 @dataclass(frozen=True)

@@ -3,10 +3,13 @@
 Nothing here reuses the closed forms it is meant to check: the curve
 oracle is the exact largest-rectangle kernel run on the hole as a
 convex cell (see cells.largest_rectangles), net enumeration scores
-every split of k lines between the two axes, the split check re-solves
-the diagonal corner-contact equations per split, and the perturbation
-experiment measures inscribed squares in the cells of a perturbed
-arrangement.
+every split of k lines between the two axes, the split check takes p,
+reads only the short side of its diagonal placement in the square hole
+from the closed form and re-solves the corner-contact equations per
+split, the irregular check jitters the cuts of every split at each of a
+list of p, and the perturbation experiment measures inscribed squares
+in the cells of a perturbed arrangement.  Each suite returns its
+finished VerificationReport.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from .cells import (
     perturbed_vertical_lines,
 )
 from .errors import DomainError, InvalidPerturbationError
-from .inscribe import check_aspect
+from .inscribe import TIE_RTOL, check_aspect, crossover_w, diagonal_branch, ties
 
 __all__ = [
     "VerificationReport",
@@ -54,7 +57,7 @@ class VerificationReport:
 
     Values may be None for candidates that admit no valid configuration.
     The winner is the first scored candidate, in list order, that ties
-    the minimum (nets.ties).  The report keeps the first 10 failures; it
+    the minimum (ties).  The report keeps the first 10 failures; it
     passes when it has none.
     """
 
@@ -73,7 +76,7 @@ class VerificationReport:
     def winner(self) -> str:
         scored = [(name, value) for name, value in self.candidates if value is not None]
         best = min(value for _, value in scored)
-        return next(name for name, value in scored if nets.ties(value, best))
+        return next(name for name, value in scored if ties(value, best))
 
     @property
     def passed(self) -> bool:
@@ -107,7 +110,7 @@ def oracle_curve_value(n: float, p: float) -> float:
 def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     """Score every evenly spaced split v + h = k and report the argmin set.
 
-    The argmin set holds the splits that tie the minimum (nets.ties).
+    The argmin set holds the splits that tie the minimum (ties).
     Candidates run from the most vertical lines down, so the report's
     winner is the tied split with the most vertical lines (the
     all-parallel net wins ties).  The report fails if the set misses the
@@ -119,7 +122,7 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
         (v, nets.net_scale_factor(nets.evenly_spaced(v, k - v), p)) for v in range(k, -1, -1)
     ]
     best_value = min(value for _, value in scores)
-    tied = [f"N({v},{k - v})" for v, value in scores if nets.ties(value, best_value)]
+    tied = [f"N({v},{k - v})" for v, value in scores if ties(value, best_value)]
     predicted = nets.optimal_net(k, p).describe()
     failures = []
     if predicted not in tied:
@@ -131,7 +134,7 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
         parameters={
             "k": k,
             "p": p,
-            "tie_tolerance": nets.SCORE_TIE_RTOL,
+            "tie_tolerance": TIE_RTOL,
             "tied": tied,
             "predicted": predicted,
         },
@@ -144,14 +147,17 @@ THEOREM_P_STEP = 1 / 64
 THEOREM_P_VALUES = tuple(1.0 + i * THEOREM_P_STEP for i in range(7 * 64 + 1))
 
 
-def theorem_scan(k: int) -> dict:
+def theorem_scan(k: int) -> VerificationReport:
     """Scan p over THEOREM_P_VALUES comparing enumeration with the prediction.
 
     Splits are grouped into mirror classes by their larger line count
     (N(v,h) and N(h,v) always tie).  Away from the crossover the set of
-    classes that tie the minimum (nets.ties) must be exactly the
-    predicted family; at (or within CROSSOVER_WINDOW of) the crossover a
-    tie between the parallel and grid families is accepted.
+    classes that tie the minimum (ties) must be exactly the predicted
+    family; at (or within CROSSOVER_WINDOW of) the crossover a tie
+    between the parallel and grid families is accepted.  Each mismatch is
+    a failure; the candidates are the enumeration table at the first grid
+    p past the crossover, and odd k also reports the line-count variant
+    of the crossover (nets.odd_crossover_line_count) beside it.
     """
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
@@ -162,13 +168,31 @@ def theorem_scan(k: int) -> dict:
             for vmax in range(grid_class, k + 1)
         }
         best = min(values.values())
-        tied = sorted(v for v, value in values.items() if nets.ties(value, best))
+        tied = sorted(v for v, value in values.items() if ties(value, best))
         predicted = k if p <= x else grid_class
         if predicted not in tied:
             mismatches.append(f"p={p!r}: predicted class {predicted} not in argmin set {tied}")
         elif abs(p - x) > CROSSOVER_WINDOW and tied != [predicted]:
             mismatches.append(f"p={p!r}: unexpected tie set {tied}, predicted {predicted}")
-    return {"crossover": x, "checked": len(THEOREM_P_VALUES), "mismatches": mismatches}
+    p_above = next(p for p in THEOREM_P_VALUES if p > x + CROSSOVER_WINDOW)
+    parameters = {
+        "k": k,
+        "crossover": x,
+        "p_grid": {"min": THEOREM_P_VALUES[0], "max": THEOREM_P_VALUES[-1], "step": THEOREM_P_STEP},
+        "checked": len(THEOREM_P_VALUES),
+        "mismatches": mismatches[:10],
+        "table_at_p": p_above,
+        "tie_tolerance": TIE_RTOL,
+    }
+    if k % 2 == 1:
+        alt = nets.odd_crossover_line_count(k)
+        parameters["crossover_line_count_formula"] = alt
+        parameters["formulas_disagree"] = abs(alt - x) > 1e-12
+    return VerificationReport(
+        candidates=enumerate_axis_nets(k, p_above).candidates,
+        parameters=parameters,
+        failures=tuple(mismatches),
+    )
 
 
 def _diagonal_legs_in_hole(width: float, height: float, c_prime: float) -> tuple[float, float] | None:
@@ -199,29 +223,28 @@ def _diagonal_legs_in_hole(width: float, height: float, c_prime: float) -> tuple
     return c_prime * math.cos(phi), c_prime * math.sin(phi)
 
 
-def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
+def lagrange_split_check(k: int, p: float) -> VerificationReport:
     """Squared diagonal long side per split of k lines, minimized at v = h.
 
-    For each split v + h = k the hole is 1/(v+1) x 1/(h+1); a rectangle
-    with short side c_prime placed corner-to-corner there has squared
-    long side (1/(v+1) - a1)^2 + (1/(h+1) - a2)^2.  The balanced split
-    must tie the smallest long side (nets.ties); splits whose holes cannot
-    hold the short side at all are reported unscored.  Candidates run
-    from N(k,0) down to N(0,k); the report's winner is the first of them
-    that ties the minimum.
+    The short side is c' = C_1(p) / (k/2 + 1), the diagonal placement's
+    short side in the balanced split's square hole (p above w_1), so it
+    always fits that hole.  For each split v + h = k the hole is
+    1/(v+1) x 1/(h+1); a rectangle with short side c' placed
+    corner-to-corner there has squared long side
+    (1/(v+1) - a1)^2 + (1/(h+1) - a2)^2.  The balanced split must tie the
+    smallest long side (ties); splits whose holes cannot hold the short
+    side at all are reported unscored.  Candidates run from N(k,0) down
+    to N(0,k); the report's winner is the first of them that ties the
+    minimum.
     """
+    w_1 = crossover_w(1)
+    if p <= w_1:
+        raise DomainError(f"the split check needs the diagonal branch of the square hole: p > {w_1!r}")
+    p = check_aspect(p, "intruder aspect p")
     k = nets.check_count(k, "line count k", minimum=2)
     if k % 2 != 0:
         raise DomainError(f"the split check needs even k, got {k}")
-    c_prime = float(c_prime)
-    if not (math.isfinite(c_prime) and c_prime > 0.0):
-        raise DomainError(f"c_prime must be positive and finite, got {c_prime!r}")
-    grid_side = 1.0 / (k // 2 + 1)
-    if c_prime >= grid_side:
-        raise DomainError(
-            f"c_prime={c_prime!r} cannot sit diagonally in the balanced split's "
-            f"{grid_side!r}-sided square hole"
-        )
+    c_prime = diagonal_branch(1, p).c / (k // 2 + 1)
 
     candidates: list[tuple[str, float | None]] = []
     for v in range(k, -1, -1):
@@ -239,51 +262,52 @@ def lagrange_split_check(k: int, c_prime: float) -> VerificationReport:
     best = min(scored.values())
     balanced = f"N({k // 2},{k // 2})"
     failures = []
-    if not nets.ties(scored.get(balanced, math.inf), best):
-        failures.append(
-            f"balanced split {balanced} scores {scored.get(balanced)!r}, above the minimum {best!r}"
-        )
+    if not ties(scored[balanced], best):
+        failures.append(f"balanced split {balanced} scores {scored[balanced]!r}, above the minimum {best!r}")
     return VerificationReport(
         candidates=tuple(candidates),
-        parameters={"k": k, "c_prime": c_prime, "tie_tolerance": nets.SCORE_TIE_RTOL},
+        parameters={"k": k, "c_prime": c_prime, "tie_tolerance": TIE_RTOL, "p": p},
         failures=tuple(failures),
     )
 
 
-def irregular_spacing_check(k: int, p: float, trials: int, seed: int) -> VerificationReport:
+def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: int) -> VerificationReport:
     """Random position jitters never beat even spacing for the same split.
 
-    Each trial draws a split v + h = k and jitters every cut position by
-    up to 49% of its even gap (order-preserving); the evenly spaced net's
-    scale factor must tie or beat the jittered net's (nets.ties).
+    For each p, with the generator reseeded, each trial draws a split
+    v + h = k and jitters every cut position by up to 49% of its even gap
+    (order-preserving); the evenly spaced net's scale factor must tie or
+    beat the jittered net's (ties).  Each p's candidate is its worst
+    margin, the least jittered-minus-even score over its trials.
     """
     k = nets.check_count(k, "line count k", minimum=1)
-    p = check_aspect(p, "intruder aspect p")
+    p_values = [check_aspect(p, "intruder aspect p") for p in p_values]
     trials = nets.check_count(trials, "trials", minimum=1)
     seed = nets.check_count(seed, "seed")
-    rng = np.random.default_rng(seed)
-    even_value: dict[int, float] = {}
-    worst_by_split: dict[int, float] = {}
+    candidates = []
     failures = []
-    for trial in range(trials):
-        v = int(rng.integers(0, k + 1))
-        h = k - v
-        if v not in even_value:
-            even_value[v] = nets.net_scale_factor(nets.evenly_spaced(v, h), p)
-        vertical = _jittered_positions(v, rng)
-        horizontal = _jittered_positions(h, rng)
-        value = nets.net_scale_factor(nets.Net(vertical=vertical, horizontal=horizontal), p)
-        worst_by_split[v] = min(worst_by_split.get(v, math.inf), value - even_value[v])
-        if not nets.ties(even_value[v], value):
-            failures.append(
-                f"trial {trial}: jittered N({v},{h}) scores {value!r} below even "
-                f"spacing {even_value[v]!r} at p={p}"
-            )
+    for p in p_values:
+        rng = np.random.default_rng(seed)
+        even_value: dict[int, float] = {}
+        worst = math.inf
+        for trial in range(trials):
+            v = int(rng.integers(0, k + 1))
+            h = k - v
+            if v not in even_value:
+                even_value[v] = nets.net_scale_factor(nets.evenly_spaced(v, h), p)
+            vertical = _jittered_positions(v, rng)
+            horizontal = _jittered_positions(h, rng)
+            value = nets.net_scale_factor(nets.Net(vertical=vertical, horizontal=horizontal), p)
+            worst = min(worst, value - even_value[v])
+            if not ties(even_value[v], value):
+                failures.append(
+                    f"trial {trial}: jittered N({v},{h}) scores {value!r} below even "
+                    f"spacing {even_value[v]!r} at p={p}"
+                )
+        candidates.append((f"p={p:.9g} worst margin", worst))
     return VerificationReport(
-        candidates=tuple(
-            (f"N({v},{k - v}) worst margin", worst_by_split[v]) for v in sorted(worst_by_split)
-        ),
-        parameters={"k": k, "p": p, "trials": trials, "tolerance": nets.SCORE_TIE_RTOL},
+        candidates=tuple(candidates),
+        parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": TIE_RTOL},
         seed=seed,
         failures=tuple(failures),
     )

@@ -11,7 +11,7 @@ import time
 import pytest
 
 from tripwire.cells import PerturbationSpec
-from tripwire.cli import OutputSpec, _verify_theorem, cmd_base_curve, cmd_curve
+from tripwire.cli import OutputSpec, cmd_base_curve, cmd_curve
 from tripwire.inscribe import crossover_w, curve_value, diagonal_branch
 from tripwire.nets import (
     crossover_aspect,
@@ -98,8 +98,8 @@ def test_criterion_4_even_theorem_by_enumeration():
     mismatches = []
     for k in range(2, 13, 2):
         scan = theorem_scan(k)
-        assert scan["crossover"] == (k + 1) / (k // 2 + 1)
-        mismatches.extend(f"k={k}: {m}" for m in scan["mismatches"])
+        assert scan.parameters["crossover"] == (k + 1) / (k // 2 + 1)
+        mismatches.extend(f"k={k}: {m}" for m in scan.failures)
     elapsed = time.monotonic() - start
     ok = not mismatches and elapsed < 60.0
     assert verdict(
@@ -117,15 +117,14 @@ def test_criterion_5_odd_theorem_with_corrected_crossover():
         if abs(x - 2.0) > 1e-12:
             problems.append(f"k={k}: corrected crossover {x!r} != 2")
         scan = theorem_scan(k)
-        problems.extend(f"k={k}: {m}" for m in scan["mismatches"])
+        problems.extend(f"k={k}: {m}" for m in scan.failures)
         below = enumerate_axis_nets(k, x - 1 / 64)
         above = enumerate_axis_nets(k, x + 1 / 64)
         if below.winner != f"N({k},0)":
             problems.append(f"k={k}: below crossover winner {below.winner}")
         if above.winner != f"N({k - k // 2},{k // 2})":
             problems.append(f"k={k}: above crossover winner {above.winner}")
-        report = _verify_theorem(k, "odd")
-        if not report.parameters["formulas_disagree"]:
+        if not scan.parameters["formulas_disagree"]:
             problems.append(f"k={k}: line-count formula not flagged")
     # the k=3 disagreement specifically: line-count formula 1 vs enumerated switch 2
     if odd_crossover_line_count(3) != 1.0:
@@ -143,11 +142,10 @@ def test_criterion_6_regular_beats_irregular():
     failures = []
     worst = math.inf
     for k in range(1, 7):
-        for p in (1.0, 1.5, 2.0, 3.0, 5.0):
-            report = irregular_spacing_check(k, p, trials=1000, seed=SEED)
-            worst = min(worst, min(v for _, v in report.candidates))
-            if not report.passed:
-                failures.extend(report.failures[:2])
+        report = irregular_spacing_check(k, [1.0, 1.5, 2.0, 3.0, 5.0], trials=1000, seed=SEED)
+        worst = min(worst, min(v for _, v in report.candidates))
+        if not report.passed:
+            failures.extend(report.failures[:2])
     ok = not failures
     assert verdict(
         6,
@@ -161,8 +159,9 @@ def test_criterion_7_split_check_minimum_at_balanced():
     problems = []
     for k in range(2, 13, 2):
         for p in (2.5, 3.0, 4.0, 6.0, 10.0):
-            c_prime = diagonal_branch(1, p).c / (k // 2 + 1)
-            report = lagrange_split_check(k, c_prime)
+            report = lagrange_split_check(k, p)
+            if report.parameters["c_prime"] != diagonal_branch(1, p).c / (k // 2 + 1):
+                problems.append(f"k={k}, p={p}: c' {report.parameters['c_prime']!r}")
             if not report.passed or report.winner != f"N({k // 2},{k // 2})":
                 problems.append(f"k={k}, p={p}: winner {report.winner}")
     ok = not problems

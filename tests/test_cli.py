@@ -22,6 +22,10 @@ class TestOutputSpec:
             OutputSpec(format="csv", path="x", precision=0)
         with pytest.raises(DomainError):
             OutputSpec(format="csv", path="x", precision=18)
+        # precision is a count: no fractions, booleans or strings
+        for precision in (9.5, True, "9"):
+            with pytest.raises(DomainError, match="precision must be an integer"):
+                OutputSpec(format="csv", path="x", precision=precision)
         with pytest.raises(DomainError):
             OutputSpec(format="png", path="x")
 
@@ -146,6 +150,49 @@ class TestBaseCurveCommand:
         assert marks[3] == pytest.approx(5.7664354, abs=1e-6)
 
 
+def read_csv_table(path):
+    """(notes, rows) of a sample table: '# key=value' lines, then the header and rows."""
+    lines = path.read_text().splitlines()
+    notes = dict(line[2:].split("=") for line in lines if line.startswith("# "))
+    header = next(i for i, line in enumerate(lines) if not line.startswith("# "))
+    assert lines[header] == "p,c,branch"
+    return notes, [line.split(",") for line in lines[header + 1:]]
+
+
+class TestCsvAndJsonAgree:
+    """Both formats carry the same numbers: JSON holds float() of each CSV field."""
+
+    def tables(self, command, args, tmp_path, precision):
+        command(*args, OutputSpec(format="csv", path=str(tmp_path / "t.csv"), precision=precision))
+        payload = command(*args, OutputSpec(format="json", path=str(tmp_path / "t.json"), precision=precision))
+        data = json.loads((tmp_path / "t.json").read_text())
+        assert payload == data
+        notes, rows = read_csv_table(tmp_path / "t.csv")
+        assert [[float(p), float(c), branch] for p, c, branch in rows] == [
+            [s["p"], s["c"], s["branch"]] for s in data["samples"]
+        ]
+        return notes, data
+
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_curve(self, tmp_path, precision):
+        # every branch: the plateau up to p = 2.5, vertical up to w_n ~ 7.37, diagonal beyond
+        notes, data = self.tables(cmd_curve, (2.5, 1.0, 9.0, 0.05), tmp_path, precision)
+        assert {s["branch"] for s in data["samples"]} == {"horizontal-plateau", "vertical", "diagonal"}
+        assert float(notes.pop("n")) == data["n"]
+        assert {key: float(value) for key, value in notes.items()} == data["markers"]
+        assert list(notes) == ["plateau_end", "vertical_end"]
+
+    @pytest.mark.parametrize("k", [1, 5])
+    @pytest.mark.parametrize("precision", range(1, 18))
+    def test_odd_base_curve(self, tmp_path, k, precision):
+        notes, data = self.tables(cmd_base_curve, (k, 1.0, 6.0, 0.05), tmp_path, precision)
+        assert int(notes.pop("k")) == data["k"] == k
+        # a null annotation (no crossover for one line) has no CSV line
+        scored = {key: value for key, value in data["annotations"].items() if value is not None}
+        assert {key: float(value) for key, value in notes.items()} == scored
+        assert len(scored) == (0 if k == 1 else 2)
+
+
 class TestOptimalNetCommand:
     def test_k2_wide_intruder(self, tmp_path):
         out = tmp_path / "net.json"
@@ -232,6 +279,15 @@ class TestVerifyCommand:
         assert data["parameters"]["crossover"] == 2.0
         assert data["parameters"]["crossover_line_count_formula"] == 1.0
         assert data["parameters"]["formulas_disagree"] is True
+
+    @pytest.mark.parametrize("suite,k", [("theorem-even", 3), ("theorem-even", 0), ("theorem-odd", 4), ("theorem-odd", 1)])
+    def test_theorem_parity_is_a_usage_error(self, tmp_path, capsys, suite, k):
+        out = tmp_path / "rep.json"
+        with pytest.raises(SystemExit) as err:
+            run_main(["verify", suite, "--k", str(k), "--out", str(out)])
+        assert err.value.code == 2
+        assert f"{suite} needs" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_curve_oracle_suite(self, tmp_path):
         out = tmp_path / "rep.json"

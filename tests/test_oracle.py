@@ -15,6 +15,7 @@ from tripwire.oracle import (
     local_perturbation_experiment,
     oracle_curve_value,
     perturbation_suite,
+    theorem_scan,
 )
 
 
@@ -93,50 +94,102 @@ class TestEnumerateAxisNets:
             assert report.passed
 
 
+class TestTheoremScan:
+    def test_even_report(self):
+        report = theorem_scan(4)
+        assert isinstance(report, VerificationReport)
+        assert report.passed and report.parameters["mismatches"] == []
+        assert list(report.parameters) == [
+            "k", "crossover", "p_grid", "checked", "mismatches", "table_at_p", "tie_tolerance",
+        ]
+        # the first grid point past the crossover 5/3
+        assert report.parameters["table_at_p"] == 1 + 43 / 64
+        assert report.candidates == enumerate_axis_nets(4, 1 + 43 / 64).candidates
+        assert report.winner == "N(2,2)"
+
+    def test_odd_report_carries_the_line_count_formula(self):
+        report = theorem_scan(5)
+        assert report.passed
+        assert list(report.parameters)[-2:] == ["crossover_line_count_formula", "formulas_disagree"]
+        assert report.parameters["crossover"] == 2.0
+        assert report.parameters["crossover_line_count_formula"] == 6 * 2 / 9
+        assert report.parameters["formulas_disagree"] is True
+        assert report.parameters["table_at_p"] == 2 + 1 / 64
+
+
 class TestLagrangeSplitCheck:
     def test_k2_minimum_at_balanced_split(self):
-        c_prime = diagonal_branch(1, 3).c / 2
-        report = lagrange_split_check(2, c_prime)
+        report = lagrange_split_check(2, 3)
         assert report.winner == "N(1,1)"
         assert report.passed
+        assert report.parameters["c_prime"] == diagonal_branch(1, 3).c / 2
+        assert report.parameters["p"] == 3.0
 
     def test_k4_minimum_at_balanced_split(self):
         c_prime = diagonal_branch(1, 4).c / 3
-        report = lagrange_split_check(4, c_prime)
+        report = lagrange_split_check(4, 4)
         assert report.winner == "N(2,2)"
         assert report.passed
+        assert list(report.parameters) == ["k", "c_prime", "tie_tolerance", "p"]
+        assert report.parameters["c_prime"] == c_prime
         table = dict(report.candidates)
         # the balanced square hole recovers the full diagonal: l = c' p
         assert table["N(2,2)"] == pytest.approx((c_prime * 4) ** 2, abs=1e-9)
         assert table["N(4,0)"] > table["N(3,1)"] > table["N(2,2)"]
 
     def test_split_symmetry(self):
-        c_prime = diagonal_branch(1, 5).c / 4
-        report = lagrange_split_check(6, c_prime)
+        report = lagrange_split_check(6, 5)
         table = dict(report.candidates)
         assert table["N(4,2)"] == pytest.approx(table["N(2,4)"], abs=1e-9)
         assert table["N(6,0)"] == pytest.approx(table["N(0,6)"], abs=1e-9)
 
     def test_parity_and_range_checks(self):
-        with pytest.raises(DomainError):
-            lagrange_split_check(3, 0.1)
-        with pytest.raises(DomainError):
-            lagrange_split_check(4, 0.0)
-        with pytest.raises(DomainError):
-            lagrange_split_check(4, 0.5)  # cannot sit in the 1/3-sided grid hole
+        with pytest.raises(DomainError, match="even k"):
+            lagrange_split_check(3, 4.0)
+        # the square hole's diagonal branch starts above w_1 = 1 + sqrt(2)
+        for p in (0.0, 2.0, crossover_w(1)):
+            with pytest.raises(DomainError, match="diagonal branch"):
+                lagrange_split_check(4, p)
+        for p in (math.inf, math.nan):
+            with pytest.raises(DomainError, match="finite"):
+                lagrange_split_check(4, p)
+        assert lagrange_split_check(4, math.nextafter(crossover_w(1), math.inf)).passed
+
+    @pytest.mark.parametrize("k", [2, 4, 12])
+    def test_short_side_fits_every_balanced_hole(self, k):
+        # c' = C_1(p) / (k/2 + 1) < 1 / (k/2 + 1): the balanced split is always scored
+        for p in (2.5, 10.0, 1e6, 1e150, 1e300):
+            report = lagrange_split_check(k, p)
+            assert dict(report.candidates)[f"N({k // 2},{k // 2})"] is not None
+            assert report.passed
 
 
 class TestIrregularSpacing:
     def test_never_beats_even_spacing(self):
-        for p in (1.0, 3.0):
-            report = irregular_spacing_check(4, p, trials=150, seed=11)
-            assert report.passed
-            assert min(value for _, value in report.candidates) >= -1e-12
+        report = irregular_spacing_check(4, [1.0, 3.0], trials=150, seed=11)
+        assert report.passed
+        assert [name for name, _ in report.candidates] == ["p=1 worst margin", "p=3 worst margin"]
+        assert min(value for _, value in report.candidates) >= -1e-12
 
     def test_deterministic_for_fixed_seed(self):
-        a = irregular_spacing_check(3, 2.0, trials=50, seed=5)
-        b = irregular_spacing_check(3, 2.0, trials=50, seed=5)
+        a = irregular_spacing_check(3, [2.0], trials=50, seed=5)
+        b = irregular_spacing_check(3, [2.0], trials=50, seed=5)
         assert a.to_dict() == b.to_dict()
+
+    def test_each_p_reseeds_the_generator(self):
+        both = irregular_spacing_check(3, [2.0, 1.5], trials=50, seed=5)
+        alone = [irregular_spacing_check(3, [p], trials=50, seed=5) for p in (2.0, 1.5)]
+        assert both.candidates == tuple(report.candidates[0] for report in alone)
+        assert list(both.parameters) == ["k", "p_values", "trials", "tolerance"]
+        assert both.parameters["p_values"] == [2.0, 1.5]
+
+    def test_failures_from_every_p(self, monkeypatch):
+        # a scale factor that drops with every call makes each jittered net beat even spacing
+        scores = iter(range(10**6, 0, -1))
+        monkeypatch.setattr("tripwire.nets.net_scale_factor", lambda net, p: float(next(scores)))
+        report = irregular_spacing_check(2, [1.0, 2.0], trials=3, seed=0)
+        assert not report.passed
+        assert [f[-5:] for f in report.failures] == ["p=1.0"] * 3 + ["p=2.0"] * 3
 
 
 class TestVerificationReport:
@@ -192,10 +245,10 @@ class TestVerificationReport:
     [
         lambda: enumerate_axis_nets(2.5, 2),
         lambda: enumerate_axis_nets(0, 2),
-        lambda: lagrange_split_check(4.0, 0.1),
-        lambda: lagrange_split_check(True, 0.1),
-        lambda: irregular_spacing_check(3, 2.0, 2.5, 0),
-        lambda: irregular_spacing_check(3, 2.0, 10, -1),
+        lambda: lagrange_split_check(4.0, 4.0),
+        lambda: lagrange_split_check(True, 4.0),
+        lambda: irregular_spacing_check(3, [2.0], 2.5, 0),
+        lambda: irregular_spacing_check(3, [2.0], 10, -1),
         lambda: local_perturbation_experiment(2, PerturbationSpec(shifts=(0.0, 0.0), pivots=(0.0, 0.0), epsilon=0.02)),
         lambda: perturbation_suite(3.5, 10, 0.02, 0),
         lambda: perturbation_suite(3, True, 0.02, 0),
