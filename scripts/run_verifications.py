@@ -4,7 +4,8 @@
     python scripts/run_verifications.py --out-dir out/reports [--quick]
 
 --quick trims trial counts for a fast smoke run; the defaults match the
-full verification settings.
+full verification settings.  local-optimum runs at k = 3..6, one report
+local-optimum-k<k>.json each.
 """
 
 import argparse
@@ -25,18 +26,19 @@ def main() -> int:
     irregular_trials = "100" if args.quick else "1000"
     local_trials = "50" if args.quick else "500"
 
-    runs = [
-        ("curve-oracle", ["--n", "1"]),
-        ("theorem-even", ["--k", "4"]),
-        ("theorem-odd", ["--k", "3"]),
-        ("irregular", ["--k", "4", "--trials", irregular_trials, "--seed", str(args.seed)]),
-        ("lagrange", ["--k", "6"]),
-        ("local-optimum", ["--k", "3", "--trials", local_trials, "--seed", str(args.seed)]),
-    ]
+    seed = ["--seed", str(args.seed)]
+    runs = {
+        "curve-oracle": ["curve-oracle", "--n", "1"],
+        "theorem-even": ["theorem-even", "--k", "4"],
+        "theorem-odd": ["theorem-odd", "--k", "3"],
+        "irregular": ["irregular", "--k", "4", "--trials", irregular_trials, *seed],
+        "lagrange": ["lagrange", "--k", "6"],
+    }
+    for k in range(3, 7):
+        runs[f"local-optimum-k{k}"] = ["local-optimum", "--k", str(k), "--trials", local_trials, *seed]
     worst = 0
-    for suite, extra in runs:
-        report_path = out / f"{suite}.json"
-        code = cli_main(["verify", suite, *extra, "--out", str(report_path)])
+    for name, suite_args in runs.items():
+        code = cli_main(["verify", *suite_args, "--out", str(out / f"{name}.json")])
         worst = max(worst, code)
     print(f"reports in {out}; overall {'PASS' if worst == 0 else 'FAIL'}")
     return worst

@@ -1,7 +1,6 @@
 """Optimal axis-aligned tripwire nets for rectangular intruders in the unit square."""
 
 from .cells import (
-    GeneralLine,
     PerturbationSpec,
     arrangement_cells,
     largest_rectangles,

@@ -1,4 +1,4 @@
-"""Convex cells, near-vertical line arrangements, and inscribed rectangles.
+"""Convex cells, line arrangements in the unit square, and inscribed rectangles.
 
 The inscribed-rectangle primitive works on any convex polygon cell
 {x : n_i . x <= b_i} with unit outward normals n_i.  A c x cp rectangle
@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -34,7 +35,8 @@ from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 # |alpha A| + |beta B| + |b|: admits the rounding of a vertex tight on more
 # than four rows, and no more, so a vertex outside a thin cell's short width
 # is dropped however long the cell is.  Also the share of its 24 products'
-# magnitudes below which a quadruple's determinant counts as zero.
+# magnitudes below which a quadruple's determinant counts as zero, and
+# arrangement_cells' bound on the rounding of n.x - b in the unit square.
 GEO_TOL = 1e-15
 
 # Most elements in one of the kernel's work arrays: the (piece, quadruple,
@@ -303,43 +305,27 @@ def largest_square_in_cell(cell) -> float:
     return float(largest_squares([cell])[0])
 
 
-@dataclass(frozen=True)
-class GeneralLine:
-    """A line through `anchor` (inside the closed unit square) at `angle`
-    radians from vertical; direction (sin angle, cos angle)."""
+def _real(value, name: str) -> float:
+    """`value` as a float if it is a real number (not a bool), else DomainError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
-    anchor: tuple[float, float]
-    angle: float
 
-    def __post_init__(self) -> None:
-        ax, ay = (float(self.anchor[0]), float(self.anchor[1]))
-        if not (math.isfinite(ax) and math.isfinite(ay) and math.isfinite(self.angle)):
-            raise DomainError("line anchor and angle must be finite")
-        if not (0.0 <= ax <= 1.0 and 0.0 <= ay <= 1.0):
-            raise DomainError(f"line anchor must lie in the closed unit square, got {(ax, ay)!r}")
-        object.__setattr__(self, "anchor", (ax, ay))
-        object.__setattr__(self, "angle", float(self.angle))
-
-    def x_at(self, y: float) -> float:
-        """x coordinate of the line at height y (needs a non-horizontal line)."""
-        if abs(math.cos(self.angle)) < 1e-12:
-            raise DomainError("x_at is undefined for a horizontal line")
-        return self.anchor[0] + (y - self.anchor[1]) * math.tan(self.angle)
-
-    def right_halfplane(self) -> tuple[float, float, float]:
-        """(nx, ny, b) with n unit normal pointing right; right side is n.x >= b."""
-        nx = math.cos(self.angle)
-        ny = -math.sin(self.angle)
-        return nx, ny, nx * self.anchor[0] + ny * self.anchor[1]
+def check_epsilon(value) -> float:
+    """A perturbation bound: a finite real >= 0 (not a bool), as a float; else DomainError."""
+    eps = _real(value, "epsilon")
+    if not math.isfinite(eps) or eps < 0.0:
+        raise DomainError(f"epsilon must be finite and >= 0, got {eps!r}")
+    return eps
 
 
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Shift and pivot amounts for k near-vertical lines, each in [0, epsilon].
 
-    Whether epsilon is small enough that no two perturbed lines cross
-    inside the open unit square is checked when the arrangement is
-    built, not assumed here.
+    Amounts and epsilon are real numbers (not bools), stored as floats.
+    Whether the lines they make cross is for perturbed_vertical_lines.
     """
 
     shifts: tuple[float, ...]
@@ -347,18 +333,16 @@ class PerturbationSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
-        shifts = tuple(float(s) for s in self.shifts)
-        pivots = tuple(float(p) for p in self.pivots)
-        eps = float(self.epsilon)
-        if not math.isfinite(eps) or eps < 0.0:
-            raise DomainError(f"epsilon must be finite and >= 0, got {eps!r}")
+        shifts = tuple(_real(s, "shift values") for s in self.shifts)
+        pivots = tuple(_real(p, "pivot values") for p in self.pivots)
+        eps = check_epsilon(self.epsilon)
         if len(shifts) != len(pivots):
             raise DomainError(
                 f"shifts and pivots must have equal length, got {len(shifts)} and {len(pivots)}"
             )
         for name, values in (("shift", shifts), ("pivot", pivots)):
             for value in values:
-                if not math.isfinite(value) or not 0.0 <= value <= eps:
+                if not 0.0 <= value <= eps:
                     raise DomainError(f"{name} values must lie in [0, epsilon], got {value!r}")
         object.__setattr__(self, "shifts", shifts)
         object.__setattr__(self, "pivots", pivots)
@@ -369,80 +353,80 @@ class PerturbationSpec:
         return len(self.shifts)
 
 
-def perturbed_vertical_lines(k: int, spec: PerturbationSpec) -> list[GeneralLine]:
-    """Apply a PerturbationSpec to k evenly spaced vertical lines.
+def perturbed_vertical_lines(k: int, spec: PerturbationSpec) -> list[tuple[float, float, float]]:
+    """The k lines of a PerturbationSpec as half-planes (nx, ny, b), left to right.
 
-    Line i (1-based position i/(k+1)) is shifted right by shifts[i] and
-    pivoted by pivots[i] radians about the point at height PIVOT_HEIGHT
-    on the shifted line.
+    Line i starts vertical at x = (i + 1)/(k + 1), is shifted right by
+    shifts[i] and pivoted by pivots[i] radians about the point at height
+    PIVOT_HEIGHT on the shifted line; its unit normal n points right, so
+    that the first side {x : n.x <= b} is its left.  This checks the
+    spec: a shifted line that leaves the unit square, or two lines out of
+    left-to-right order or crossing inside the open unit square (touching
+    on its boundary is allowed), raise InvalidPerturbationError; a pivot
+    that is not near-vertical raises DomainError.
     """
     if spec.k != k:
         raise DomainError(f"spec describes {spec.k} lines, expected {k}")
-    lines = []
-    for i in range(k):
-        x = (i + 1) / (k + 1) + spec.shifts[i]
+    xs = [(i + 1) / (k + 1) + shift for i, shift in enumerate(spec.shifts)]
+    for i, x in enumerate(xs):
         if x >= 1.0:
             raise InvalidPerturbationError(f"shifted line {i} leaves the unit square (x={x!r})")
-        lines.append(GeneralLine(anchor=(x, PIVOT_HEIGHT), angle=spec.pivots[i]))
-    return lines
+    for angle in spec.pivots:
+        if math.cos(angle) <= 1e-9:
+            raise DomainError(f"arrangement lines must be near-vertical, got angle {angle!r}")
+    # Each line's x at the bottom and the top of the square.
+    slopes = [math.tan(angle) for angle in spec.pivots]
+    ends = [(x - PIVOT_HEIGHT * t, x + (1.0 - PIVOT_HEIGHT) * t) for x, t in zip(xs, slopes)]
+    for i, j in itertools.combinations(range(k), 2):
+        d0 = ends[j][0] - ends[i][0]
+        d1 = ends[j][1] - ends[i][1]
+        if d0 < 0.0 and d1 < 0.0:
+            raise InvalidPerturbationError(f"lines {i} and {j} are out of left-to-right order")
+        if d0 * d1 < 0.0:
+            raise InvalidPerturbationError(f"lines {i} and {j} cross inside the open unit square")
+    return [
+        (math.cos(angle), -math.sin(angle), math.cos(angle) * x - math.sin(angle) * PIVOT_HEIGHT)
+        for x, angle in zip(xs, spec.pivots)
+    ]
 
 
 def _clip_halfplane(poly: list[tuple[float, float]], nx: float, ny: float, b: float):
-    """Sutherland-Hodgman clip of a convex polygon by {x : n.x <= b}."""
+    """Sutherland-Hodgman clip of a convex polygon (a list of points) by {x : n.x <= b}."""
     out: list[tuple[float, float]] = []
-    count = len(poly)
-    for i in range(count):
-        cur = poly[i]
-        nxt = poly[(i + 1) % count]
+    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
         d_cur = nx * cur[0] + ny * cur[1] - b
         d_nxt = nx * nxt[0] + ny * nxt[1] - b
         if d_cur <= 0.0:
             out.append(cur)
-            if d_nxt > 0.0:
-                t = d_cur / (d_cur - d_nxt)
-                out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-        elif d_nxt <= 0.0:
+        if (d_cur <= 0.0) != (d_nxt <= 0.0):
             t = d_cur / (d_cur - d_nxt)
             out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
     return out
 
 
-def arrangement_cells(lines: list[GeneralLine]) -> list[np.ndarray]:
-    """The k+1 cells the unit square is cut into by near-vertical lines.
+def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarray]:
+    """The faces that lines (nx, ny, b) cut the unit square into.
 
-    Lines must be ordered left to right and pairwise non-crossing inside
-    the open unit square (touching on the boundary is allowed); both
-    conditions are checked and violations raise InvalidPerturbationError.
-    Cells are clipped counter-clockwise (m, 2) arrays, not normalised (a
-    vertex may repeat, an area may be zero); largest_squares does that.
+    Each line in turn splits every face with a vertex more than
+    GEO_TOL * (|nx| + |ny| + |b|), the rounding of n.x - b in the unit
+    square, on each side of it into its halves, {n.x <= b} first, in
+    place.  So a line that misses the open square or repeats another
+    cuts nothing, and non-crossing lines listed left to right, left sides
+    first, give their faces left to right.  Faces are counter-clockwise
+    (m, 2) arrays, not normalised (a vertex may repeat); largest_squares
+    does that.  Three or more lines through one interior point can leave
+    a face of zero area, which the kernel rejects (DegenerateCellError).
     """
-    for line in lines:
-        if math.cos(line.angle) <= 1e-9:
-            raise DomainError(f"arrangement lines must be near-vertical, got angle {line.angle!r}")
-    x_bottom = [line.x_at(0.0) for line in lines]
-    x_top = [line.x_at(1.0) for line in lines]
-    for i in range(len(lines)):
-        for j in range(i + 1, len(lines)):
-            d0 = x_bottom[j] - x_bottom[i]
-            d1 = x_top[j] - x_top[i]
-            if d0 < 0.0 and d1 < 0.0:
-                raise InvalidPerturbationError(
-                    f"lines {i} and {j} are out of left-to-right order"
-                )
-            if d0 * d1 < 0.0:
-                raise InvalidPerturbationError(
-                    f"lines {i} and {j} cross inside the open unit square"
-                )
-
-    square = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]
-    cells = []
-    for j in range(len(lines) + 1):
-        poly = square
-        if j > 0:
-            nx, ny, b = lines[j - 1].right_halfplane()
-            poly = _clip_halfplane(poly, -nx, -ny, -b)
-        if j < len(lines):
-            nx, ny, b = lines[j].right_halfplane()
-            poly = _clip_halfplane(poly, nx, ny, b)
-        cells.append(np.asarray(poly, dtype=float))
-    return cells
+    faces = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
+    for nx, ny, b in lines:
+        tol = GEO_TOL * (abs(nx) + abs(ny) + abs(b))
+        split = []
+        for face in faces:
+            sides = [nx * x + ny * y - b for x, y in face]
+            if min(sides) < -tol and max(sides) > tol:
+                split.append(_clip_halfplane(face, nx, ny, b))
+                split.append(_clip_halfplane(face, -nx, -ny, -b))
+            else:
+                split.append(face)
+        faces = split
+    return [np.asarray(face, dtype=float) for face in faces]

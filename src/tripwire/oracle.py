@@ -25,11 +25,12 @@ from .cells import (
     PIVOT_HEIGHT,
     PerturbationSpec,
     arrangement_cells,
+    check_epsilon,
     largest_rectangles,
     largest_squares,
     perturbed_vertical_lines,
 )
-from .errors import DomainError, InvalidPerturbationError
+from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
 from .inscribe import TIE_RTOL, check_aspect, crossover_w, diagonal_branch, ties
 
 __all__ = [
@@ -321,21 +322,35 @@ def _jittered_positions(count: int, rng: np.random.Generator) -> tuple[float, ..
     return tuple((i + 1) * gap + jitter[i] for i in range(count))
 
 
-def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> list[np.ndarray]:
-    """Largest inscribed square of every cell, one array per spec.
+def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> np.ndarray:
+    """Largest inscribed square of every cell, one row per spec.
 
-    Each spec's perturbed lines cut the unit square into convex cells;
-    the cells of all specs go through one batched largest_squares call.
+    Each spec's perturbed lines must cut the unit square into k + 1
+    convex cells (DegenerateCellError otherwise); the cells of all specs
+    go through one batched largest_squares call.  Every error names its
+    spec, and the kernel's errors the cell within that spec.
     """
     cells_per_spec = []
     for idx, spec in enumerate(specs):
         try:
-            cells_per_spec.append(arrangement_cells(perturbed_vertical_lines(k, spec)))
+            cells = arrangement_cells(perturbed_vertical_lines(k, spec))
         except InvalidPerturbationError as exc:
             raise InvalidPerturbationError(f"spec {idx}: {exc}") from exc
-    values = largest_squares([cell for cells in cells_per_spec for cell in cells])
-    ends = np.cumsum([len(cells) for cells in cells_per_spec], dtype=int)
-    return [values[end - len(cells) : end] for cells, end in zip(cells_per_spec, ends)]
+        if len(cells) != k + 1:
+            raise DegenerateCellError(f"spec {idx}: {k} lines cut {len(cells)} cells, not {k + 1}")
+        cells_per_spec.append(cells)
+    try:
+        values = largest_squares([cell for cells in cells_per_spec for cell in cells])
+    except (DegenerateCellError, DomainError):
+        # Rerun spec by spec (the kernel's values do not depend on its
+        # batch) so that the error names the cell within its spec.
+        for idx, cells in enumerate(cells_per_spec):
+            try:
+                largest_squares(cells)
+            except (DegenerateCellError, DomainError) as exc:
+                raise type(exc)(f"spec {idx}: {exc}") from exc
+        raise
+    return values.reshape(len(specs), k + 1)
 
 
 def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> VerificationReport:
@@ -386,8 +401,7 @@ def perturbation_suite(k: int, trials: int, epsilon: float, seed: int) -> Verifi
     k = nets.check_count(k, "line count k", minimum=3)
     trials = nets.check_count(trials, "trials", minimum=1)
     seed = nets.check_count(seed, "seed")
-    if not (math.isfinite(epsilon) and epsilon >= 0.0):
-        raise DomainError(f"epsilon must be finite and >= 0, got {epsilon!r}")
+    epsilon = check_epsilon(epsilon)
     rng = np.random.default_rng(seed)
     specs = [
         PerturbationSpec(
@@ -404,9 +418,7 @@ def perturbation_suite(k: int, trials: int, epsilon: float, seed: int) -> Verifi
     violating = []
     for idx, value in enumerate(per_spec):
         if value < regular - PERTURBATION_TOL:
-            failures.append(
-                f"spec {idx} scores {value!r} below even spacing {regular!r}"
-            )
+            failures.append(f"spec {idx} scores {value!r} below even spacing {regular!r}")
             violating.append(
                 {"index": idx, "shifts": list(specs[idx].shifts), "pivots": list(specs[idx].pivots)}
             )

@@ -3,12 +3,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tripwire import cells
+from tripwire import cells, oracle
 from tripwire.cells import (
-    GeneralLine,
     PerturbationSpec,
     arrangement_cells,
     convex_cell,
@@ -23,6 +22,7 @@ from tripwire.errors import (
     InvalidPerturbationError,
 )
 from tripwire.inscribe import curve_value, diagonal_branch
+from tripwire.nets import evenly_spaced, net_scale_factor
 from tripwire.oracle import local_perturbation_experiment, perturbation_suite
 
 
@@ -477,17 +477,6 @@ class TestLargestRectangles:
         assert zoomed * (1.0 - 1e-11) <= value <= grid * (math.cos(half_step) + p * math.sin(half_step))
 
 
-class TestGeneralLine:
-    def test_anchor_must_be_inside_square(self):
-        with pytest.raises(DomainError):
-            GeneralLine(anchor=(1.5, 0.5), angle=0.0)
-
-    def test_x_at(self):
-        line = GeneralLine(anchor=(0.5, 0.5), angle=0.1)
-        assert line.x_at(0.5) == pytest.approx(0.5)
-        assert line.x_at(1.0) == pytest.approx(0.5 + 0.5 * math.tan(0.1))
-
-
 class TestPerturbationSpec:
     def test_bounds_enforced(self):
         with pytest.raises(DomainError):
@@ -496,6 +485,26 @@ class TestPerturbationSpec:
             PerturbationSpec(shifts=(0.05, 0, 0), pivots=(0, 0, 0), epsilon=0.02)
         with pytest.raises(DomainError):
             PerturbationSpec(shifts=(0, 0), pivots=(0, 0, 0), epsilon=0.02)
+
+    @pytest.mark.parametrize(
+        "shifts, pivots, epsilon",
+        [
+            ((True, 0, 0), (0, 0, 0), 1.0),
+            ((0, 0, 0), (0, 0, "0.01"), 0.02),
+            ((0, 0, 0), (0, 0, 0), True),
+            ((0, 0, 0), (0, 0, 0), "0.02"),
+            ((0, 0, 0), (0, 0, 0), None),
+        ],
+        ids=["shift-bool", "pivot-str", "epsilon-bool", "epsilon-str", "epsilon-none"],
+    )
+    def test_amounts_must_be_reals(self, shifts, pivots, epsilon):
+        with pytest.raises(DomainError, match="must be a real number"):
+            PerturbationSpec(shifts=shifts, pivots=pivots, epsilon=epsilon)
+
+    def test_amounts_stored_as_floats(self):
+        spec = PerturbationSpec(shifts=(0, 1, np.float64(0.5)), pivots=(0, 0, 0), epsilon=1)
+        assert spec.shifts == (0.0, 1.0, 0.5) and spec.epsilon == 1.0
+        assert all(type(x) is float for x in (*spec.shifts, *spec.pivots, spec.epsilon))
 
     def test_all_zero_spec(self):
         spec = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
@@ -512,20 +521,120 @@ class TestArrangementCells:
             area2 = np.sum(cell[:, 0] * np.roll(cell[:, 1], -1) - np.roll(cell[:, 0], -1) * cell[:, 1])
             assert 0.5 * abs(area2) == pytest.approx(0.25, abs=1e-12)
 
+    @pytest.mark.parametrize("k", range(1, 7))
+    @pytest.mark.parametrize("p", [1.0, 1.5, 2.5, 4.0, 10.0])
+    def test_axis_aligned_nets_match_the_closed_form(self, k, p):
+        for v in range(k + 1):
+            net = evenly_spaced(v, k - v)
+            lines = [(1.0, 0.0, x) for x in net.vertical] + [(0.0, 1.0, y) for y in net.horizontal]
+            faces = arrangement_cells(lines)
+            assert len(faces) == (v + 1) * (k - v + 1)
+            value = largest_rectangles(faces, p).max()
+            assert value == pytest.approx(net_scale_factor(net, p), rel=1e-12)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(min_value=1, max_value=7))
+    @settings(max_examples=300, deadline=None)
+    def test_general_position_counts_faces_and_covers_the_square(self, seed, count):
+        # Euler: each line crossing the open square adds a face, and so does
+        # each crossing of two lines inside it, in general position: no line
+        # within `margin` of a corner or of a crossing of two others, no two
+        # lines within `margin` of parallel, no crossing within `margin` of
+        # the boundary.
+        margin = 1e-9
+        rng = np.random.default_rng(seed)
+        angles = rng.uniform(0.0, 2.0 * math.pi, size=count)
+        normals = np.stack((np.cos(angles), np.sin(angles)), axis=1)
+        offsets = np.einsum("ij,ij->i", normals, rng.uniform(-0.25, 1.25, size=(count, 2)))
+        corners = np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)])
+        sides = corners @ normals.T - offsets
+        assume((np.abs(sides) > margin).all())
+        expected = 1 + int(((sides.min(axis=0) < 0.0) & (sides.max(axis=0) > 0.0)).sum())
+        for i, j in itertools.combinations(range(count), 2):
+            assume(abs(np.linalg.det(normals[[i, j]])) > margin)
+            point = np.linalg.solve(normals[[i, j]], offsets[[i, j]])
+            others = [m for m in range(count) if m not in (i, j)]
+            assume((np.abs(normals[others] @ point - offsets[others]) > margin).all())
+            assume((np.abs(point) > margin).all() and (np.abs(point - 1.0) > margin).all())
+            expected += int(((point > 0.0) & (point < 1.0)).all())
+        faces = arrangement_cells([(float(nx), float(ny), float(b)) for (nx, ny), b in zip(normals, offsets)])
+        assert len(faces) == expected
+        areas = [0.5 * float(cells._cross2(face, np.roll(face, -1, axis=0)).sum()) for face in faces]
+        assert min(areas) > 0.0
+        assert math.fsum(areas) == pytest.approx(1.0, abs=1e-14)
+
+    def test_both_diagonals(self):
+        r = math.sqrt(0.5)
+        faces = arrangement_cells([(r, -r, 0.0), (r, r, r)])
+        assert len(faces) == 4
+        # a right triangle with legs a = b = sqrt(2)/2 holds a square of side ab/(a+b)
+        assert largest_squares(faces) == pytest.approx([math.sqrt(2) / 4] * 4, rel=1e-12)
+
+    @pytest.mark.parametrize("line", [(1.0, 0.0, 2.0), (1.0, 0.0, -1.0), (0.6, 0.8, -0.1), (1.0, 0.0, 0.0)])
+    def test_line_missing_the_open_square_cuts_nothing(self, line):
+        (face,) = arrangement_cells([line])
+        assert face.tolist() == [[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0]]
+
+    def test_two_lines_beat_the_axis_aligned_optimum_near_the_crossover(self):
+        # two near-diagonal lines cutting off opposite corners, at p = 1.5
+        # (the k = 2 crossover, where both axis-aligned optima score 1/3)
+        lines = [(math.cos(a), math.sin(a), b) for a, b in ((0.785, 0.550), (0.750, 0.862))]
+        faces = arrangement_cells(lines)
+        assert len(faces) == 3
+        value = largest_rectangles(faces, 1.5).max()
+        assert value == pytest.approx(0.315383, abs=1e-6)
+        assert value < net_scale_factor(evenly_spaced(2, 0), 1.5) == pytest.approx(1 / 3)
+
     def test_crossing_lines_rejected(self):
         # pivots large enough that consecutive lines cross inside the square
         spec = PerturbationSpec(shifts=(0, 0, 0), pivots=(0.5, 0.0, 0.5), epsilon=0.5)
-        lines = perturbed_vertical_lines(3, spec)
-        with pytest.raises(InvalidPerturbationError):
-            arrangement_cells(lines)
+        with pytest.raises(InvalidPerturbationError, match="lines 0 and 1 cross"):
+            perturbed_vertical_lines(3, spec)
 
     def test_out_of_order_lines_rejected(self):
-        lines = [
-            GeneralLine(anchor=(0.5, 0.5), angle=0.0),
-            GeneralLine(anchor=(0.25, 0.5), angle=0.0),
-        ]
-        with pytest.raises(InvalidPerturbationError):
-            arrangement_cells(lines)
+        # line 0 shifted past line 1 (at x = 2/3) stays parallel to it
+        spec = PerturbationSpec(shifts=(0.5, 0.0), pivots=(0.0, 0.0), epsilon=0.5)
+        with pytest.raises(InvalidPerturbationError, match="lines 0 and 1 are out of left-to-right order"):
+            perturbed_vertical_lines(2, spec)
+
+
+class TestPerturbedVerticalLines:
+    def test_lines_are_left_sides_in_order(self):
+        spec = PerturbationSpec(shifts=(0.0, 0.01, 0.0), pivots=(0.0, 0.0, 0.02), epsilon=0.02)
+        lines = perturbed_vertical_lines(3, spec)
+        assert lines[:2] == [(1.0, -0.0, 0.25), (1.0, -0.0, 0.51)]
+        nx, ny, b = lines[2]
+        assert (nx, ny) == (math.cos(0.02), -math.sin(0.02))
+        assert nx * 0.75 + ny * 0.5 == pytest.approx(b, abs=1e-15)
+        cells = arrangement_cells(lines)
+        assert [cell[:, 0].mean() < other[:, 0].mean() for cell, other in zip(cells, cells[1:])] == [True] * 3
+
+    @pytest.mark.parametrize(
+        "shifts, pivots, error, message",
+        [
+            ((0.0, 0.0, 0.5), (0.0, 0.0, 0.0), InvalidPerturbationError, "shifted line 2 leaves the unit square"),
+            ((0.0, 0.0, 0.0), (0.0, math.pi / 2, 0.0), DomainError, "must be near-vertical"),
+        ],
+    )
+    def test_spec_checks(self, shifts, pivots, error, message):
+        spec = PerturbationSpec(shifts=shifts, pivots=pivots, epsilon=2.0)
+        with pytest.raises(error, match=message):
+            perturbed_vertical_lines(3, spec)
+
+    def test_k_must_match_the_spec(self):
+        with pytest.raises(DomainError, match="spec describes 3 lines, expected 4"):
+            perturbed_vertical_lines(4, PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0))
+
+
+    def test_lines_touching_on_the_boundary(self):
+        # line 1, pivoted by atan(1/2) + 1 ulp, runs from (0.25, 0) to
+        # (0.75, 1) and touches lines 0 and 2 on the square's edge; the
+        # rounding of n.x - b at those corners must not split a neighbour
+        spec = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0, 0.46364760900080615, 0.0), epsilon=0.5)
+        cells = arrangement_cells(perturbed_vertical_lines(3, spec))
+        assert len(cells) == 4
+        # the middle faces are right triangles with legs 1/2 and 1: a square of side 1/3
+        report = local_perturbation_experiment(3, spec)
+        assert report.parameters["cell_values"] == pytest.approx([0.25, 1 / 3, 1 / 3, 0.25], rel=1e-12)
 
 
 class TestLocalPerturbationExperiment:
@@ -558,6 +667,29 @@ class TestLocalPerturbationExperiment:
         spec = PerturbationSpec(shifts=(0.25, 0.0, 0.0), pivots=(0.0, 0.0, 0.0), epsilon=0.25)
         with pytest.raises(DegenerateCellError):
             local_perturbation_experiment(3, spec)
+
+    def test_errors_name_the_spec(self):
+        zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
+        coincident = PerturbationSpec(shifts=(0.25, 0.0, 0.0), pivots=(0.0, 0.0, 0.0), epsilon=0.25)
+        with pytest.raises(DegenerateCellError, match=r"^spec 1: 3 lines cut 3 cells, not 4$"):
+            oracle._spec_cell_values(3, [zero, coincident])
+
+    def test_kernel_errors_name_the_spec_and_its_cell(self, monkeypatch):
+        # the second spec's third cell replaced by a zero-area one
+        build = oracle.arrangement_cells
+        built = []
+
+        def with_sliver(lines):
+            faces = build(lines)
+            built.append(faces)
+            if len(built) == 2:
+                faces[2] = np.array([(0.5, 0.0), (0.5, 0.5), (0.5, 1.0)])
+            return faces
+
+        monkeypatch.setattr(oracle, "arrangement_cells", with_sliver)
+        zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
+        with pytest.raises(DegenerateCellError, match=r"^spec 1: cell 2: cell has zero area"):
+            oracle._spec_cell_values(3, [zero, zero, zero])
 
     def test_requires_more_than_two_lines(self):
         with pytest.raises(DomainError):

@@ -270,3 +270,16 @@ class TestVerificationReport:
 def test_counts_are_checked_integers(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("epsilon", [True, "0.02", None, math.inf], ids=["bool", "str", "none", "inf"])
+def test_perturbation_bound_is_a_checked_real(epsilon):
+    with pytest.raises(DomainError, match="epsilon"):
+        perturbation_suite(3, 5, epsilon, 0)
+
+
+def test_perturbation_bound_is_reported_as_a_float():
+    report = perturbation_suite(3, 5, 0, 0)
+    assert report.passed
+    assert type(report.parameters["epsilon"]) is float
+    assert '"epsilon": 0.0,' in report.to_json()
