@@ -12,6 +12,8 @@ from .errors import (
     DegenerateCellError,
     DomainError,
     InvalidPerturbationError,
+    check_count,
+    check_real,
 )
 from .inscribe import (
     BRANCH_DIAGONAL,
@@ -24,6 +26,7 @@ from .inscribe import (
     curve_sample,
     curve_value,
     diagonal_branch,
+    p_grid,
     placement,
 )
 from .nets import (
@@ -43,6 +46,7 @@ from .nets import (
 )
 from .oracle import (
     VerificationReport,
+    curve_oracle_check,
     enumerate_axis_nets,
     irregular_spacing_check,
     lagrange_split_check,

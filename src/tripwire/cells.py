@@ -23,13 +23,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
+from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
 
 # Slack of the LP vertex test, per unit of the row's |n_x x| + |n_y y| +
 # |alpha A| + |beta B| + |b|: admits the rounding of a vertex tight on more
@@ -63,15 +62,20 @@ def convex_cell(points) -> np.ndarray:
 
     Consecutive duplicate and collinear vertices are dropped.  Raises
     DegenerateCellError for (numerically) zero area and DomainError for
-    a non-convex vertex sequence.  Zero area and collinearity are judged
-    against the rounding of the quantities tested, so a valid cell stays
-    valid however thin it is.
+    a coordinate that is not a finite real or a non-convex vertex
+    sequence.  Zero area and collinearity are judged against the
+    rounding of the quantities tested, so a valid cell stays valid
+    however thin it is.
     """
-    poly = np.asarray(points, dtype=float)
+    if isinstance(points, np.ndarray) and points.dtype == float:
+        if not np.isfinite(points).all():
+            raise DomainError("cell vertex coordinates must be finite")
+        poly = points
+    else:
+        raw = np.asarray(points, dtype=object)
+        poly = np.array([check_real(x, "cell vertex coordinates") for x in raw.flat]).reshape(raw.shape)
     if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
         raise DegenerateCellError(f"cell needs at least 3 planar points, got shape {poly.shape}")
-    if not np.isfinite(poly).all():
-        raise DomainError("cell vertices must be finite")
 
     # Tolerances follow the cell's size along each axis, not its distance
     # from the origin.
@@ -209,11 +213,7 @@ def largest_rectangles(cells, p) -> np.ndarray:
     positive side (a cell with interior always has one), name the cell by
     its index in `cells`.
     """
-    if isinstance(p, bool):
-        raise DomainError(f"rectangle aspect p must be a real number, got {p!r}")
-    p = float(p)
-    if not (math.isfinite(p) and p >= 1.0):
-        raise DomainError(f"rectangle aspect p must be finite and >= 1, got {p!r}")
+    p = check_real(p, "rectangle aspect p", 1.0)
     polys = []
     for idx, cell in enumerate(cells):
         try:
@@ -305,26 +305,11 @@ def largest_square_in_cell(cell) -> float:
     return float(largest_squares([cell])[0])
 
 
-def _real(value, name: str) -> float:
-    """`value` as a float if it is a real number (not a bool), else DomainError."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
-def check_epsilon(value) -> float:
-    """A perturbation bound: a finite real >= 0 (not a bool), as a float; else DomainError."""
-    eps = _real(value, "epsilon")
-    if not math.isfinite(eps) or eps < 0.0:
-        raise DomainError(f"epsilon must be finite and >= 0, got {eps!r}")
-    return eps
-
-
 @dataclass(frozen=True)
 class PerturbationSpec:
     """Shift and pivot amounts for k near-vertical lines, each in [0, epsilon].
 
-    Amounts and epsilon are real numbers (not bools), stored as floats.
+    Amounts and epsilon are finite reals (check_real), stored as floats.
     Whether the lines they make cross is for perturbed_vertical_lines.
     """
 
@@ -333,9 +318,9 @@ class PerturbationSpec:
     epsilon: float
 
     def __post_init__(self) -> None:
-        shifts = tuple(_real(s, "shift values") for s in self.shifts)
-        pivots = tuple(_real(p, "pivot values") for p in self.pivots)
-        eps = check_epsilon(self.epsilon)
+        shifts = tuple(check_real(s, "shift values") for s in self.shifts)
+        pivots = tuple(check_real(p, "pivot values") for p in self.pivots)
+        eps = check_real(self.epsilon, "epsilon", 0.0)
         if len(shifts) != len(pivots):
             raise DomainError(
                 f"shifts and pivots must have equal length, got {len(shifts)} and {len(pivots)}"
@@ -365,6 +350,7 @@ def perturbed_vertical_lines(k: int, spec: PerturbationSpec) -> list[tuple[float
     on its boundary is allowed), raise InvalidPerturbationError; a pivot
     that is not near-vertical raises DomainError.
     """
+    k = check_count(k, "line count k")
     if spec.k != k:
         raise DomainError(f"spec describes {spec.k} lines, expected {k}")
     xs = [(i + 1) / (k + 1) + shift for i, shift in enumerate(spec.shifts)]
@@ -416,9 +402,19 @@ def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarra
     (m, 2) arrays, not normalised (a vertex may repeat); largest_squares
     does that.  Three or more lines through one interior point can leave
     a face of zero area, which the kernel rejects (DegenerateCellError).
+    A line that is not three finite reals with (nx, ny) != 0 raises
+    DomainError.
     """
     faces = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
-    for nx, ny, b in lines:
+    for idx, line in enumerate(lines):
+        try:
+            nx, ny, b = line
+        except (TypeError, ValueError):
+            raise DomainError(f"line {idx} must be a triple (nx, ny, b), got {line!r}") from None
+        name = f"line {idx} coefficients"
+        nx, ny, b = check_real(nx, name), check_real(ny, name), check_real(b, name)
+        if nx == 0.0 and ny == 0.0:
+            raise DomainError(f"line {idx} has the zero normal (nx, ny) = (0, 0)")
         tol = GEO_TOL * (abs(nx) + abs(ny) + abs(b))
         split = []
         for face in faces:

@@ -20,29 +20,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 from dataclasses import dataclass
 
 from . import nets, svg
-from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
-from .inscribe import check_aspect, crossover_w, curve_sample, curve_value, placement
+from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count
+from .inscribe import check_aspect, crossover_w, curve_sample, p_grid, placement
 from .oracle import (
     VerificationReport,
+    curve_oracle_check,
     irregular_spacing_check,
     lagrange_split_check,
-    oracle_curve_value,
     perturbation_suite,
     theorem_scan,
 )
 
 # Exit code for a geometric or numerical failure (module docstring).
 EXIT_NUMERICAL = 3
-# Most samples a p range may ask for; a larger range is a usage error.
-MAX_P_SAMPLES = 10**6
-# Largest relative deviation of the closed-form curve from the exact
-# rectangle kernel that the curve-oracle suite accepts.
-CURVE_ORACLE_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -54,7 +48,7 @@ class OutputSpec:
     def __post_init__(self) -> None:
         if self.format not in ("csv", "json", "svg"):
             raise DomainError(f"unsupported output format {self.format!r}")
-        if nets.check_count(self.precision, "precision", minimum=1) > 17:
+        if check_count(self.precision, "precision", minimum=1) > 17:
             raise DomainError(f"precision must lie in [1, 17], got {self.precision!r}")
 
 
@@ -64,24 +58,6 @@ def _num(x: float, precision: int) -> str:
 
 def _round_sig(x: float, precision: int) -> float:
     return float(_num(x, precision))
-
-
-def _p_grid(p_min: float, p_max: float, step: float) -> list[float]:
-    if step <= 0.0 or not math.isfinite(step):
-        raise DomainError(f"step must be positive and finite, got {step!r}")
-    if not (1.0 <= p_min < p_max):
-        raise DomainError(f"need 1 <= p_min < p_max, got p_min={p_min!r}, p_max={p_max!r}")
-    if (p_max - p_min) / step >= MAX_P_SAMPLES:
-        raise DomainError(f"p range [{p_min!r}, {p_max!r}] at step {step!r} exceeds {MAX_P_SAMPLES} samples")
-    values = []
-    i = 0
-    while True:
-        p = p_min + i * step
-        if p > p_max + 1e-9 * step:
-            break
-        values.append(min(p, p_max))
-        i += 1
-    return values
 
 
 def _write(path: str, text: str) -> None:
@@ -127,7 +103,7 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
 def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec) -> dict:
     """Sample the inscribing curve for hole aspect n and write it to out.path."""
     n = check_aspect(n, "hole aspect n")
-    samples = [curve_sample(n, p) for p in _p_grid(p_min, p_max, step)]
+    samples = [curve_sample(n, p) for p in p_grid(p_min, p_max, step)]
     w_n = crossover_w(n)
     return _write_samples(
         out,
@@ -159,7 +135,7 @@ def cmd_base_curve(
     """Sample the base curve for k lines; overlay a competitor split in SVG mode."""
     if overlay is not None and out.format != "svg":
         raise DomainError("--overlay is only supported with --format svg")
-    grid_ps = _p_grid(p_min, p_max, step)
+    grid_ps = p_grid(p_min, p_max, step)
     points = [(p, *nets.base_curve(k, p)) for p in grid_ps]
     annotations = {"crossover_aspect": nets.crossover_aspect(k) if k >= 2 else None}
     if k >= 3 and k % 2 == 1:
@@ -250,35 +226,6 @@ def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> dict:
 # verify
 
 
-def _verify_curve_oracle(n: float) -> VerificationReport:
-    n = check_aspect(n, "hole aspect n")
-    try:
-        grid = _p_grid(1.0, 4.0 * n, 0.125)
-    except DomainError as exc:
-        raise DomainError(f"--n {n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
-    candidates = []
-    failures = []
-    worst = 0.0
-    for p in grid:
-        exact = oracle_curve_value(n, p)
-        deviation = abs(curve_value(n, p) - exact) / exact
-        candidates.append((f"p={_num(p, 9)}", deviation))
-        worst = max(worst, deviation)
-        if deviation > CURVE_ORACLE_RTOL:
-            failures.append(
-                f"|curve - oracle| / oracle = {deviation!r} > {CURVE_ORACLE_RTOL!r} at n={n}, p={p}"
-            )
-    return VerificationReport(
-        candidates=tuple(candidates),
-        parameters={
-            "n": n,
-            "tolerance": CURVE_ORACLE_RTOL,
-            "max_deviation": worst,
-        },
-        failures=tuple(failures),
-    )
-
-
 def _verify_theorem(k: int, parity: str) -> VerificationReport:
     if parity == "even" and (k < 2 or k % 2 != 0):
         raise DomainError(f"theorem-even needs even k >= 2, got {k}")
@@ -290,7 +237,7 @@ def _verify_theorem(k: int, parity: str) -> VerificationReport:
 # Each verify suite as a function of the parsed flags; a suite that reads
 # --p or --trials sets its own default for them.
 VERIFY_SUITES = {
-    "curve-oracle": lambda args: _verify_curve_oracle(args.n),
+    "curve-oracle": lambda args: curve_oracle_check(args.n),
     "theorem-even": lambda args: _verify_theorem(args.k, "even"),
     "theorem-odd": lambda args: _verify_theorem(args.k, "odd"),
     "irregular": lambda args: irregular_spacing_check(

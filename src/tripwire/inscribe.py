@@ -36,11 +36,12 @@ the cubic p^3 - 3n p^2 + p + n.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import DomainError
+from .errors import DomainError, check_real
 
 BRANCH_PLATEAU = "horizontal-plateau"
 BRANCH_VERTICAL = "vertical"
@@ -51,17 +52,32 @@ BRANCH_DIAGONAL = "diagonal"
 # margin would tie everything at large p.
 TIE_RTOL = 1e-12
 
+# Most samples a p range may ask for (p_grid).
+MAX_P_SAMPLES = 10**6
+
 
 def check_aspect(value: float, name: str = "aspect ratio") -> float:
     """Validate an aspect ratio: a finite real >= 1 (long side over short side)."""
-    if isinstance(value, bool):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    value = float(value)
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
-    if value < 1.0:
-        raise DomainError(f"{name} must be >= 1, got {value!r}")
-    return value
+    return check_real(value, name, 1.0)
+
+
+def p_grid(p_min: float, p_max: float, step: float) -> list[float]:
+    """Aspects p_min + i * step up to p_max, for 1 <= p_min < p_max and step > 0.
+
+    A point within 1e-9 of a step above p_max becomes p_max.  A range of
+    MAX_P_SAMPLES steps or more is a DomainError.
+    """
+    step = check_real(step, "step")
+    if step <= 0.0:
+        raise DomainError(f"step must be positive and finite, got {step!r}")
+    p_min = check_real(p_min, "p_min")
+    p_max = check_real(p_max, "p_max")
+    if not (1.0 <= p_min < p_max):
+        raise DomainError(f"need 1 <= p_min < p_max, got p_min={p_min!r}, p_max={p_max!r}")
+    if (p_max - p_min) / step >= MAX_P_SAMPLES:
+        raise DomainError(f"p range [{p_min!r}, {p_max!r}] at step {step!r} exceeds {MAX_P_SAMPLES} samples")
+    points = (p_min + i * step for i in itertools.count())
+    return [min(p, p_max) for p in itertools.takewhile(lambda p: p <= p_max + 1e-9 * step, points)]
 
 
 def ties(value: float, best: float) -> bool:

@@ -19,10 +19,9 @@ family is ahead.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, check_count, check_real
 from .inscribe import check_aspect, curve_value, ties
 
 
@@ -38,8 +37,8 @@ class Net:
     horizontal: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "vertical", _validated_cuts(self.vertical, "vertical"))
-        object.__setattr__(self, "horizontal", _validated_cuts(self.horizontal, "horizontal"))
+        object.__setattr__(self, "vertical", _validated_cuts(self.vertical, "vertical cut positions"))
+        object.__setattr__(self, "horizontal", _validated_cuts(self.horizontal, "horizontal cut positions"))
 
     @property
     def k(self) -> int:
@@ -57,26 +56,15 @@ class HoleGrid:
     heights: tuple[float, ...]
 
 
-def _validated_cuts(positions, axis: str) -> tuple[float, ...]:
-    cuts = tuple(float(x) for x in positions)
+def _validated_cuts(positions, name: str) -> tuple[float, ...]:
+    cuts = tuple(check_real(x, name) for x in positions)
     for x in cuts:
-        if not math.isfinite(x):
-            raise DomainError(f"{axis} cut positions must be finite, got {x!r}")
         if not 0.0 < x < 1.0:
-            raise DomainError(f"{axis} cut positions must lie strictly inside (0, 1), got {x!r}")
+            raise DomainError(f"{name} must lie strictly inside (0, 1), got {x!r}")
     for a, b in zip(cuts, cuts[1:]):
         if b <= a:
-            raise DomainError(f"{axis} cut positions must be strictly increasing, got {a!r} then {b!r}")
+            raise DomainError(f"{name} must be strictly increasing, got {a!r} then {b!r}")
     return cuts
-
-
-def check_count(value: int, name: str, minimum: int = 0) -> int:
-    """`value` if it is an int (not a bool) of at least `minimum`, else DomainError."""
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise DomainError(f"{name} must be an integer, got {value!r}")
-    if value < minimum:
-        raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
-    return value
 
 
 def evenly_spaced(v: int, h: int) -> Net:
@@ -104,10 +92,10 @@ def hole_scale(w: float, h: float, p: float) -> float:
     Normalizes the hole to aspect n' = max(w, h)/min(w, h) and rescales:
     the answer is min(w, h) times the inscribing-curve value at (n', p).
     """
-    w = float(w)
-    h = float(h)
-    if not (w > 0.0 and h > 0.0) or not (math.isfinite(w) and math.isfinite(h)):
-        raise DomainError(f"hole dimensions must be positive and finite, got {w!r} x {h!r}")
+    w = check_real(w, "hole width")
+    h = check_real(h, "hole height")
+    if not (w > 0.0 and h > 0.0):
+        raise DomainError(f"hole dimensions must be positive, got {w!r} x {h!r}")
     s = min(w, h)
     return s * curve_value(max(w, h) / s, p)
 

@@ -2,7 +2,8 @@
 
 Nothing here reuses the closed forms it is meant to check: the curve
 oracle is the exact largest-rectangle kernel run on the hole as a
-convex cell (see cells.largest_rectangles), net enumeration scores
+convex cell (see cells.largest_rectangles), which the curve-oracle
+suite compares with the closed form over a p-grid, net enumeration scores
 every split of k lines between the two axes, the split check takes p,
 reads only the short side of its diagonal placement in the square hole
 from the closed form and re-solves the corner-contact equations per
@@ -25,27 +26,16 @@ from .cells import (
     PIVOT_HEIGHT,
     PerturbationSpec,
     arrangement_cells,
-    check_epsilon,
     largest_rectangles,
     largest_squares,
     perturbed_vertical_lines,
 )
-from .errors import DegenerateCellError, DomainError, InvalidPerturbationError
-from .inscribe import TIE_RTOL, check_aspect, crossover_w, diagonal_branch, ties
+from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
+from .inscribe import TIE_RTOL, check_aspect, crossover_w, curve_value, diagonal_branch, p_grid, ties
 
-__all__ = [
-    "VerificationReport",
-    "oracle_curve_value",
-    "enumerate_axis_nets",
-    "THEOREM_P_STEP",
-    "THEOREM_P_VALUES",
-    "theorem_scan",
-    "lagrange_split_check",
-    "irregular_spacing_check",
-    "local_perturbation_experiment",
-    "perturbation_suite",
-]
-
+# Largest relative deviation of the closed-form curve from the exact
+# rectangle kernel that the curve-oracle suite accepts.
+CURVE_ORACLE_RTOL = 1e-12
 # A theorem scan accepts a parallel-grid tie at p within this of the crossover.
 CROSSOVER_WINDOW = 1e-9
 # A perturbed arrangement fails when it scores this far below even spacing.
@@ -105,7 +95,34 @@ def oracle_curve_value(n: float, p: float) -> float:
     """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    return float(largest_rectangles([((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n))], p)[0])
+    return float(largest_rectangles([np.array(((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n)))], p)[0])
+
+
+def curve_oracle_check(n: float) -> VerificationReport:
+    """The closed-form curve against oracle_curve_value at p = 1, 1.125, ..., 4n.
+
+    Each p's candidate is the relative deviation |curve - oracle| / oracle;
+    the report fails where one exceeds CURVE_ORACLE_RTOL.
+    """
+    n = check_aspect(n, "hole aspect n")
+    try:
+        grid = p_grid(1.0, 4.0 * n, 0.125)
+    except DomainError as exc:
+        raise DomainError(f"--n {n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
+    candidates, failures = [], []
+    for p in grid:
+        exact = oracle_curve_value(n, p)
+        deviation = abs(curve_value(n, p) - exact) / exact
+        candidates.append((f"p={p:.9g}", deviation))
+        if deviation > CURVE_ORACLE_RTOL:
+            failures.append(
+                f"|curve - oracle| / oracle = {deviation!r} > {CURVE_ORACLE_RTOL!r} at n={n}, p={p}"
+            )
+    return VerificationReport(
+        candidates=tuple(candidates),
+        parameters={"n": n, "tolerance": CURVE_ORACLE_RTOL, "max_deviation": max(d for _, d in candidates)},
+        failures=tuple(failures),
+    )
 
 
 def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
@@ -117,7 +134,7 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     all-parallel net wins ties).  The report fails if the set misses the
     predicted optimal net.
     """
-    k = nets.check_count(k, "line count k", minimum=1)
+    k = check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
     scores = [
         (v, nets.net_scale_factor(nets.evenly_spaced(v, k - v), p)) for v in range(k, -1, -1)
@@ -145,7 +162,7 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
 
 # The theorem scans' p-grid: [1, 8] in steps of 1/64, every point exact in binary.
 THEOREM_P_STEP = 1 / 64
-THEOREM_P_VALUES = tuple(1.0 + i * THEOREM_P_STEP for i in range(7 * 64 + 1))
+THEOREM_P_VALUES = tuple(p_grid(1.0, 8.0, THEOREM_P_STEP))
 
 
 def theorem_scan(k: int) -> VerificationReport:
@@ -160,14 +177,13 @@ def theorem_scan(k: int) -> VerificationReport:
     p past the crossover, and odd k also reports the line-count variant
     of the crossover (nets.odd_crossover_line_count) beside it.
     """
+    k = check_count(k, "line count k", minimum=2)
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
+    class_nets = {vmax: nets.evenly_spaced(vmax, k - vmax) for vmax in range(grid_class, k + 1)}
     mismatches = []
     for p in THEOREM_P_VALUES:
-        values = {
-            vmax: nets.net_scale_factor(nets.evenly_spaced(vmax, k - vmax), p)
-            for vmax in range(grid_class, k + 1)
-        }
+        values = {vmax: nets.net_scale_factor(net, p) for vmax, net in class_nets.items()}
         best = min(values.values())
         tied = sorted(v for v, value in values.items() if ties(value, best))
         predicted = k if p <= x else grid_class
@@ -238,11 +254,11 @@ def lagrange_split_check(k: int, p: float) -> VerificationReport:
     to N(0,k); the report's winner is the first of them that ties the
     minimum.
     """
+    p = check_real(p, "intruder aspect p")
     w_1 = crossover_w(1)
     if p <= w_1:
         raise DomainError(f"the split check needs the diagonal branch of the square hole: p > {w_1!r}")
-    p = check_aspect(p, "intruder aspect p")
-    k = nets.check_count(k, "line count k", minimum=2)
+    k = check_count(k, "line count k", minimum=2)
     if k % 2 != 0:
         raise DomainError(f"the split check needs even k, got {k}")
     c_prime = diagonal_branch(1, p).c / (k // 2 + 1)
@@ -281,10 +297,13 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     beat the jittered net's (ties).  Each p's candidate is its worst
     margin, the least jittered-minus-even score over its trials.
     """
-    k = nets.check_count(k, "line count k", minimum=1)
-    p_values = [check_aspect(p, "intruder aspect p") for p in p_values]
-    trials = nets.check_count(trials, "trials", minimum=1)
-    seed = nets.check_count(seed, "seed")
+    k = check_count(k, "line count k", minimum=1)
+    try:
+        p_values = [check_aspect(p, "intruder aspect p") for p in p_values]
+    except TypeError:
+        raise DomainError(f"p_values must be a sequence of intruder aspects, got {p_values!r}") from None
+    trials = check_count(trials, "trials", minimum=1)
+    seed = check_count(seed, "seed")
     candidates = []
     failures = []
     for p in p_values:
@@ -363,7 +382,7 @@ def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> Verificatio
     report carries the per-cell values and fails on any drop beyond
     PERTURBATION_TOL.
     """
-    k = nets.check_count(k, "line count k", minimum=3)
+    k = check_count(k, "line count k", minimum=3)
     (values,) = _spec_cell_values(k, [spec])
     perturbed = float(values.max())
     regular = 1.0 / (k + 1)
@@ -398,10 +417,10 @@ def perturbation_suite(k: int, trials: int, epsilon: float, seed: int) -> Verifi
     fast; results are identical to running local_perturbation_experiment
     per spec.
     """
-    k = nets.check_count(k, "line count k", minimum=3)
-    trials = nets.check_count(trials, "trials", minimum=1)
-    seed = nets.check_count(seed, "seed")
-    epsilon = check_epsilon(epsilon)
+    k = check_count(k, "line count k", minimum=3)
+    trials = check_count(trials, "trials", minimum=1)
+    seed = check_count(seed, "seed")
+    epsilon = check_real(epsilon, "epsilon", 0.0)
     rng = np.random.default_rng(seed)
     specs = [
         PerturbationSpec(

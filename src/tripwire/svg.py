@@ -21,7 +21,7 @@ def _fmt(x: float) -> str:
 def curve_plot_svg(
     series: list[tuple[str, list[tuple[float, float]], str]],
     markers: list[tuple[float, str]],
-    title: str = "",
+    title: str,
 ) -> str:
     """Line plot of (p, c) series with labeled vertical marker lines."""
     points = [pt for _, pts, _ in series for pt in pts]
@@ -43,12 +43,9 @@ def curve_plot_svg(
         f'width="{_fmt(PLOT_WIDTH)}" height="{_fmt(PLOT_HEIGHT)}" '
         f'viewBox="0 0 {_fmt(PLOT_WIDTH)} {_fmt(PLOT_HEIGHT)}">',
         f'<rect width="{_fmt(PLOT_WIDTH)}" height="{_fmt(PLOT_HEIGHT)}" fill="white"/>',
+        f'<text x="{_fmt(PLOT_WIDTH / 2)}" y="18" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(PLOT_WIDTH / 2)}" y="18" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     axis_y = PLOT_MT + plot_h
     parts.append(
         f'<line x1="{_fmt(PLOT_ML)}" y1="{_fmt(axis_y)}" x2="{_fmt(PLOT_ML + plot_w)}" '
@@ -95,7 +92,7 @@ def net_plot_svg(
     horizontal: tuple[float, ...],
     hole: tuple[float, float, float, float],
     intruder_corners: tuple[tuple[float, float], ...],
-    title: str = "",
+    title: str,
 ) -> str:
     """Unit square with its net lines, the maximizing hole, and the intruder."""
     size = NET_UNIT + 2 * NET_MARGIN
@@ -115,12 +112,9 @@ def net_plot_svg(
         f'height="{_fmt(NET_UNIT * hh)}" fill="#fff3c4" class="hole"/>',
         f'<rect x="{_fmt(px(0))}" y="{_fmt(py(1))}" width="{_fmt(NET_UNIT)}" '
         f'height="{_fmt(NET_UNIT)}" fill="none" stroke="black" stroke-width="2"/>',
+        f'<text x="{_fmt(size / 2)}" y="{_fmt(NET_MARGIN - 12)}" text-anchor="middle" '
+        f'font-family="sans-serif" font-size="14">{title}</text>',
     ]
-    if title:
-        parts.append(
-            f'<text x="{_fmt(size / 2)}" y="{_fmt(NET_MARGIN - 12)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="14">{title}</text>'
-        )
     for x in vertical:
         parts.append(
             f'<line x1="{_fmt(px(x))}" y1="{_fmt(py(0))}" x2="{_fmt(px(x))}" '

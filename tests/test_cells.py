@@ -597,6 +597,28 @@ class TestArrangementCells:
             perturbed_vertical_lines(2, spec)
 
 
+    @pytest.mark.parametrize(
+        "line, message",
+        [
+            ((1, 0, math.nan), "line 1 coefficients must be finite"),
+            ((math.inf, 0, 0.5), "line 1 coefficients must be finite"),
+            ((0, 0, 0.5), "line 1 has the zero normal"),
+            ((1, 0, "0.5"), "line 1 coefficients must be a real number"),
+            ((1, 0), r"line 1 must be a triple \(nx, ny, b\)"),
+            (None, r"line 1 must be a triple \(nx, ny, b\)"),
+        ],
+        ids=["nan-offset", "inf-normal", "zero-normal", "str-offset", "pair", "none"],
+    )
+    def test_bad_line_is_a_domain_error(self, line, message):
+        # each of these used to cut nothing or raise a raw TypeError / ValueError
+        with pytest.raises(DomainError, match=message):
+            arrangement_cells([(1, 0, 0.25), line])
+
+    def test_numpy_line_accepted(self):
+        faces = arrangement_cells([np.array([1.0, 0.0, 0.5])])
+        assert [face[:, 0].max() for face in faces] == [0.5, 1.0]
+
+
 class TestPerturbedVerticalLines:
     def test_lines_are_left_sides_in_order(self):
         spec = PerturbationSpec(shifts=(0.0, 0.01, 0.0), pivots=(0.0, 0.0, 0.02), epsilon=0.02)

@@ -97,6 +97,21 @@ class TestCurveCommand:
         assert err.value.code == 2
         assert not (tmp_path / "x.csv").exists()
 
+    @pytest.mark.parametrize(
+        "flags, message",
+        [
+            (["--p-max", "inf"], "p_max must be finite, got inf"),
+            (["--p-max", "4", "--p-min", "nan"], "p_min must be finite, got nan"),
+            (["--p-max", "4", "--step", "inf"], "step must be finite, got inf"),
+        ],
+        ids=["p-max-inf", "p-min-nan", "step-inf"],
+    )
+    def test_non_finite_range_names_its_flag(self, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as err:
+            run_main(["curve", "--n", "2", *flags, "--out", str(tmp_path / "x.csv")])
+        assert err.value.code == 2
+        assert message in capsys.readouterr().err
+
     def test_wide_hole_aspect(self, tmp_path):
         out = tmp_path / "c.json"
         code = run_main(["curve", "--n", "1e4", "--p-max", "3e4", "--step", "1000",

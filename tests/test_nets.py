@@ -1,6 +1,7 @@
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -58,6 +59,11 @@ class TestNetConstruction:
     def test_invalid_cut_positions(self, vertical):
         with pytest.raises(DomainError):
             Net(vertical=vertical, horizontal=())
+
+    def test_numpy_counts_accepted(self):
+        net = evenly_spaced(np.int64(2), 1)
+        assert net == evenly_spaced(2, 1)
+        assert net.describe() == "N(2,1)"
 
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):

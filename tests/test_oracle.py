@@ -5,10 +5,12 @@ import pytest
 
 from tripwire.cells import PerturbationSpec
 from tripwire.errors import DomainError
-from tripwire.inscribe import crossover_w, curve_value, diagonal_branch
+from tripwire.inscribe import crossover_w, curve_value, diagonal_branch, p_grid
 from tripwire.nets import crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
 from tripwire.oracle import (
+    THEOREM_P_VALUES,
     VerificationReport,
+    curve_oracle_check,
     enumerate_axis_nets,
     irregular_spacing_check,
     lagrange_split_check,
@@ -153,6 +155,10 @@ class TestLagrangeSplitCheck:
         for p in (math.inf, math.nan):
             with pytest.raises(DomainError, match="finite"):
                 lagrange_split_check(4, p)
+        # p is checked before it is compared with w_1
+        for p in (None, "5"):
+            with pytest.raises(DomainError, match="intruder aspect p must be a real number"):
+                lagrange_split_check(4, p)
         assert lagrange_split_check(4, math.nextafter(crossover_w(1), math.inf)).passed
 
     @pytest.mark.parametrize("k", [2, 4, 12])
@@ -270,6 +276,25 @@ class TestVerificationReport:
 def test_counts_are_checked_integers(call):
     with pytest.raises(DomainError):
         call()
+
+
+@pytest.mark.parametrize("p_values", [2.0, None], ids=["float", "none"])
+def test_irregular_p_values_must_be_a_sequence(p_values):
+    with pytest.raises(DomainError, match="p_values"):
+        irregular_spacing_check(3, p_values, 5, 0)
+
+
+def test_theorem_grid_is_the_shared_p_grid():
+    assert THEOREM_P_VALUES == tuple(1.0 + i / 64 for i in range(7 * 64 + 1))
+    assert THEOREM_P_VALUES == tuple(p_grid(1.0, 8.0, 1 / 64))
+
+
+def test_curve_oracle_suite_is_a_library_call():
+    report = curve_oracle_check(2.5)
+    assert report.passed
+    assert [name for name, _ in report.candidates[:3]] == ["p=1", "p=1.125", "p=1.25"]
+    assert len(report.candidates) == 73
+    assert report.parameters["max_deviation"] == max(value for _, value in report.candidates)
 
 
 @pytest.mark.parametrize("epsilon", [True, "0.02", None, math.inf], ids=["bool", "str", "none", "inf"])
