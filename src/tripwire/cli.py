@@ -19,13 +19,14 @@ identical flags and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
 
 from . import nets, svg
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count
-from .inscribe import check_aspect, crossover_w, curve_sample, p_grid, placement
+from .inscribe import _sample, check_aspect, crossover_w, p_grid, placement
 from .oracle import (
     VerificationReport,
     curve_oracle_check,
@@ -103,7 +104,7 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
 def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec) -> dict:
     """Sample the inscribing curve for hole aspect n and write it to out.path."""
     n = check_aspect(n, "hole aspect n")
-    samples = [curve_sample(n, p) for p in p_grid(p_min, p_max, step)]
+    samples = [(p, *_sample(n, p)) for p in p_grid(p_min, p_max, step)]
     w_n = crossover_w(n)
     return _write_samples(
         out,
@@ -111,9 +112,9 @@ def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec
         n,
         "markers",
         {"plateau_end": n, "vertical_end": w_n},
-        [(s.p, s.c, s.branch) for s in samples],
+        samples,
         lambda: svg.curve_plot_svg(
-            [("inscribing-curve", [(s.p, s.c) for s in samples], "#2040a0")],
+            [("inscribing-curve", [(p, c) for p, c, _ in samples], "#2040a0")],
             markers=[(n, "p=n"), (w_n, "p=w")],
             title=f"Inscribing curve, hole aspect n={_num(n, 6)}",
         ),
@@ -266,7 +267,9 @@ def cmd_verify(suite: str, args: argparse.Namespace, out_path: str) -> tuple[int
 # argument parsing
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of a process: parsing leaves it as it was."""
     parser = argparse.ArgumentParser(
         prog="tripwire",
         description="Optimal axis-aligned tripwire nets against rectangular intruders.",

@@ -4,6 +4,10 @@ A real is a finite numbers.Real that is not a bool, so numpy scalars are
 reals and strings are not; a count is a numbers.Integral that is not a
 bool.  A bound that a check does not take, such as a strict (0, 1) for a
 cut position, stays with its caller.
+
+A number is checked once, at each public entry.  Functions whose names
+start with `_` take checked floats and check nothing; a public function
+is its checks followed by a call of such a core.
 """
 
 import math

@@ -28,10 +28,13 @@ which solve in closed form as
 `curve_value` evaluates the curve as a max over the feasible candidate
 placements rather than dispatching on precomputed branch boundaries, so
 it is robust exactly at the boundaries; the value is the largest
-candidate's, and the label goes to the earliest candidate that it ties
-(`ties`).  The boundary between the vertical and diagonal
-branches is exposed separately as `crossover_w`, the largest root of
-the cubic p^3 - 3n p^2 + p + n.
+candidate's, and the label names the larger one, decided exactly where
+rounding could decide it (`curve_sample`).  The boundary between the
+vertical and diagonal branches is exposed separately as `crossover_w`,
+the largest root of the cubic p^3 - 3n p^2 + p + n.
+
+Each public function checks its numbers once and then calls one
+unchecked core (`_sample`, `_diagonal`) that takes checked floats.
 """
 
 from __future__ import annotations
@@ -118,17 +121,8 @@ class Placement:
     c: float
 
 
-def diagonal_branch(n: float, p: float) -> DiagonalSolution:
-    """Solve the corner-contact placement for p > n >= 1.
-
-    Raises DomainError for p <= n, where the constraints 0 < a1 < 1 and
-    0 < a2 < n degenerate (the limit p -> n+ collapses the contact points
-    into hole corners with a2 -> 0, a1 -> 1, c -> 1).
-    """
-    n = check_aspect(n, "hole aspect n")
-    p = check_aspect(p, "intruder aspect p")
-    if p <= n:
-        raise DomainError(f"diagonal placement needs p > n, got n={n}, p={p}")
+def _diagonal(n: float, p: float) -> tuple[float, float, float]:
+    """(a1, a2, c) of the corner-contact placement, for checked aspects p > n."""
     # Written so that nothing cancels: p - n, p - 1 and n - 1 are exact
     # wherever their operands are close (Sterbenz), q is a product rather
     # than p^2 - 1, and p n - 1 = (p - 1) n + (n - 1) adds like-signed terms.
@@ -141,31 +135,68 @@ def diagonal_branch(n: float, p: float) -> DiagonalSolution:
         # turn, with a1 = (n + (n - 1) / (p - 1)) / (p + 1).
         a1 = (n + (n - 1.0) / (p - 1.0)) / (p + 1.0)
         a2 = (p - n) / (p - 1.0) / (p + 1.0)
-    c = math.hypot(a1, a2)
-    corners = ((a1, 0.0), (1.0, n - a2), (1.0 - a1, n), (0.0, a2))
-    return DiagonalSolution(a1=a1, a2=a2, c=c, corners=corners)
+    return a1, a2, math.hypot(a1, a2)
+
+
+def _corners(n: float, a1: float, a2: float) -> tuple[tuple[float, float], ...]:
+    return ((a1, 0.0), (1.0, n - a2), (1.0 - a1, n), (0.0, a2))
+
+
+def _cubic(n: float, p: float) -> Fraction:
+    """f(p) = p^3 - 3n p^2 + p + n, exactly: for p > n it has the sign of diagonal - n/p."""
+    fp, fn = Fraction(p), Fraction(n)
+    return fp * fp * (fp - 3 * fn) + fp + fn
+
+
+def _sample(n: float, p: float) -> tuple[float, str]:
+    """(c, branch) of the curve at checked aspects n and p (curve_sample)."""
+    if p <= n:
+        return 1.0, BRANCH_PLATEAU
+    vertical, diagonal = n / p, _diagonal(n, p)[2]
+    if ties(diagonal, vertical) and ties(vertical, diagonal):
+        # Rounding could order the two either way: the exact cubic decides.
+        diagonal_wins = _cubic(n, p) > 0
+    else:
+        diagonal_wins = diagonal > vertical
+    return max(vertical, diagonal), BRANCH_DIAGONAL if diagonal_wins else BRANCH_VERTICAL
+
+
+def diagonal_branch(n: float, p: float) -> DiagonalSolution:
+    """Solve the corner-contact placement for p > n >= 1.
+
+    Raises DomainError for p <= n, where the constraints 0 < a1 < 1 and
+    0 < a2 < n degenerate (the limit p -> n+ collapses the contact points
+    into hole corners with a2 -> 0, a1 -> 1, c -> 1).
+    """
+    n = check_aspect(n, "hole aspect n")
+    p = check_aspect(p, "intruder aspect p")
+    if p <= n:
+        raise DomainError(f"diagonal placement needs p > n, got n={n}, p={p}")
+    a1, a2, c = _diagonal(n, p)
+    return DiagonalSolution(a1=a1, a2=a2, c=c, corners=_corners(n, a1, a2))
 
 
 def curve_sample(n: float, p: float) -> CurveSample:
     """Optimal scale and branch label for a 1 x p intruder in a 1 x n hole.
 
-    The scale is the largest candidate's; the label is the earliest branch,
-    in (plateau, vertical, diagonal) order, whose value the largest ties
-    (`ties(largest, value)`), so labels are deterministic at the
-    boundaries p = n and p = w_n.
+    The scale is the largest candidate's.  The label is the larger
+    branch's: by the float values where they lie more than TIE_RTOL
+    apart (`ties`), and by the exact sign of the cubic f (crossover_w)
+    inside that band, where rounding could flip the float comparison.
+    An exact tie goes to the earlier branch in (plateau, vertical,
+    diagonal) order, so p = n is labelled plateau.
     """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    if p <= n:
-        return CurveSample(p=p, c=1.0, branch=BRANCH_PLATEAU)
-    vertical, diagonal = n / p, diagonal_branch(n, p).c
-    branch = BRANCH_VERTICAL if ties(diagonal, vertical) else BRANCH_DIAGONAL
-    return CurveSample(p=p, c=max(vertical, diagonal), branch=branch)
+    c, branch = _sample(n, p)
+    return CurveSample(p=p, c=c, branch=branch)
 
 
 def curve_value(n: float, p: float) -> float:
     """The inscribing curve: max scale of a 1 x p intruder inside a 1 x n hole."""
-    return curve_sample(n, p).c
+    n = check_aspect(n, "hole aspect n")
+    p = check_aspect(p, "intruder aspect p")
+    return _sample(n, p)[0]
 
 
 def crossover_w(n: float) -> float:
@@ -194,15 +225,11 @@ def crossover_w(n: float) -> float:
     if not math.isfinite(w):
         raise DomainError(f"w_n exceeds the float range for n={n!r}")
 
-    def f(p: float) -> Fraction:
-        fp, fn = Fraction(p), Fraction(n)
-        return fp * fp * (fp - 3 * fn) + fp + fn
-
     while True:  # f increases through its largest root
         below, above = math.nextafter(w, 0.0), math.nextafter(w, math.inf)
-        if f(below) > 0:
+        if _cubic(n, below) > 0:
             w = below
-        elif f(above) < 0:
+        elif _cubic(n, above) < 0:
             w = above
         else:
             return w
@@ -214,12 +241,14 @@ def placement(n: float, p: float) -> Placement:
     Axis-aligned at the origin for the plateau and vertical branches
     (short side c along x, long side c*p along y), the corner-contact
     quadrilateral for the diagonal branch.  c is the labelled branch's own
-    scale, which a tie (`ties`) leaves up to TIE_RTOL below curve_value.
+    scale (curve_sample).
     """
-    branch = curve_sample(n, p).branch
+    n = check_aspect(n, "hole aspect n")
+    p = check_aspect(p, "intruder aspect p")
+    branch = _sample(n, p)[1]
     if branch == BRANCH_DIAGONAL:
-        solution = diagonal_branch(n, p)
-        return Placement(corners=solution.corners, branch=branch, c=solution.c)
+        a1, a2, c = _diagonal(n, p)
+        return Placement(corners=_corners(n, a1, a2), branch=branch, c=c)
     c = 1.0 if branch == BRANCH_PLATEAU else n / p
     corners = ((0.0, 0.0), (c, 0.0), (c, c * p), (0.0, c * p))
     return Placement(corners=corners, branch=branch, c=c)

@@ -20,9 +20,10 @@ family is ahead.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 
 from .errors import DomainError, check_count, check_real
-from .inscribe import check_aspect, curve_value, ties
+from .inscribe import _sample, check_aspect, ties
 
 
 @dataclass(frozen=True)
@@ -46,6 +47,11 @@ class Net:
 
     def describe(self) -> str:
         return f"N({len(self.vertical)},{len(self.horizontal)})"
+
+    @cached_property
+    def widest_hole(self) -> tuple[float, float]:
+        """(width, height) of the hole where the widest column meets the tallest row."""
+        return max(_gaps(self.vertical)), max(_gaps(self.horizontal))
 
 
 @dataclass(frozen=True)
@@ -96,8 +102,15 @@ def hole_scale(w: float, h: float, p: float) -> float:
     h = check_real(h, "hole height")
     if not (w > 0.0 and h > 0.0):
         raise DomainError(f"hole dimensions must be positive, got {w!r} x {h!r}")
+    check_aspect(max(w, h) / min(w, h), "hole aspect n")
+    p = check_aspect(p, "intruder aspect p")
+    return _hole_scale(w, h, p)
+
+
+def _hole_scale(w: float, h: float, p: float) -> float:
+    """hole_scale for positive hole sides of a finite aspect and a checked p."""
     s = min(w, h)
-    return s * curve_value(max(w, h) / s, p)
+    return s * _sample(max(w, h) / s, p)[0]
 
 
 def net_scale_factor(net: Net, p: float) -> float:
@@ -105,12 +118,11 @@ def net_scale_factor(net: Net, p: float) -> float:
 
     A larger hole contains a smaller one, so hole_scale is monotone in
     both sides and the maximum over all (V+1)(H+1) holes is attained by
-    the widest column crossed with the tallest row: one hole_scale call
-    instead of one per hole.
+    the widest column crossed with the tallest row (Net.widest_hole): one
+    hole scored instead of one per hole.
     """
     p = check_aspect(p, "intruder aspect p")
-    grid = holes(net)
-    return hole_scale(max(grid.widths), max(grid.heights), p)
+    return _hole_scale(*net.widest_hole, p)
 
 
 def maximizing_hole(net: Net, p: float) -> tuple[int, int]:
@@ -119,13 +131,14 @@ def maximizing_hole(net: Net, p: float) -> tuple[int, int]:
     Not simply the widest gaps: those of an evenly spaced net differ only
     by rounding, so there every hole ties and the answer is (0, 0).
     """
-    scale = net_scale_factor(net, p)
+    p = check_aspect(p, "intruder aspect p")
+    scale = _hole_scale(*net.widest_hole, p)
     grid = holes(net)
     return next(
         (i, j)
         for i, w in enumerate(grid.widths)
         for j, h in enumerate(grid.heights)
-        if ties(scale, hole_scale(w, h, p))
+        if ties(scale, _hole_scale(w, h, p))
     )
 
 
@@ -139,14 +152,22 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     grid (ties); the value returned is the winning family's own.
     """
     k = check_count(k, "line count k", minimum=1)
-    parallel = curve_value(k + 1, p) / (k + 1)
+    n = check_aspect(k + 1, "hole aspect n")
+    p = check_aspect(p, "intruder aspect p")
+    parallel = _sample(n, p)[0] / (k + 1)
     if k % 2 == 0:
-        grid = curve_value(1, p) / (k // 2 + 1)
+        grid = _sample(1.0, p)[0] / (k // 2 + 1)
     else:
-        grid = net_scale_factor(evenly_spaced(k - k // 2, k // 2), p)
+        grid = _hole_scale(*_odd_grid_hole(k), p)
     if ties(parallel, grid):
         return parallel, "parallel"
     return grid, "grid"
+
+
+@lru_cache(maxsize=256)
+def _odd_grid_hole(k: int) -> tuple[float, float]:
+    """Net.widest_hole of the odd-k grid net N(ceil(k/2), floor(k/2)), built once per k."""
+    return evenly_spaced(k - k // 2, k // 2).widest_hole
 
 
 def crossover_aspect(k: int) -> float:

@@ -108,7 +108,7 @@ def curve_oracle_check(n: float) -> VerificationReport:
     try:
         grid = p_grid(1.0, 4.0 * n, 0.125)
     except DomainError as exc:
-        raise DomainError(f"--n {n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
+        raise DomainError(f"n={n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
     candidates, failures = [], []
     for p in grid:
         exact = oracle_curve_value(n, p)

@@ -56,6 +56,15 @@ class TestCurveCommand:
         values = [float(r[1]) for r in rows]
         assert all(b <= a + 1e-12 for a, b in zip(values, values[1:]))
 
+    def test_labels_inside_the_tie_band_are_exact(self, tmp_path):
+        # every p lies above w_n, where the diagonal wins by under TIE_RTOL
+        out = tmp_path / "band.csv"
+        code = run_main(["curve", "--n", "163324.44039590604", "--p-min", "530888.3", "--p-max", "530888.7",
+                         "--step", "0.1", "--out", str(out)])
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines() if not line.startswith(("#", "p,"))]
+        assert [branch for _, _, branch in rows] == ["diagonal"] * 5
+
     def test_byte_identical_across_runs(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
         args = ["curve", "--n", "1.5", "--p-max", "3", "--step", "0.05", "--format", "csv"]
@@ -327,7 +336,7 @@ class TestVerifyCommand:
             run_main(["verify", "curve-oracle", "--n", "1e5", "--out", str(out)])
         assert err.value.code == 2
         message = capsys.readouterr().err
-        assert "--n 100000.0 is too large" in message and "4n" in message
+        assert "n=100000.0 is too large" in message and "--n" not in message and "4n" in message
         assert not out.exists()
 
     def test_irregular_suite(self, tmp_path):

@@ -11,6 +11,7 @@ from tripwire.inscribe import (
     BRANCH_DIAGONAL,
     BRANCH_PLATEAU,
     BRANCH_VERTICAL,
+    TIE_RTOL,
     check_aspect,
     crossover_w,
     curve_sample,
@@ -19,6 +20,12 @@ from tripwire.inscribe import (
     placement,
 )
 from tripwire.oracle import oracle_curve_value
+
+
+def cubic(n, p):
+    """p^3 - 3n p^2 + p + n in exact arithmetic: for p > n, positive where the diagonal beats n/p."""
+    fp, fn = Fraction(p), Fraction(n)
+    return fp**3 - 3 * fn * fp**2 + fp + fn
 
 
 def equation_residuals(n, p, sol):
@@ -199,12 +206,7 @@ class TestCrossoverW:
         # w_n is the largest root of p^3 - 3n p^2 + p + n; evaluated exactly,
         # the cubic changes sign between the two floats next to the result.
         w = crossover_w(n)
-
-        def cubic(p):
-            fp, fn = Fraction(p), Fraction(n)
-            return fp**3 - 3 * fn * fp**2 + fp + fn
-
-        assert cubic(math.nextafter(w, 0.0)) <= 0 <= cubic(math.nextafter(w, math.inf)), n
+        assert cubic(n, math.nextafter(w, 0.0)) <= 0 <= cubic(n, math.nextafter(w, math.inf)), n
 
     def test_overflow_is_a_domain_error(self):
         assert crossover_w(1e300) == 3e300
@@ -223,6 +225,39 @@ class TestCrossoverW:
         assert oracle_curve_value(2, w) == pytest.approx(2 / w, rel=1e-14)
         beyond = w * 1.05
         assert oracle_curve_value(2, beyond) > 2 / beyond + 1e-4
+
+
+class TestExactBranchLabels:
+    # Above p = n the label is the exactly larger branch, also where the two
+    # scales lie within TIE_RTOL of each other and rounding could flip them.
+    @given(log_n=st.floats(min_value=0.0, max_value=12.0), log_ratio=st.floats(min_value=0.0, max_value=3.0))
+    @settings(max_examples=300, deadline=None)
+    def test_label_is_the_sign_of_the_cubic(self, log_n, log_ratio):
+        n = 10.0**log_n
+        p = n * 10.0**log_ratio
+        assume(p > n)
+        expected = BRANCH_DIAGONAL if cubic(n, p) > 0 else BRANCH_VERTICAL
+        assert curve_sample(n, p).branch == expected
+
+    @given(log_n=st.floats(min_value=0.0, max_value=12.0), ulps=st.integers(min_value=-64, max_value=64))
+    @settings(max_examples=300, deadline=None)
+    def test_label_flips_at_the_exact_root(self, log_n, ulps):
+        n = 10.0**log_n
+        p = crossover_w(n) + ulps * math.ulp(crossover_w(n))
+        expected = BRANCH_DIAGONAL if cubic(n, p) > 0 else BRANCH_VERTICAL
+        assert curve_sample(n, p).branch == expected
+
+    def test_a_wide_tie_band_is_labelled_diagonal(self):
+        # w_n = 489973.32...; here the diagonal beats n/p by about TIE_RTOL,
+        # and rounding alone used to alternate the labels.
+        n = 163324.44039590604
+        assert abs(diagonal_branch(n, 530888.5).c - n / 530888.5) <= n / 530888.5 * TIE_RTOL
+        for p in (530888.3, 530888.4, 530888.5, 530888.6, 530888.7):
+            vertical, sample = n / p, curve_sample(n, p)
+            assert abs(diagonal_branch(n, p).c - vertical) <= vertical * 2 * TIE_RTOL
+            assert sample.branch == BRANCH_DIAGONAL
+            assert placement(n, p).branch == BRANCH_DIAGONAL
+            assert placement(n, p).c == pytest.approx(sample.c, rel=1e-15)
 
 
 class TestPlacement:

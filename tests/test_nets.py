@@ -180,7 +180,12 @@ class TestNetScaleFactorMatchesAllHoles:
     @settings(max_examples=300, deadline=None)
     def test_random_nets(self, v, h, p):
         net = random_net(v, h)
+        grid = holes(net)
+        assert net.widest_hole == (max(grid.widths), max(grid.heights))
+        assert net_scale_factor(net, p) == hole_scale(*net.widest_hole, p)
         assert net_scale_factor(net, p) == pytest.approx(all_holes_scale_factor(net, p), rel=1e-15)
+        i, j = maximizing_hole(net, p)
+        assert ties(net_scale_factor(net, p), hole_scale(grid.widths[i], grid.heights[j], p))
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_evenly_spaced_nets_over_the_theorem_grid(self, k):
