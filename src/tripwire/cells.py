@@ -15,8 +15,13 @@ alpha_i cos(theta) + beta_i sin(theta), so with A = cp cos(theta) and
 B = cp sin(theta) the rectangles of that piece are a polytope in
 (x, A, B).  The long side |(A, B)| is convex, so its maximum there is at
 a vertex (Rockafellar, Convex Analysis, section 32): largest_rectangles
-enumerates every vertex of every piece, batched over cells with the same
-edge count, in chunks of bounded size.
+enumerates every vertex of every piece of non-zero width, batched over
+cells with the same edge count, in chunks of bounded size.
+
+Cells are normalised the same way: one numpy pass per block of cells with
+the same vertex count checks them and turns them counter-clockwise, and a
+cell that drops vertices is normalised again in the block of its new
+count.  convex_cell is the one-cell case of that pass.
 """
 
 from __future__ import annotations
@@ -39,7 +44,8 @@ from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, 
 GEO_TOL = 1e-15
 
 # Most elements in one of the kernel's work arrays: the (piece, quadruple,
-# row) vertex check of a chunk of pieces.
+# row) vertex check of a chunk of pieces, or its 4 x 6 Laplace terms per
+# (piece, quadruple), whichever is larger.
 CHECK_BUDGET = 1 << 20
 
 # Height on each shifted line about which perturbed_vertical_lines pivots it.
@@ -65,58 +71,143 @@ def convex_cell(points) -> np.ndarray:
     a coordinate that is not a finite real or a non-convex vertex
     sequence.  Zero area and collinearity are judged against the
     rounding of the quantities tested, so a valid cell stays valid
-    however thin it is.
+    however thin it is.  This is the one-cell case of the block
+    normalisation that largest_rectangles runs on its cells.
     """
-    if isinstance(points, np.ndarray) and points.dtype == float:
-        if not np.isfinite(points).all():
-            raise DomainError("cell vertex coordinates must be finite")
-        poly = points
-    else:
-        raw = np.asarray(points, dtype=object)
-        poly = np.array([check_real(x, "cell vertex coordinates") for x in raw.flat]).reshape(raw.shape)
-    if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
-        raise DegenerateCellError(f"cell needs at least 3 planar points, got shape {poly.shape}")
+    blocks, failures = _convex_blocks([points])
+    if failures:
+        raise failures[0]
+    ((_, poly),) = blocks.values()
+    return poly[0]
 
-    # Tolerances follow the cell's size along each axis, not its distance
-    # from the origin.
-    centred = poly - _centre(poly)
-    extent = np.maximum(1.0, np.abs(centred).max(axis=0))
-    scale = float(extent.max())
 
-    # Drop consecutive duplicates (closed polygon).
-    distinct = ~(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent).all(axis=1)
-    poly = poly[distinct]
-    centred = centred[distinct]
-    if len(poly) < 3:
-        raise DegenerateCellError("cell collapses to fewer than 3 distinct vertices")
+def _convex_blocks(cells) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
+    """Normalise cells as convex_cell does, one numpy pass per block of cells
+    with the same vertex count.
 
+    Returns {m: (indices, (G, m, 2) cells)}, indices ascending and blocks in
+    the order of their first index, and {index: error} for the cells that
+    fail.  A cell that drops vertices joins a block of its new count and
+    keeps the size, and so the tolerances, of the cell it was given.
+    """
+    failures: dict[int, ValueError] = {}
+    shapes: dict[tuple, tuple[list, list]] = {}
+    for idx, points in enumerate(cells):
+        if isinstance(points, np.ndarray) and points.dtype == float:
+            poly = points
+        else:
+            try:
+                raw = np.asarray(points, dtype=object)
+                poly = np.array([check_real(x, "cell vertex coordinates") for x in raw.flat]).reshape(raw.shape)
+            except DomainError as exc:
+                failures[idx] = exc
+                continue
+        group = shapes.setdefault(poly.shape, ([], []))
+        group[0].append(idx)
+        group[1].append(poly)
+
+    done: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    for shape, (idxs, polys) in shapes.items():
+        idx, poly = np.array(idxs), np.array(polys)
+        finite = np.isfinite(poly).all(axis=tuple(range(1, poly.ndim)))
+        if not finite.all():
+            _fail(failures, idx[~finite], DomainError("cell vertex coordinates must be finite"))
+            idx, poly = idx[finite], poly[finite]
+        if len(shape) != 2 or shape[1] != 2 or shape[0] < 3:
+            _fail(failures, idx, DegenerateCellError(f"cell needs at least 3 planar points, got shape {shape}"))
+            continue
+
+        # Tolerances follow each cell's size along each axis, not its
+        # distance from the origin.  Drop consecutive duplicates (closed
+        # polygon).
+        centred = poly - _centre(poly)
+        extent = np.maximum(1.0, np.abs(centred).max(axis=1))
+        scale = extent.max(axis=1)
+        distinct = ~(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent[:, None, :]).all(axis=2)
+        for m, rows, keep in _vertex_counts(distinct):
+            if m < 3:
+                _fail(failures, idx[rows], DegenerateCellError("cell collapses to fewer than 3 distinct vertices"))
+            else:
+                _orient(idx[rows], _cut(poly, rows, keep), _cut(centred, rows, keep), scale[rows], failures, done)
+
+    blocks = {}
+    for m, parts in done.items():
+        if len(parts) == 1:
+            blocks[m] = parts[0]
+        else:
+            idx, poly = (np.concatenate(part) for part in zip(*parts))
+            order = np.argsort(idx)
+            blocks[m] = idx[order], poly[order]
+    return dict(sorted(blocks.items(), key=lambda block: block[1][0][0])), failures
+
+
+def _fail(failures: dict[int, ValueError], idx: np.ndarray, exc: ValueError) -> None:
+    """Record exc as the error of each cell in idx."""
+    for i in idx.tolist():
+        failures[i] = exc
+
+
+def _vertex_counts(keep: np.ndarray) -> list:
+    """Split a block by how many vertices each cell keeps: (m, rows, keep)
+    per count m, keep None where no cell drops a vertex."""
+    if not len(keep):
+        return []
+    if keep.all():
+        return [(keep.shape[1], slice(None), None)]
+    counts = keep.sum(axis=1)
+    return [(m, counts == m, keep) for m in np.unique(counts).tolist()]
+
+
+def _cut(block: np.ndarray, rows, keep) -> np.ndarray:
+    """The cells `rows` of a block with only the vertices that `keep` keeps."""
+    if keep is None:
+        return block
+    block = block[rows]
+    return block[keep[rows]].reshape(len(block), -1, 2)
+
+
+def _orient(idx, poly, centred, scale, failures, done) -> None:
+    """Reject zero-area cells of a block and turn the others counter-clockwise."""
     # Twice the signed area, against the size of the products it sums, in
-    # units of 4**e: the cell scaled by 2**-e (exact), so that no sum overflows.
-    e = math.frexp(scale)[1]
-    unit = np.ldexp(centred, -e)
+    # units of 4**e: each cell scaled by 2**-e (exact), so that no sum
+    # overflows.
+    e = np.frexp(scale)[1]
+    unit = np.ldexp(centred, -e[:, None, None])
     after = _turn(unit, 1)
-    area2 = float(_cross2(unit, after).sum())
-    if abs(area2) <= 2e-15 * float(np.abs(unit * after[:, ::-1]).sum()):
-        raise DegenerateCellError(f"cell has zero area (2A = {area2!r} * 4**{e})")
-    if area2 < 0.0:
-        poly = poly[::-1].copy()
+    area2 = _cross2(unit, after).sum(axis=1)
+    flat = np.abs(area2) <= 2e-15 * np.abs(unit * after[..., ::-1]).sum(axis=(1, 2))
+    if flat.any():
+        for i in np.flatnonzero(flat).tolist():
+            failures[int(idx[i])] = DegenerateCellError(f"cell has zero area (2A = {float(area2[i])!r} * 4**{int(e[i])})")
+        idx, poly, scale, area2 = idx[~flat], poly[~flat], scale[~flat], area2[~flat]
+    clockwise = area2 < 0.0
+    if clockwise.any():
+        poly = np.where(clockwise[:, None, None], poly[:, ::-1], poly)
+    _convexity(idx, poly, scale, failures, done)
 
-    # Convexity and collinear-vertex removal on the CCW polygon: a vertex
-    # is straight when its turn is below 1e-12 rad, and a reflex turn
-    # within 1e-12 of the cell's size squared is taken as rounding.
-    while True:
-        back = poly - _turn(poly, -1)
-        ahead = _turn(poly, 1) - poly
-        cross = _cross2(back, ahead)
-        if (cross < -1e-12 * scale * scale).any():
-            raise DomainError("cell must be convex")
-        straight = cross <= 1e-12 * np.hypot(*back.T) * np.hypot(*ahead.T)
-        if not straight.any():
-            break
-        poly = poly[~straight]
-        if len(poly) < 3:
-            raise DegenerateCellError("cell has zero area after collinear-vertex removal")
-    return poly
+
+def _convexity(idx, poly, scale, failures, done) -> None:
+    """Reject non-convex CCW cells of a block and drop their collinear vertices.
+
+    A vertex is straight when its turn is below 1e-12 rad, and a reflex turn
+    within 1e-12 of the cell's size squared is taken as rounding.
+    """
+    back = poly - _turn(poly, -1)
+    ahead = _turn(poly, 1) - poly
+    cross = _cross2(back, ahead)
+    with np.errstate(over="ignore"):  # a size squared past the float limit is inf
+        reflex = (cross < (-1e-12 * scale * scale)[:, None]).any(axis=1)
+    straight = cross <= 1e-12 * np.hypot(back[..., 0], back[..., 1]) * np.hypot(ahead[..., 0], ahead[..., 1])
+    if reflex.any():
+        _fail(failures, idx[reflex], DomainError("cell must be convex"))
+        idx, poly, scale, straight = idx[~reflex], poly[~reflex], scale[~reflex], straight[~reflex]
+    for m, rows, keep in _vertex_counts(~straight):
+        if m == poly.shape[1]:
+            done.setdefault(m, []).append((idx[rows], poly[rows]))
+        elif m < 3:
+            _fail(failures, idx[rows], DegenerateCellError("cell has zero area after collinear-vertex removal"))
+        else:
+            _convexity(idx[rows], _cut(poly, rows, keep), scale[rows], failures, done)
 
 
 def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -164,32 +255,29 @@ def _vertices(cell_minors, cell, alpha, beta, offsets, m: int) -> tuple:
     four (K, Q) arrays, NaN where the quadruple is singular (GEO_TOL).
 
     cell_minors (4, G, P): _minors of the cells' columns (n_x, n_y, b);
-    cell (K,): each piece's cell, ascending; alpha, beta, offsets (K, m + 2):
-    each piece's rows.  Cramer's rule, each determinant expanded along its
-    (n_x, n_y) columns term by term in a fixed order, so that chunking does
-    not change a bit.
+    cell (K,): each piece's cell; alpha, beta, offsets (K, m + 2): each
+    piece's rows.  Cramer's rule, each determinant expanded along its
+    (n_x, n_y) columns: the six terms of every expansion are gathered at
+    once and summed in a fixed order, so that chunking does not change a
+    bit.
     """
     pairs, lead, rest, _ = _quadruples(m)
     piece_minors = _minors(alpha, beta, offsets, pairs[:, : pairs.shape[1] // 2])
-    cell_minors, cell = cell_minors[:, cell[0] : cell[-1] + 1], cell - cell[0]
-    det = size = x = y = big_a = big_b = 0.0
-    for k in range(6):
-        xy, xy_size, by, xb = cell_minors[..., lead[k]][:, cell]
-        ab, ab_size, b_beta, alpha_b = piece_minors[:, :, rest[k]]
-        det = det + xy * ab
-        size = size + xy_size * ab_size
-        x = x + by * ab
-        y = y + xb * ab
-        big_a = big_a + xy * b_beta
-        big_b = big_b + xy * alpha_b
+    xy, xy_size, by, xb = cell_minors[:, cell[:, None], lead[:, None, :]]
+    ab, ab_size, b_beta, alpha_b = piece_minors[:, np.arange(len(cell))[:, None], rest[:, None, :]]
+    det, size, x, y, big_a, big_b = (
+        np.add.reduce(u * v, axis=0)
+        for u, v in ((xy, ab), (xy_size, ab_size), (by, ab), (xb, ab), (xy, b_beta), (xy, alpha_b))
+    )
     det[~(np.abs(det) > GEO_TOL * size)] = np.nan
     return x / det, y / det, big_a / det, big_b / det
 
 
 def _centre(poly: np.ndarray) -> np.ndarray:
     """Vertex mean (..., 1, 2) of cells (..., m, 2), summed at 2**-k > 1/m: no overflow."""
-    k = poly.shape[-2].bit_length()
-    return np.ldexp(np.ldexp(poly, -k).mean(axis=-2, keepdims=True), k)
+    m = poly.shape[-2]
+    k = m.bit_length()
+    return np.ldexp(np.add.reduce(np.ldexp(poly, -k), axis=-2, keepdims=True) / m, k)
 
 
 def largest_rectangles(cells, p) -> np.ndarray:
@@ -201,35 +289,31 @@ def largest_rectangles(cells, p) -> np.ndarray:
     (alpha_i, beta_i carry q = 1/p and the signs at its midpoint) the LP in
     (x, y, A, B) has the m cell rows (n_i, alpha_i, beta_i | b_i) and the
     wedge rows (0, 0, sin t0, -cos t0 | 0) and (0, 0, -sin t1, cos t1 | 0).
-    Every quadruple of rows but the end wedge's gives a vertex (one at t1 is
-    one at the next piece's start), kept where its quadruple is not singular
-    (a square's inscribed squares form a continuum), it meets every row
-    outside its quadruple within GEO_TOL of that row's terms (its own rows
-    only up to Cramer's rounding, larger on a thin cell), and A cos + B sin
-    at the midpoint is >= 0 (a zero-width piece leaves the wedge a line).
+    A piece of zero width (a repeated breakpoint) is skipped: its
+    rectangles are feasible at the next piece's start.  On every other
+    piece, every quadruple of rows but the end wedge's gives a vertex (one
+    at t1 is one at the next piece's start), kept where its quadruple is
+    not singular (a square's inscribed squares form a continuum), it meets
+    every row outside its quadruple within GEO_TOL of that row's terms (its
+    own rows only up to Cramer's rounding, larger on a thin cell), and
+    A cos + B sin at the midpoint is >= 0 (on a piece narrower than that
+    rounding the wedge rows admit the opposite direction too).
     The largest |(A, B)| kept is cp.  p must be a finite real >= 1
     (DomainError otherwise); at p = 1 this is largest_squares.  The errors
-    of convex_cell, and a DegenerateCellError where no vertex has a
-    positive side (a cell with interior always has one), name the cell by
-    its index in `cells`.
+    of convex_cell, raised for the failing cell of lowest index, and a
+    DegenerateCellError where no vertex has a positive side (a cell with
+    interior always has one), name the cell by its index in `cells`.
     """
     p = check_real(p, "rectangle aspect p", 1.0)
-    polys = []
-    for idx, cell in enumerate(cells):
-        try:
-            polys.append(convex_cell(cell))
-        except (DegenerateCellError, DomainError) as exc:
-            raise type(exc)(f"cell {idx}: {exc}") from exc
-    result = np.zeros(len(polys))
+    blocks, failures = _convex_blocks(cells)
+    if failures:
+        idx = min(failures)
+        raise type(failures[idx])(f"cell {idx}: {failures[idx]}") from failures[idx]
+    result = np.zeros(sum(len(idxs) for idxs, _ in blocks.values()))
     q = 1.0 / p
 
-    by_edge_count: dict[int, list[int]] = {}
-    for idx, poly in enumerate(polys):
-        by_edge_count.setdefault(len(poly), []).append(idx)
-
-    for m, idxs in by_edge_count.items():
-        block = np.stack([polys[idx] for idx in idxs])
-        block = block - _centre(block)
+    for m, (idxs, polys) in blocks.items():
+        block = polys - _centre(polys)
         _, exponent = np.frexp(np.abs(block).max(axis=(1, 2)))
         normals, cell_offsets = _halfplanes(np.ldexp(block, -exponent[:, None, None]))
         n1, n2 = normals[:, None, :, 0], normals[:, None, :, 1]
@@ -260,10 +344,13 @@ def largest_rectangles(cells, p) -> np.ndarray:
         pairs, _, _, members = _quadruples(m)
         cell_minors = _minors(nx, ny, offsets, pairs)
         owner = np.repeat(np.arange(len(idxs)), pieces)
-        best = np.empty(len(owner))
-        step = max(1, CHECK_BUDGET // (len(members) * (m + 2)))
-        for lo in range(0, len(owner), step):
-            chunk = slice(lo, lo + step)
+        # A zero-width piece (a repeated breakpoint) starts where the next
+        # one does, so only the others are solved.
+        wide = np.flatnonzero(ends > breaks)
+        best = np.full(len(owner), -np.inf)
+        step = max(1, CHECK_BUDGET // (len(members) * max(m + 2, 24)))
+        for lo in range(0, len(wide), step):
+            chunk = wide[lo : lo + step]
             cell, a, b = owner[chunk], alpha[chunk], beta[chunk]
             rb = offsets[cell]
             with np.errstate(invalid="ignore", over="ignore"):
@@ -286,10 +373,9 @@ def largest_rectangles(cells, p) -> np.ndarray:
         sides = np.ldexp(best.reshape(-1, pieces).max(axis=1), exponent) / p
         bad = np.flatnonzero(~(sides > 0.0))
         if len(bad):
-            idx = idxs[bad[0]]
             raise DegenerateCellError(
-                f"cell {idx} has no feasible LP vertex with a positive side "
-                f"(best {float(sides[bad[0]])!r}): {polys[idx].tolist()}"
+                f"cell {idxs[bad[0]]} has no feasible LP vertex with a positive side "
+                f"(best {float(sides[bad[0]])!r}): {polys[bad[0]].tolist()}"
             )
         result[idxs] = sides
     return result
@@ -399,11 +485,11 @@ def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarra
     place.  So a line that misses the open square or repeats another
     cuts nothing, and non-crossing lines listed left to right, left sides
     first, give their faces left to right.  Faces are counter-clockwise
-    (m, 2) arrays, not normalised (a vertex may repeat); largest_squares
-    does that.  Three or more lines through one interior point can leave
-    a face of zero area, which the kernel rejects (DegenerateCellError).
-    A line that is not three finite reals with (nx, ny) != 0 raises
-    DomainError.
+    (m, 2) arrays, not normalised (a vertex may repeat); largest_rectangles
+    normalises them, as convex_cell does, in one pass per block.  Three or
+    more lines through one interior point can leave a face of zero area,
+    which the kernel rejects (DegenerateCellError).  A line that is not
+    three finite reals with (nx, ny) != 0 raises DomainError.
     """
     faces = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
     for idx, line in enumerate(lines):

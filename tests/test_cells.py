@@ -20,6 +20,7 @@ from tripwire.errors import (
     DegenerateCellError,
     DomainError,
     InvalidPerturbationError,
+    check_real,
 )
 from tripwire.inscribe import curve_value, diagonal_branch
 from tripwire.nets import evenly_spaced, net_scale_factor
@@ -143,6 +144,48 @@ def zoomed_fixed_angle_lp(poly, p, count, rounds=14, points=21):
     return grid, best
 
 
+def loop_convex_cell(points):
+    """Reference for cells.convex_cell: the same checks on one cell with
+    Python scalars and a loop over collinear-vertex removal, as the module
+    ran them before it normalised cells in blocks."""
+    if isinstance(points, np.ndarray) and points.dtype == float:
+        if not np.isfinite(points).all():
+            raise DomainError("cell vertex coordinates must be finite")
+        poly = points
+    else:
+        raw = np.asarray(points, dtype=object)
+        poly = np.array([check_real(x, "cell vertex coordinates") for x in raw.flat]).reshape(raw.shape)
+    if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
+        raise DegenerateCellError(f"cell needs at least 3 planar points, got shape {poly.shape}")
+    centred = poly - np.ldexp(np.ldexp(poly, -len(poly).bit_length()).mean(axis=0), len(poly).bit_length())
+    extent = np.maximum(1.0, np.abs(centred).max(axis=0))
+    scale = float(extent.max())
+    distinct = ~(np.abs(poly - np.roll(poly, -1, axis=0)) <= 1e-15 * extent).all(axis=1)
+    poly, centred = poly[distinct], centred[distinct]
+    if len(poly) < 3:
+        raise DegenerateCellError("cell collapses to fewer than 3 distinct vertices")
+    e = math.frexp(scale)[1]
+    unit = np.ldexp(centred, -e)
+    after = np.roll(unit, -1, axis=0)
+    area2 = float((unit[:, 0] * after[:, 1] - unit[:, 1] * after[:, 0]).sum())
+    if abs(area2) <= 2e-15 * float(np.abs(unit * after[:, ::-1]).sum()):
+        raise DegenerateCellError(f"cell has zero area (2A = {area2!r} * 4**{e})")
+    if area2 < 0.0:
+        poly = poly[::-1]
+    while True:
+        back = poly - np.roll(poly, 1, axis=0)
+        ahead = np.roll(poly, -1, axis=0) - poly
+        cross = back[:, 0] * ahead[:, 1] - back[:, 1] * ahead[:, 0]
+        if (cross < -1e-12 * scale * scale).any():
+            raise DomainError("cell must be convex")
+        straight = cross <= 1e-12 * np.hypot(*back.T) * np.hypot(*ahead.T)
+        if not straight.any():
+            return poly
+        poly = poly[~straight]
+        if len(poly) < 3:
+            raise DegenerateCellError("cell has zero area after collinear-vertex removal")
+
+
 def random_convex_polygon(count, rng):
     """count points on a random ellipse, turned and moved: always convex."""
     t = np.sort(rng.uniform(0.0, 2.0 * math.pi, count))
@@ -211,6 +254,12 @@ class TestConvexCell:
         poly = convex_cell([(0, 0), (0.5, 0), (1, 0), (1, 1), (0, 1)])
         assert len(poly) == 4
 
+    def test_dropping_a_vertex_can_straighten_the_next(self):
+        # (1, 2e-13) turns back within the reflex tolerance and goes first;
+        # the chord from (0, 0) then leaves (2, 0) a turn below 1e-12 rad
+        poly = convex_cell([(0, 0), (1, 2e-13), (2, 0), (3, 0.9e-12), (3, 1), (0, 1)])
+        assert poly.tolist() == [[0.0, 0.0], [3.0, 0.9e-12], [3.0, 1.0], [0.0, 1.0]]
+
     @pytest.mark.parametrize("n", [1e13, 1e300])
     def test_thin_cell_keeps_its_corners(self, n):
         # collinearity is a turn below 1e-12 rad, not a cross product below
@@ -225,6 +274,66 @@ class TestConvexCell:
     def test_nonconvex_rejected(self):
         with pytest.raises(DomainError):
             convex_cell([(0, 0), (1, 0), (0.2, 0.2), (0, 1)])
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0, 0), (0, 1), (1, 1), (1, 0)],
+            [(0, 0), (1, 0), (1, 0), (1, 1), (0, 1), (0, 0)],
+            [(0, 0), (0.5, 0), (1, 0), (1, 1), (0.5, 1), (0, 1)],
+            [(0, 0), (0.5, 0), (1, 0), (1, 1e300), (0, 1e300)],
+            [(0, 0), (1, 0), (1, 1e-300), (0, 1e-300)],
+            *THIN_CELLS.values(),
+            arrangement_cells([(1, -1, 0), (1, 1, 1)])[1],
+            [(0, 0), (1, 0), (2, 0)],
+            [(0, 0)] * 4,
+            [(0, 0), (2, 0), (1, 0.5), (1, 2)],
+            [(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-13), (0, 1)],
+            np.array([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)]),
+            [(0, 0), (1, 0), ("a", 1)],
+            [(0, 0), (1, 0)],
+            np.zeros((3, 3)),
+        ],
+    )
+    def test_matches_the_loop_reference(self, points):
+        try:
+            expected = loop_convex_cell(points)
+        except (DegenerateCellError, DomainError) as exc:
+            with pytest.raises(type(exc)) as raised:
+                convex_cell(points)
+            assert str(raised.value) == str(exc)
+        else:
+            assert np.array_equal(convex_cell(points), expected)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_one_batch_equals_each_cell_alone(self, seed, count):
+        # random convex polygons of any size, some far from the origin for
+        # their size, some clockwise, some with a repeated or a collinear
+        # vertex, normalised as one batch
+        rng = np.random.default_rng(seed)
+        polys = []
+        for _ in range(count):
+            size = 10.0 ** rng.uniform(-6, 6)
+            poly = random_convex_polygon(int(rng.integers(3, 8)), rng) * size
+            poly += rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(0, 3) * size
+            edit = rng.integers(4)
+            i = int(rng.integers(len(poly)))
+            if edit == 1:
+                poly = poly[::-1]
+            elif edit == 2:
+                poly = np.insert(poly, i, poly[i], axis=0)
+            elif edit == 3:
+                poly = np.insert(poly, i, 0.5 * (poly[i - 1] + poly[i]), axis=0)
+            polys.append(poly)
+        blocks, failures = cells._convex_blocks(polys)
+        assert failures == {}
+        batch = {int(i): poly for idxs, block in blocks.values() for i, poly in zip(idxs, block)}
+        assert sorted(batch) == list(range(count))
+        for i, poly in enumerate(polys):
+            assert np.array_equal(batch[i], convex_cell(poly))
+            assert np.array_equal(batch[i], loop_convex_cell(poly))
+        assert all(np.all(np.diff(idxs) > 0) for idxs, _ in blocks.values())
 
 
 class TestLargestSquare:
@@ -305,7 +414,10 @@ class TestLargestSquare:
 
     def test_mixed_batch_matches_single_cells(self):
         # 3- to 6-gons in one call: cells are grouped by edge count, and the
-        # 5- and 6-gons solve 10 and 20 constraint triples per orientation
+        # 5- and 6-gons solve more vertex quadruples per piece.  The last
+        # four need normalising: a clockwise triangle, a repeated and a
+        # collinear vertex (quads that join the 4-gon block), and a raw
+        # arrangement face with two repeated vertices (a triangle).
         batch = [
             regular_polygon(3, 0.5, 0.2, (0.1, 0.2)),
             [(0, 0), (0.7, 0), (0.6, 0.4), (0.1, 0.5)],
@@ -315,10 +427,16 @@ class TestLargestSquare:
             [(0, 0), (0.5, -0.1), (0.9, 0.3), (0.4, 0.8), (-0.1, 0.4)],
             regular_polygon(6, 0.2, 0.05, (0.5, 0.5)),
             [(0, 0), (1, 0), (0.3, 0.9)],
+            [(0, 0), (0.3, 0.9), (1, 0)],
+            [(0, 0), (0.7, 0), (0.7, 0), (0.6, 0.4), (0.1, 0.5)],
+            [(0, 0), (0.35, 0), (0.7, 0), (0.6, 0.4), (0.1, 0.5)],
+            arrangement_cells([(1, -1, 0), (1, 1, 1)])[0],
         ]
-        singles = [largest_square_in_cell(cell) for cell in batch]
-        assert largest_squares(batch) == pytest.approx(singles, rel=1e-15)
-        assert all(value > 0.0 for value in singles)
+        assert [len(convex_cell(cell)) for cell in batch[-4:]] == [3, 4, 4, 3]
+        for p in (1.0, 2.5):
+            singles = [largest_rectangles([cell], p)[0] for cell in batch]
+            assert np.array_equal(largest_rectangles(batch, p), singles)
+            assert all(value > 0.0 for value in singles)
 
     # 20,001 orientations put every angle within pi/80000 of a sampled one,
     # and the side moves by well under 1e-4 relative over that step.
@@ -437,6 +555,56 @@ class TestLargestRectangles:
         triangle = [(0, 0), (1, 0), (0, 1)]
         with pytest.raises(error, match=f"^{message}"):
             largest_squares([triangle, bad, triangle])
+
+    @pytest.mark.parametrize(
+        "bad",
+        [
+            np.array([(0.0, 0.0), (1.0, 0.0), (1.0, np.nan), (0.0, 1.0)]),
+            np.array([(0.0, 0.0), (1.0, 0.0), (np.inf, 1.0), (0.0, 1.0)]),
+            [(0, 0), (2, 0), (1, 0.5), (1, 2)],
+            [(0, 0), (1, 0), (2, 0), (3, 0)],
+            [(0, 0), (1, 0), (1, 1), ("1", 1)],
+        ],
+        ids=["nan", "inf", "non-convex", "zero-area", "string"],
+    )
+    @pytest.mark.parametrize("index", [0, 2, 5])
+    def test_bad_cell_in_a_batch_fails_as_it_does_alone(self, bad, index):
+        # the bad cell shares its block with clean 4-gons, one of them
+        # clockwise and one with a repeated vertex; under the RuntimeWarning
+        # filter a NaN or inf cell must not warn in the block's arithmetic
+        clean = [
+            np.array([(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]),
+            [(0, 0), (0, 1), (1, 1), (1, 0)],
+            regular_polygon(4, 0.5, 0.3, (2.0, 1.0)),
+            [(0, 0), (1, 0), (1, 0), (0.5, 1)],
+            regular_polygon(4, 0.2, 1.0, (-1.0, 0.5)),
+        ]
+        with pytest.raises((DegenerateCellError, DomainError)) as alone:
+            convex_cell(bad)
+        batch = clean[:index] + [bad] + clean[index:]
+        with pytest.raises(alone.type) as raised:
+            largest_squares(batch)
+        assert str(raised.value) == f"cell {index}: {alone.value}"
+
+    @pytest.mark.parametrize(
+        "first,second",
+        [
+            ([(0, 0), (2, 0), (1, 0.5), (1, 2)], [(0, 0), (1, 0), ("a", 1)]),
+            ([(0, 0), (1, 0), (2, 0)], np.array([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)])),
+            ([(0, 0), (1, 0), ("a", 1)], [(0, 0), (2, 0), (1, 0.5), (1, 2)]),
+            (np.array([(0.0, 0.0), (1.0, 0.0), (np.inf, 1.0)]), [(0, 0), (1, 0), (2, 0)]),
+        ],
+        ids=["non-convex-then-string", "zero-area-then-nan", "string-then-non-convex", "inf-then-zero-area"],
+    )
+    def test_lower_index_of_two_bad_cells_wins(self, first, second):
+        # the string fails as its coordinates are read, before any block
+        # is checked, and still loses to a bad cell at a lower index
+        triangle = [(0, 0), (1, 0), (0, 1)]
+        with pytest.raises((DegenerateCellError, DomainError)) as alone:
+            convex_cell(first)
+        with pytest.raises(alone.type) as raised:
+            largest_squares([triangle, first, triangle, second, triangle])
+        assert str(raised.value) == f"cell 1: {alone.value}"
 
     @pytest.mark.parametrize("p", [float("nan"), float("inf"), 0.5, True, False])
     def test_bad_aspect_rejected(self, p):
