@@ -74,6 +74,14 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
     `head` = value (an int is written as is), then the `notes_key` block
     of notes, whose None values are JSON nulls and left out of the CSV.
     `plot()` returns the SVG document.
+
+    The JSON file is json.dumps(payload, indent=2) + "\n", written in one
+    pass: json.dumps of the payload without its samples, then one string
+    per sample from a format spec of that layout.  Its numbers come from
+    one json.dumps of a flat list, which json's C encoder writes as
+    float.__repr__ does (Infinity where a rounded p overflows); indent
+    would send the whole table through json's pure-Python encoder.
+    Branch labels are plain ASCII constants, written between quotes.
     """
     head_text = str(value) if isinstance(value, int) else _num(value, out.precision)
     note_texts = {key: None if x is None else _num(x, out.precision) for key, x in notes.items()}
@@ -91,7 +99,14 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
         lines += [",".join(row) for row in row_texts]
         _write(out.path, "\n".join(lines) + "\n")
     elif out.format == "json":
-        _write(out.path, json.dumps(payload, indent=2) + "\n")
+        samples = payload["samples"]
+        numbers = iter(json.dumps([x for s in samples for x in (s["p"], s["c"])])[1:-1].split(", "))
+        rows_json = ",\n".join(
+            f'    {{\n      "p": {p},\n      "c": {c},\n      "branch": "{s["branch"]}"\n    }}'
+            for p, c, s in zip(numbers, numbers, samples)
+        )
+        head_json = json.dumps({key: x for key, x in payload.items() if key != "samples"}, indent=2)
+        _write(out.path, f'{head_json[:-2]},\n  "samples": [\n{rows_json}\n  ]\n}}\n')
     else:
         _write(out.path, plot())
     return payload
@@ -137,7 +152,8 @@ def cmd_base_curve(
     if overlay is not None and out.format != "svg":
         raise DomainError("--overlay is only supported with --format svg")
     grid_ps = p_grid(p_min, p_max, step)
-    points = [(p, *nets.base_curve(k, p)) for p in grid_ps]
+    line_count = nets._line_count(k)
+    points = [(p, *nets._base_curve(line_count, p)) for p in grid_ps]
     annotations = {"crossover_aspect": nets.crossover_aspect(k) if k >= 2 else None}
     if k >= 3 and k % 2 == 1:
         annotations["crossover_aspect_line_count"] = nets.odd_crossover_line_count(k)
@@ -151,11 +167,11 @@ def cmd_base_curve(
             v, h = overlay
             if v + h != k or min(v, h) < 0:
                 raise DomainError(f"overlay split {overlay!r} must use {k} lines")
-            competitor = nets.evenly_spaced(v, h)
+            hole = nets.evenly_spaced(v, h).widest_hole
             series.append(
                 (
                     f"N({v},{h})",
-                    [(p, nets.net_scale_factor(competitor, p)) for p in grid_ps],
+                    [(p, nets._hole_scale(*hole, p)) for p in grid_ps],
                     "#c03030",
                 )
             )

@@ -39,7 +39,6 @@ unchecked core (`_sample`, `_diagonal`) that takes checked floats.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -79,8 +78,18 @@ def p_grid(p_min: float, p_max: float, step: float) -> list[float]:
         raise DomainError(f"need 1 <= p_min < p_max, got p_min={p_min!r}, p_max={p_max!r}")
     if (p_max - p_min) / step >= MAX_P_SAMPLES:
         raise DomainError(f"p range [{p_min!r}, {p_max!r}] at step {step!r} exceeds {MAX_P_SAMPLES} samples")
-    points = (p_min + i * step for i in itertools.count())
-    return [min(p, p_max) for p in itertools.takewhile(lambda p: p <= p_max + 1e-9 * step, points)]
+    # The points rise with i, so the ones past the limit are a tail.  A
+    # limit that overflows is the largest float, past which a point is inf.
+    limit = min(p_max + 1e-9 * step, math.nextafter(math.inf, 0.0))
+    # Rounding puts a point at most two ulps of the limit below its exact
+    # value (and a step shorter than an ulp moves some points not at all), so
+    # no point after the first step past limit + 2 ulps is at or below it.
+    count = int((limit - p_min) / step + 2.0 * math.ulp(limit) / step) + 2
+    points = [p_min + i * step for i in range(count)]
+    while points[-1] > limit:
+        points.pop()
+    points[-1] = min(points[-1], p_max)
+    return points
 
 
 def ties(value: float, best: float) -> bool:

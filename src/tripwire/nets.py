@@ -151,10 +151,19 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     from the hole count per axis.  "parallel" wins when it ties the
     grid (ties); the value returned is the winning family's own.
     """
+    return _base_curve(_line_count(k), check_aspect(p, "intruder aspect p"))
+
+
+def _line_count(k: int) -> int:
+    """A base curve's k as an int: at least 1, with a finite hole aspect k + 1."""
     k = check_count(k, "line count k", minimum=1)
-    n = check_aspect(k + 1, "hole aspect n")
-    p = check_aspect(p, "intruder aspect p")
-    parallel = _sample(n, p)[0] / (k + 1)
+    check_aspect(k + 1, "hole aspect n")
+    return k
+
+
+def _base_curve(k: int, p: float) -> tuple[float, str]:
+    """base_curve for a checked line count k and a checked p."""
+    parallel = _sample(float(k + 1), p)[0] / (k + 1)
     if k % 2 == 0:
         grid = _sample(1.0, p)[0] / (k // 2 + 1)
     else:

@@ -136,9 +136,7 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     """
     k = check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
-    scores = [
-        (v, nets.net_scale_factor(nets.evenly_spaced(v, k - v), p)) for v in range(k, -1, -1)
-    ]
+    scores = [(v, nets._hole_scale(*nets.evenly_spaced(v, k - v).widest_hole, p)) for v in range(k, -1, -1)]
     best_value = min(value for _, value in scores)
     tied = [f"N({v},{k - v})" for v, value in scores if ties(value, best_value)]
     predicted = nets.optimal_net(k, p).describe()
@@ -180,10 +178,10 @@ def theorem_scan(k: int) -> VerificationReport:
     k = check_count(k, "line count k", minimum=2)
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
-    class_nets = {vmax: nets.evenly_spaced(vmax, k - vmax) for vmax in range(grid_class, k + 1)}
+    class_holes = {vmax: nets.evenly_spaced(vmax, k - vmax).widest_hole for vmax in range(grid_class, k + 1)}
     mismatches = []
     for p in THEOREM_P_VALUES:
-        values = {vmax: nets.net_scale_factor(net, p) for vmax, net in class_nets.items()}
+        values = {vmax: nets._hole_scale(*hole, p) for vmax, hole in class_holes.items()}
         best = min(values.values())
         tied = sorted(v for v, value in values.items() if ties(value, best))
         predicted = k if p <= x else grid_class
@@ -314,10 +312,10 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
             v = int(rng.integers(0, k + 1))
             h = k - v
             if v not in even_value:
-                even_value[v] = nets.net_scale_factor(nets.evenly_spaced(v, h), p)
+                even_value[v] = nets._hole_scale(*nets.evenly_spaced(v, h).widest_hole, p)
             vertical = _jittered_positions(v, rng)
             horizontal = _jittered_positions(h, rng)
-            value = nets.net_scale_factor(nets.Net(vertical=vertical, horizontal=horizontal), p)
+            value = nets._hole_scale(*nets.Net(vertical=vertical, horizontal=horizontal).widest_hole, p)
             worst = min(worst, value - even_value[v])
             if not ties(even_value[v], value):
                 failures.append(

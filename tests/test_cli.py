@@ -5,6 +5,8 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import tripwire.cli
 from tripwire.cli import OutputSpec, cmd_base_curve, cmd_curve, cmd_optimal_net, main
@@ -215,6 +217,41 @@ class TestCsvAndJsonAgree:
         scored = {key: value for key, value in data["annotations"].items() if value is not None}
         assert {key: float(value) for key, value in notes.items()} == scored
         assert len(scored) == (0 if k == 1 else 2)
+
+
+class TestJsonTables:
+    """A table's JSON file is json.dumps(payload, indent=2) + "\\n" of the payload that its command returns."""
+
+    RANGES = {
+        "p_min": st.floats(min_value=1.0, max_value=1e12),
+        "width": st.floats(min_value=1e-6, max_value=1e12),
+        "samples": st.integers(min_value=1, max_value=200),
+        "precision": st.integers(min_value=1, max_value=17),
+    }
+
+    @staticmethod
+    def assert_file_is_the_payload(command, args, path, precision):
+        payload = command(*args, OutputSpec(format="json", path=str(path), precision=precision))
+        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+
+    @given(n=st.floats(min_value=1.0, max_value=1e12), **RANGES)
+    @settings(max_examples=150, deadline=None)
+    def test_curve(self, tmp_path_factory, n, p_min, width, samples, precision):
+        assume(p_min + width > p_min)
+        path = tmp_path_factory.getbasetemp() / "curve.json"
+        self.assert_file_is_the_payload(cmd_curve, (n, p_min, p_min + width, width / samples), path, precision)
+
+    @given(k=st.integers(min_value=1, max_value=40), **RANGES)
+    @settings(max_examples=150, deadline=None)
+    def test_base_curve(self, tmp_path_factory, k, p_min, width, samples, precision):
+        assume(p_min + width > p_min)
+        path = tmp_path_factory.getbasetemp() / "base-curve.json"
+        self.assert_file_is_the_payload(cmd_base_curve, (k, p_min, p_min + width, width / samples), path, precision)
+
+    def test_a_p_that_rounds_past_the_largest_float_is_infinity(self, tmp_path):
+        # at one digit, p = 1.7e308 .. 1.79e308 rounds to 2e+308: inf, which JSON writes as Infinity
+        self.assert_file_is_the_payload(cmd_curve, (1.0, 1.7e308, 1.79e308, 1e306), tmp_path / "c.json", 1)
+        assert '"p": Infinity,' in (tmp_path / "c.json").read_text()
 
 
 class TestOptimalNetCommand:

@@ -41,8 +41,15 @@ CASES = {
         for fmt in ("csv", "json", "svg")
     },
     **{f"curve-n1e4-wide.{fmt}": _curve("1e4", "3e4", "1000", fmt, 17) for fmt in ("csv", "json", "svg")},
+    **{
+        f"curve-n{n}-p{precision}.json": _curve(n, p_max, step, "json", precision)
+        for n, p_max, step in (("1", "6", "0.01"), ("2.5", "12", "0.03"), ("10", "45", "0.125"))
+        for precision in (1, 9)
+    },
     **{f"base-curve-k{k}.csv": _base(k, "csv", 17) for k in range(1, 13)},
     "base-curve-k4.json": _base(4, "json", 12),
+    # a null crossover_aspect (k = 1), both odd-k annotations (k = 5), even k
+    **{f"base-curve-k{k}.json": _base(k, "json", 17) for k in (1, 5, 12)},
     "base-curve-k4-overlay.svg": _base(4, "svg", 9, "--overlay", "3,1"),
     "base-curve-k5-overlay.svg": _base(5, "svg", 9, "--overlay", "4,1"),
     **{
@@ -57,12 +64,15 @@ CASES = {
 }
 
 # Recorded before the closed forms were split into checked entries and
-# unchecked cores.
+# unchecked cores; the JSON tables at precisions 1 and 9 and the base-curve
+# JSON at k = 1, 5 and 12 before the tables' JSON was written in one pass.
 DIGESTS = {
     "base-curve-k1.csv": "c7542181162c8bb457014de5e83b38fcdcf1a3a11da68e21758eeddf918d62e7",
+    "base-curve-k1.json": "1c393a49f868760a93f029c0fd57f75822c6d4b88030909f9746354a2537915a",
     "base-curve-k10.csv": "2c4c2ad70f38b2065f681cfaed6f2432927d148ecb24c51643f1f67263088bed",
     "base-curve-k11.csv": "a9e3aad3c6cf964a3bce628a07fa3583884dc61a1b9d782660a4209fb1b63d21",
     "base-curve-k12.csv": "555333ce94270b8f457e76991d32cf196fe3ba05b0f7bfcdea7ef5bfd4371247",
+    "base-curve-k12.json": "f1112d654e1a61c274422d304ba041ea6fee1ae287a889302c4cf5c4ba1c2be9",
     "base-curve-k2.csv": "7ed346ca8d2c4e5a97f09a6779c1598178899c4cd102228f20091214e8ac06c4",
     "base-curve-k3.csv": "5c3fe1be3da4f9ba997a3ac3f70c52a992e1e862f5ed02a23e24affd27f4d593",
     "base-curve-k4-overlay.svg": "740043c45a4264c4f5fc434d52f6e0f37c62ba7572a7c441218418e9156fbe96",
@@ -70,31 +80,38 @@ DIGESTS = {
     "base-curve-k4.json": "0b6ab244a360330eda0f8bebc42b938d9330bea58e0cd958651d07df54e6ba2a",
     "base-curve-k5-overlay.svg": "35f8baf4e942a9fdbd9b43cef8be4885d3d893fcd66007c1f50d7325739ddcfd",
     "base-curve-k5.csv": "b7e1e9e7ac189ddb7823238dc967038f6ca2c9b96c653eb1c7e9e786698c8d72",
+    "base-curve-k5.json": "3e9b2198db70b9b57c5f0d8767877b5ba6da5051845a4ef26a5577cadc612791",
     "base-curve-k6.csv": "24b814973d32a80759393f25fcac269fd3bd7d8040cc274eee71447709d8447d",
     "base-curve-k7.csv": "44db7db12141cde20db0ba196bdd32495084cf39ff2a56290c4c22872a6fe01b",
     "base-curve-k8.csv": "4fa928a66b7e23801a526de2a7823a26bb68455c0d2cf029628669f0fac47821",
     "base-curve-k9.csv": "247e219d6f1755046b028f1de5a2e8d1f12195234cdb8e60d40f90e10b5d9588",
+    "curve-n1-p1.json": "558a62939dc3b90609ac6909ed75e0d5a7172d78c37836d4151f647063564103",
     "curve-n1-p17.csv": "cc37d7000622e0602c71b4f2e5118db76e09c6144e898b254e72bd60536d9323",
     "curve-n1-p17.json": "7f254a4274020f53a998b061f30479a5ec6ef917071c1cd0ccd70c86fb9503cb",
     "curve-n1-p17.svg": "8848da4c42af8495e2442338e18ef1d93eca8d8e0ad10e0885b74597412eddc3",
     "curve-n1-p6.csv": "c4f94f88924092a6e4be41f2649903c2b3722b95fa79188a2d9a4cbb95c44c17",
     "curve-n1-p6.json": "95dd8273ae896f53f68a1e285ba017e7b1c08e78098fc31536b66c43b67f0f61",
     "curve-n1-p6.svg": "8848da4c42af8495e2442338e18ef1d93eca8d8e0ad10e0885b74597412eddc3",
+    "curve-n1-p9.json": "9d9f85fc0f140392d5c878a1de7b85e302ea1a012e187542e096e5dd7f6cb94d",
+    "curve-n10-p1.json": "c17ebb8a7ed78e480f120a14dc1f563b42660c0f3a4317b9bbdc3a69be0e30c5",
     "curve-n10-p17.csv": "6c2ea1046ffe4292f0fac46660f620df3120fc3712b7cc43dcd5bc9b36f8339f",
     "curve-n10-p17.json": "893ce06a05171bdab6c876f37a6b93727513d8f124ac833874c0f7b91cafadbb",
     "curve-n10-p17.svg": "3c743c52b10a326fd82f9b1947f6242e97fbf347fb181965a24d949ee33986f2",
     "curve-n10-p6.csv": "a32e2ab73b026ce48a53a95d075673046514160f1ee809b4383272fae0a2bc3a",
     "curve-n10-p6.json": "91a3dd3da7cd60c5f0fefec8998ded9e37e1b4a823c45a15e8e385218f45ad9c",
     "curve-n10-p6.svg": "3c743c52b10a326fd82f9b1947f6242e97fbf347fb181965a24d949ee33986f2",
+    "curve-n10-p9.json": "6082203a0fff5c13d36c3256895887b2afb4c7db97798700afdb173805812b15",
     "curve-n1e4-wide.csv": "8e125a3fa0206ef8103f8df097e7be9de1544a3c601ca03cc07cc224ba57a374",
     "curve-n1e4-wide.json": "42ade5884c567f4b66a8fe09f9a93dc3f0d534242b8a9622172e05d126cef24f",
     "curve-n1e4-wide.svg": "e7fa2a8da7e13544d160959b0eb42a2f2fbded4495207a54bcd5246efc303077",
+    "curve-n2.5-p1.json": "967b48cefc360201f292c2172ca29b460dffbac0571ee62988fe63c550e5dc0c",
     "curve-n2.5-p17.csv": "f35b60a67ec4d9fe7e05aac227eada4784ba3948aba9060fad174b00cfaf3062",
     "curve-n2.5-p17.json": "23c29b9018e87b202b0ae9b167a6cf5d7575133ad5c89e0271c1364fdc797e3b",
     "curve-n2.5-p17.svg": "ef17a9f9bad70f28151ba5fe4d0de0c7c3e62bc1e391b157e152e3292e8602f9",
     "curve-n2.5-p6.csv": "50f8b8fc96603a48f67ffc9e766018a0815077d12e031268fc41fbe2c04727cc",
     "curve-n2.5-p6.json": "43b98360c5b2ba8e1e999efba8ded9b66df38d0e46b94b434ef5cb3e2466e7b4",
     "curve-n2.5-p6.svg": "ef17a9f9bad70f28151ba5fe4d0de0c7c3e62bc1e391b157e152e3292e8602f9",
+    "curve-n2.5-p9.json": "8858c43ce1d2a565fd6613a18b6de47d2da919ec80ac8a473b58d1ecff294bc3",
     "optimal-net-k1-p1.5.json": "8a896d4e5ced20a2038cd54455b951e649fb4876e9a48d45607333e19820c3ca",
     "optimal-net-k1-p1.5.svg": "be94cd22a431c261a2a086eeb8513966bf696429bcdc9d41fe519d433fa8e5c5",
     "optimal-net-k12-p6.25.json": "3f9f31662326367e773f91ec546ffaa47e499561409191a5cc7a1abb7572f871",

@@ -1,3 +1,4 @@
+import itertools
 import math
 from fractions import Fraction
 
@@ -11,12 +12,14 @@ from tripwire.inscribe import (
     BRANCH_DIAGONAL,
     BRANCH_PLATEAU,
     BRANCH_VERTICAL,
+    MAX_P_SAMPLES,
     TIE_RTOL,
     check_aspect,
     crossover_w,
     curve_sample,
     curve_value,
     diagonal_branch,
+    p_grid,
     placement,
 )
 from tripwire.oracle import oracle_curve_value
@@ -26,6 +29,12 @@ def cubic(n, p):
     """p^3 - 3n p^2 + p + n in exact arithmetic: for p > n, positive where the diagonal beats n/p."""
     fp, fn = Fraction(p), Fraction(n)
     return fp**3 - 3 * fn * fp**2 + fp + fn
+
+
+def takewhile_p_grid(p_min, p_max, step):
+    """p_grid's points as the loop that it replaced built them, one at a time: TestPGrid's reference."""
+    points = (p_min + i * step for i in itertools.count())
+    return [min(p, p_max) for p in itertools.takewhile(lambda p: p <= p_max + 1e-9 * step, points)]
 
 
 def equation_residuals(n, p, sol):
@@ -225,6 +234,54 @@ class TestCrossoverW:
         assert oracle_curve_value(2, w) == pytest.approx(2 / w, rel=1e-14)
         beyond = w * 1.05
         assert oracle_curve_value(2, beyond) > 2 / beyond + 1e-4
+
+
+class TestPGrid:
+    # Ends: p_max on the grid, the last point within 1e-9 of a step above
+    # p_max (it becomes p_max), just beyond that, or anywhere in a step.
+    @given(
+        p_min=st.floats(min_value=1.0, max_value=1e12),
+        step=st.floats(min_value=1e-6, max_value=1e6),
+        count=st.integers(min_value=1, max_value=2000),
+        end=st.sampled_from(["on-grid", "within-1e-9", "past-1e-9", "free"]),
+        share=st.floats(min_value=0.0, max_value=1.0),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_takewhile_reference(self, p_min, step, count, end, share):
+        last = p_min + count * step
+        p_max = {
+            "on-grid": last,
+            "within-1e-9": last - share * 1e-9 * step,
+            "past-1e-9": last - (1.0 + share) * 1e-9 * step,
+            "free": p_min + (count - share) * step,
+        }[end]
+        assume(p_min < p_max and (p_max - p_min) / step < MAX_P_SAMPLES)
+        assert p_grid(p_min, p_max, step) == takewhile_p_grid(p_min, p_max, step)
+
+    # A step shorter than an ulp of p_min leaves runs of equal points.
+    @given(
+        p_min=st.floats(min_value=1e15, max_value=1e300),
+        ulps=st.floats(min_value=0.05, max_value=4.0),
+        count=st.integers(min_value=1, max_value=200),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_steps_below_an_ulp_match_the_reference(self, p_min, ulps, count):
+        step = ulps * math.ulp(p_min)
+        p_max = p_min + count * math.ulp(p_min)
+        assume(p_min < p_max and (p_max - p_min) / step < MAX_P_SAMPLES)
+        assert p_grid(p_min, p_max, step) == takewhile_p_grid(p_min, p_max, step)
+
+    def test_on_grid_and_within_1e_9_of_a_step_end_at_p_max(self):
+        assert p_grid(1.0, 2.0, 0.25) == [1.0, 1.25, 1.5, 1.75, 2.0]
+        assert p_grid(1.0, 2.0 - 1e-10, 0.25) == [1.0, 1.25, 1.5, 1.75, 2.0 - 1e-10]
+        assert p_grid(1.0, 2.0 - 1e-9, 0.25) == [1.0, 1.25, 1.5, 1.75]
+
+    def test_a_limit_past_the_largest_float_ends(self):
+        # p_max + 1e-9 * step overflows to inf, which no point exceeds
+        largest = math.nextafter(math.inf, 0.0)
+        grid = p_grid(1.7e308, largest, 1e306)
+        assert grid == [1.7e308 + i * 1e306 for i in range(10)]
+        assert grid[-1] < largest
 
 
 class TestExactBranchLabels:

@@ -192,7 +192,7 @@ class TestIrregularSpacing:
     def test_failures_from_every_p(self, monkeypatch):
         # a scale factor that drops with every call makes each jittered net beat even spacing
         scores = iter(range(10**6, 0, -1))
-        monkeypatch.setattr("tripwire.nets.net_scale_factor", lambda net, p: float(next(scores)))
+        monkeypatch.setattr("tripwire.nets._hole_scale", lambda w, h, p: float(next(scores)))
         report = irregular_spacing_check(2, [1.0, 2.0], trials=3, seed=0)
         assert not report.passed
         assert [f[-5:] for f in report.failures] == ["p=1.0"] * 3 + ["p=2.0"] * 3
