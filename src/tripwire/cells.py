@@ -20,8 +20,11 @@ cells with the same edge count, in chunks of bounded size.
 
 Cells are normalised the same way: one numpy pass per block of cells with
 the same vertex count checks them and turns them counter-clockwise, and a
-cell that drops vertices is normalised again in the block of its new
-count.  convex_cell is the one-cell case of that pass.
+cell that drops vertices is normalised again in a block of its new count.
+Every product of coordinates, in the area and turn tests as in the LP, is
+taken on the cell scaled by a power of two (exact) to a size below 1, so
+that none overflows.  convex_cell is the one-cell case of that pass.  A
+batch raises the error of its failing cell of lowest index.
 """
 
 from __future__ import annotations
@@ -77,18 +80,19 @@ def convex_cell(points) -> np.ndarray:
     blocks, failures = _convex_blocks([points])
     if failures:
         raise failures[0]
-    ((_, poly),) = blocks.values()
+    ((_, poly),) = blocks
     return poly[0]
 
 
-def _convex_blocks(cells) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
+def _convex_blocks(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
     """Normalise cells as convex_cell does, one numpy pass per block of cells
     with the same vertex count.
 
-    Returns {m: (indices, (G, m, 2) cells)}, indices ascending and blocks in
-    the order of their first index, and {index: error} for the cells that
-    fail.  A cell that drops vertices joins a block of its new count and
-    keeps the size, and so the tolerances, of the cell it was given.
+    Returns a list of blocks (indices, (G, m, 2) cells), indices ascending
+    within a block, and {index: error} for the cells that fail.  A cell
+    that drops vertices goes on in a new block of its new count, with the
+    size, and so the tolerances and the power-of-two frame, of the cell it
+    was given; two blocks may share a count.
     """
     failures: dict[int, ValueError] = {}
     shapes: dict[tuple, tuple[list, list]] = {}
@@ -106,7 +110,7 @@ def _convex_blocks(cells) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dic
         group[0].append(idx)
         group[1].append(poly)
 
-    done: dict[int, list[tuple[np.ndarray, np.ndarray]]] = {}
+    done: list[tuple[np.ndarray, np.ndarray]] = []
     for shape, (idxs, polys) in shapes.items():
         idx, poly = np.array(idxs), np.array(polys)
         finite = np.isfinite(poly).all(axis=tuple(range(1, poly.ndim)))
@@ -129,16 +133,7 @@ def _convex_blocks(cells) -> tuple[dict[int, tuple[np.ndarray, np.ndarray]], dic
                 _fail(failures, idx[rows], DegenerateCellError("cell collapses to fewer than 3 distinct vertices"))
             else:
                 _orient(idx[rows], _cut(poly, rows, keep), _cut(centred, rows, keep), scale[rows], failures, done)
-
-    blocks = {}
-    for m, parts in done.items():
-        if len(parts) == 1:
-            blocks[m] = parts[0]
-        else:
-            idx, poly = (np.concatenate(part) for part in zip(*parts))
-            order = np.argsort(idx)
-            blocks[m] = idx[order], poly[order]
-    return dict(sorted(blocks.items(), key=lambda block: block[1][0][0])), failures
+    return done, failures
 
 
 def _fail(failures: dict[int, ValueError], idx: np.ndarray, exc: ValueError) -> None:
@@ -168,46 +163,47 @@ def _cut(block: np.ndarray, rows, keep) -> np.ndarray:
 
 def _orient(idx, poly, centred, scale, failures, done) -> None:
     """Reject zero-area cells of a block and turn the others counter-clockwise."""
-    # Twice the signed area, against the size of the products it sums, in
-    # units of 4**e: each cell scaled by 2**-e (exact), so that no sum
-    # overflows.
-    e = np.frexp(scale)[1]
-    unit = np.ldexp(centred, -e[:, None, None])
-    after = _turn(unit, 1)
-    area2 = _cross2(unit, after).sum(axis=1)
-    flat = np.abs(area2) <= 2e-15 * np.abs(unit * after[..., ::-1]).sum(axis=(1, 2))
+    # The frame of every test: each cell scaled by 2**-e (exact) to the
+    # size `unit` < 1.  Here twice the signed area, against the size of the
+    # products it sums, in units of 4**e.
+    unit, e = np.frexp(scale)
+    shrunk = np.ldexp(centred, -e[:, None, None])
+    after = _turn(shrunk, 1)
+    area2 = _cross2(shrunk, after).sum(axis=1)
+    flat = np.abs(area2) <= 2e-15 * np.abs(shrunk * after[..., ::-1]).sum(axis=(1, 2))
     if flat.any():
         for i in np.flatnonzero(flat).tolist():
             failures[int(idx[i])] = DegenerateCellError(f"cell has zero area (2A = {float(area2[i])!r} * 4**{int(e[i])})")
-        idx, poly, scale, area2 = idx[~flat], poly[~flat], scale[~flat], area2[~flat]
+        idx, poly, unit, e, area2 = idx[~flat], poly[~flat], unit[~flat], e[~flat], area2[~flat]
     clockwise = area2 < 0.0
     if clockwise.any():
         poly = np.where(clockwise[:, None, None], poly[:, ::-1], poly)
-    _convexity(idx, poly, scale, failures, done)
+    _convexity(idx, poly, unit, e, failures, done)
 
 
-def _convexity(idx, poly, scale, failures, done) -> None:
+def _convexity(idx, poly, unit, e, failures, done) -> None:
     """Reject non-convex CCW cells of a block and drop their collinear vertices.
 
+    Turns are taken on each cell scaled by 2**-e, whose size is then unit.
     A vertex is straight when its turn is below 1e-12 rad, and a reflex turn
     within 1e-12 of the cell's size squared is taken as rounding.
     """
-    back = poly - _turn(poly, -1)
-    ahead = _turn(poly, 1) - poly
+    shrunk = np.ldexp(poly, -e[:, None, None])
+    back = shrunk - _turn(shrunk, -1)
+    ahead = _turn(shrunk, 1) - shrunk
     cross = _cross2(back, ahead)
-    with np.errstate(over="ignore"):  # a size squared past the float limit is inf
-        reflex = (cross < (-1e-12 * scale * scale)[:, None]).any(axis=1)
+    reflex = (cross < (-1e-12 * unit * unit)[:, None]).any(axis=1)
     straight = cross <= 1e-12 * np.hypot(back[..., 0], back[..., 1]) * np.hypot(ahead[..., 0], ahead[..., 1])
     if reflex.any():
         _fail(failures, idx[reflex], DomainError("cell must be convex"))
-        idx, poly, scale, straight = idx[~reflex], poly[~reflex], scale[~reflex], straight[~reflex]
+        idx, poly, unit, e, straight = idx[~reflex], poly[~reflex], unit[~reflex], e[~reflex], straight[~reflex]
     for m, rows, keep in _vertex_counts(~straight):
         if m == poly.shape[1]:
-            done.setdefault(m, []).append((idx[rows], poly[rows]))
+            done.append((idx[rows], poly[rows]))
         elif m < 3:
             _fail(failures, idx[rows], DegenerateCellError("cell has zero area after collinear-vertex removal"))
         else:
-            _convexity(idx[rows], _cut(poly, rows, keep), scale[rows], failures, done)
+            _convexity(idx[rows], _cut(poly, rows, keep), unit[rows], e[rows], failures, done)
 
 
 def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -300,19 +296,20 @@ def largest_rectangles(cells, p) -> np.ndarray:
     rounding the wedge rows admit the opposite direction too).
     The largest |(A, B)| kept is cp.  p must be a finite real >= 1
     (DomainError otherwise); at p = 1 this is largest_squares.  The errors
-    of convex_cell, raised for the failing cell of lowest index, and a
-    DegenerateCellError where no vertex has a positive side (a cell with
-    interior always has one), name the cell by its index in `cells`.
+    of convex_cell, and then a DegenerateCellError where no vertex has a
+    positive side (a cell with interior always has one), are raised for
+    the failing cell of lowest index and name it by its index in `cells`.
     """
     p = check_real(p, "rectangle aspect p", 1.0)
     blocks, failures = _convex_blocks(cells)
     if failures:
         idx = min(failures)
         raise type(failures[idx])(f"cell {idx}: {failures[idx]}") from failures[idx]
-    result = np.zeros(sum(len(idxs) for idxs, _ in blocks.values()))
+    result = np.zeros(sum(len(idxs) for idxs, _ in blocks))
     q = 1.0 / p
 
-    for m, (idxs, polys) in blocks.items():
+    for idxs, polys in blocks:
+        m = polys.shape[1]
         block = polys - _centre(polys)
         _, exponent = np.frexp(np.abs(block).max(axis=(1, 2)))
         normals, cell_offsets = _halfplanes(np.ldexp(block, -exponent[:, None, None]))
@@ -353,19 +350,18 @@ def largest_rectangles(cells, p) -> np.ndarray:
             chunk = wide[lo : lo + step]
             cell, a, b = owner[chunk], alpha[chunk], beta[chunk]
             rb = offsets[cell]
-            with np.errstate(invalid="ignore", over="ignore"):
-                x, y, big_a, big_b = _vertices(cell_minors, cell, a, b, rb, m)
-                # Each row's residual n . v + alpha A + beta B - b, and GEO_TOL
-                # times its terms' magnitudes, which bound its rounding.
-                residual = np.repeat(-rb[:, None, :], x.shape[1], axis=1)
-                slack = np.abs(residual)
-                term = np.empty_like(residual)
-                for coef, value in ((nx[cell], x), (ny[cell], y), (a, big_a), (b, big_b)):
-                    np.multiply(coef[:, None, :], value[..., None], out=term)
-                    residual += term
-                    slack += np.abs(term, out=term)
-                slack *= GEO_TOL
-                ahead = big_a * cos.ravel()[chunk, None] + big_b * sin.ravel()[chunk, None]
+            x, y, big_a, big_b = _vertices(cell_minors, cell, a, b, rb, m)
+            # Each row's residual n . v + alpha A + beta B - b, and GEO_TOL
+            # times its terms' magnitudes, which bound its rounding.
+            residual = np.repeat(-rb[:, None, :], x.shape[1], axis=1)
+            slack = np.abs(residual)
+            term = np.empty_like(residual)
+            for coef, value in ((nx[cell], x), (ny[cell], y), (a, big_a), (b, big_b)):
+                np.multiply(coef[:, None, :], value[..., None], out=term)
+                residual += term
+                slack += np.abs(term, out=term)
+            slack *= GEO_TOL
+            ahead = big_a * cos.ravel()[chunk, None] + big_b * sin.ravel()[chunk, None]
             ok = np.all((residual <= slack) | members, axis=2) & (ahead >= 0.0)
             ok &= np.isfinite(x) & np.isfinite(y) & np.isfinite(big_a) & np.isfinite(big_b)
             best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=1)
@@ -373,11 +369,14 @@ def largest_rectangles(cells, p) -> np.ndarray:
         sides = np.ldexp(best.reshape(-1, pieces).max(axis=1), exponent) / p
         bad = np.flatnonzero(~(sides > 0.0))
         if len(bad):
-            raise DegenerateCellError(
-                f"cell {idxs[bad[0]]} has no feasible LP vertex with a positive side "
-                f"(best {float(sides[bad[0]])!r}): {polys[bad[0]].tolist()}"
+            i = bad[0]
+            failures[int(idxs[i])] = DegenerateCellError(
+                f"cell {idxs[i]} has no feasible LP vertex with a positive side "
+                f"(best {float(sides[i])!r}): {polys[i].tolist()}"
             )
         result[idxs] = sides
+    if failures:
+        raise failures[min(failures)]
     return result
 
 

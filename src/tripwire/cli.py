@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from dataclasses import dataclass
 
@@ -54,7 +55,11 @@ class OutputSpec:
 
 
 def _num(x: float, precision: int) -> str:
-    return format(float(x), f".{precision}g")
+    """x printed at precision significant digits; DomainError past the largest float."""
+    text = format(float(x), f".{precision}g")
+    if text.endswith("e+308") and math.isinf(float(text)):
+        raise DomainError(f"{float(x)!r} printed at precision {precision} is {text}, past the largest float")
+    return text
 
 
 def _round_sig(x: float, precision: int) -> float:
@@ -77,11 +82,11 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
 
     The JSON file is json.dumps(payload, indent=2) + "\n", written in one
     pass: json.dumps of the payload without its samples, then one string
-    per sample from a format spec of that layout.  Its numbers come from
-    one json.dumps of a flat list, which json's C encoder writes as
-    float.__repr__ does (Infinity where a rounded p overflows); indent
-    would send the whole table through json's pure-Python encoder.
-    Branch labels are plain ASCII constants, written between quotes.
+    per sample from a format spec of that layout, which prints each float
+    as json does for a finite one, by float.__repr__ (_num has rejected
+    the rest); indent would send the whole table through json's
+    pure-Python encoder.  Branch labels are plain ASCII constants,
+    written between quotes.
     """
     head_text = str(value) if isinstance(value, int) else _num(value, out.precision)
     note_texts = {key: None if x is None else _num(x, out.precision) for key, x in notes.items()}
@@ -99,11 +104,9 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
         lines += [",".join(row) for row in row_texts]
         _write(out.path, "\n".join(lines) + "\n")
     elif out.format == "json":
-        samples = payload["samples"]
-        numbers = iter(json.dumps([x for s in samples for x in (s["p"], s["c"])])[1:-1].split(", "))
         rows_json = ",\n".join(
-            f'    {{\n      "p": {p},\n      "c": {c},\n      "branch": "{s["branch"]}"\n    }}'
-            for p, c, s in zip(numbers, numbers, samples)
+            f'    {{\n      "p": {s["p"]!r},\n      "c": {s["c"]!r},\n      "branch": "{s["branch"]}"\n    }}'
+            for s in payload["samples"]
         )
         head_json = json.dumps({key: x for key, x in payload.items() if key != "samples"}, indent=2)
         _write(out.path, f'{head_json[:-2]},\n  "samples": [\n{rows_json}\n  ]\n}}\n')
@@ -152,8 +155,8 @@ def cmd_base_curve(
     if overlay is not None and out.format != "svg":
         raise DomainError("--overlay is only supported with --format svg")
     grid_ps = p_grid(p_min, p_max, step)
-    line_count = nets._line_count(k)
-    points = [(p, *nets._base_curve(line_count, p)) for p in grid_ps]
+    k = nets._line_count(k)
+    points = [(p, *point) for p, point in zip(grid_ps, nets._base_curve(k, grid_ps))]
     annotations = {"crossover_aspect": nets.crossover_aspect(k) if k >= 2 else None}
     if k >= 3 and k % 2 == 1:
         annotations["crossover_aspect_line_count"] = nets.odd_crossover_line_count(k)
@@ -210,7 +213,7 @@ def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> dict:
         corners = tuple((x0 + s * cy, y0 + s * cx) for cx, cy in local.corners)
 
     payload = {
-        "k": k,
+        "k": net.k,
         "p": _round_sig(p, out.precision),
         "net": nets.net_to_dict(net),
         "scale_factor": _round_sig(scale, out.precision),

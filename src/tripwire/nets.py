@@ -20,7 +20,7 @@ family is ahead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 from .errors import DomainError, check_count, check_real
 from .inscribe import _sample, check_aspect, ties
@@ -151,7 +151,7 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     from the hole count per axis.  "parallel" wins when it ties the
     grid (ties); the value returned is the winning family's own.
     """
-    return _base_curve(_line_count(k), check_aspect(p, "intruder aspect p"))
+    return _base_curve(_line_count(k), [check_aspect(p, "intruder aspect p")])[0]
 
 
 def _line_count(k: int) -> int:
@@ -161,22 +161,16 @@ def _line_count(k: int) -> int:
     return k
 
 
-def _base_curve(k: int, p: float) -> tuple[float, str]:
-    """base_curve for a checked line count k and a checked p."""
-    parallel = _sample(float(k + 1), p)[0] / (k + 1)
-    if k % 2 == 0:
-        grid = _sample(1.0, p)[0] / (k // 2 + 1)
-    else:
-        grid = _hole_scale(*_odd_grid_hole(k), p)
-    if ties(parallel, grid):
-        return parallel, "parallel"
-    return grid, "grid"
-
-
-@lru_cache(maxsize=256)
-def _odd_grid_hole(k: int) -> tuple[float, float]:
-    """Net.widest_hole of the odd-k grid net N(ceil(k/2), floor(k/2)), built once per k."""
-    return evenly_spaced(k - k // 2, k // 2).widest_hole
+def _base_curve(k: int, ps: list[float]) -> list[tuple[float, str]]:
+    """base_curve for a checked line count k at each checked p in ps; an
+    odd k's grid net is built once."""
+    hole = evenly_spaced(k - k // 2, k // 2).widest_hole if k % 2 else None
+    points = []
+    for p in ps:
+        parallel = _sample(float(k + 1), p)[0] / (k + 1)
+        grid = _hole_scale(*hole, p) if hole else _sample(1.0, p)[0] / (k // 2 + 1)
+        points.append((parallel, "parallel") if ties(parallel, grid) else (grid, "grid"))
+    return points
 
 
 def crossover_aspect(k: int) -> float:

@@ -1,16 +1,16 @@
-"""Independent brute-force verifiers for the curve and net-optimality claims.
+"""Brute-force verifiers for the curve and net-optimality claims.
 
-Nothing here reuses the closed forms it is meant to check: the curve
-oracle is the exact largest-rectangle kernel run on the hole as a
-convex cell (see cells.largest_rectangles), which the curve-oracle
-suite compares with the closed form over a p-grid, net enumeration scores
-every split of k lines between the two axes, the split check takes p,
-reads only the short side of its diagonal placement in the square hole
-from the closed form and re-solves the corner-contact equations per
-split, the irregular check jitters the cuts of every split at each of a
-list of p, and the perturbation experiment measures inscribed squares
-in the cells of a perturbed arrangement.  Each suite returns its
-finished VerificationReport.
+Two reuse no closed form: the curve oracle is the exact largest-rectangle
+kernel run on the hole as a convex cell (see cells.largest_rectangles),
+which the curve-oracle suite compares with the closed form over a
+p-grid, and the perturbation experiment measures inscribed squares in
+the cells of a perturbed arrangement.  The others score nets with the
+closed curve under test (nets._hole_scale): net enumeration every split
+of k lines between the two axes, the theorem scans every split over a
+p-grid, and the irregular check jittered cuts of every split; the split
+check takes its short side from inscribe.diagonal_branch and re-solves
+the corner-contact equations per split.  ROADMAP item 2 moves them onto
+the kernel.  Each suite returns its finished VerificationReport.
 """
 
 from __future__ import annotations

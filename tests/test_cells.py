@@ -147,7 +147,8 @@ def zoomed_fixed_angle_lp(poly, p, count, rounds=14, points=21):
 def loop_convex_cell(points):
     """Reference for cells.convex_cell: the same checks on one cell with
     Python scalars and a loop over collinear-vertex removal, as the module
-    ran them before it normalised cells in blocks."""
+    ran them before it normalised cells in blocks.  Its turn test
+    multiplies raw edges, which overflow past about 1e154."""
     if isinstance(points, np.ndarray) and points.dtype == float:
         if not np.isfinite(points).all():
             raise DomainError("cell vertex coordinates must be finite")
@@ -235,6 +236,38 @@ THIN_CELLS = {
 }
 
 
+def edited_convex_polygons(count, low, high, rng):
+    """count random convex polygons of sizes 10**low to 10**high, some far
+    from the origin for their size, some clockwise, some with a repeated
+    or a collinear vertex."""
+    polys = []
+    for _ in range(count):
+        size = 10.0 ** rng.uniform(low, high)
+        poly = random_convex_polygon(int(rng.integers(3, 8)), rng) * size
+        poly += rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(0, 3) * size
+        edit = rng.integers(4)
+        i = int(rng.integers(len(poly)))
+        if edit == 1:
+            poly = poly[::-1]
+        elif edit == 2:
+            poly = np.insert(poly, i, poly[i], axis=0)
+        elif edit == 3:
+            poly = np.insert(poly, i, 0.5 * (poly[i - 1] + poly[i]), axis=0)
+        polys.append(poly)
+    return polys
+
+
+def normalised_batch(polys):
+    """{index: normalised cell} of cells._convex_blocks(polys), which must
+    accept every cell and list each block's indices in ascending order."""
+    blocks, failures = cells._convex_blocks(polys)
+    assert failures == {}
+    assert all(np.all(np.diff(idxs) > 0) for idxs, _ in blocks)
+    batch = {int(i): poly for idxs, block in blocks for i, poly in zip(idxs, block)}
+    assert sorted(batch) == list(range(len(polys)))
+    return batch
+
+
 def regular_polygon(count, side, angle, center):
     """Regular count-gon with the given side, turned by angle about center."""
     radius = side / (2.0 * math.sin(math.pi / count))
@@ -308,32 +341,26 @@ class TestConvexCell:
     @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(min_value=1, max_value=12))
     @settings(max_examples=60, deadline=None)
     def test_one_batch_equals_each_cell_alone(self, seed, count):
-        # random convex polygons of any size, some far from the origin for
-        # their size, some clockwise, some with a repeated or a collinear
-        # vertex, normalised as one batch
-        rng = np.random.default_rng(seed)
-        polys = []
-        for _ in range(count):
-            size = 10.0 ** rng.uniform(-6, 6)
-            poly = random_convex_polygon(int(rng.integers(3, 8)), rng) * size
-            poly += rng.uniform(-1.0, 1.0, size=2) * 10.0 ** rng.uniform(0, 3) * size
-            edit = rng.integers(4)
-            i = int(rng.integers(len(poly)))
-            if edit == 1:
-                poly = poly[::-1]
-            elif edit == 2:
-                poly = np.insert(poly, i, poly[i], axis=0)
-            elif edit == 3:
-                poly = np.insert(poly, i, 0.5 * (poly[i - 1] + poly[i]), axis=0)
-            polys.append(poly)
-        blocks, failures = cells._convex_blocks(polys)
-        assert failures == {}
-        batch = {int(i): poly for idxs, block in blocks.values() for i, poly in zip(idxs, block)}
-        assert sorted(batch) == list(range(count))
+        # random convex polygons of any size the loop reference covers,
+        # normalised as one batch
+        polys = edited_convex_polygons(count, -6, 6, np.random.default_rng(seed))
+        batch = normalised_batch(polys)
         for i, poly in enumerate(polys):
             assert np.array_equal(batch[i], convex_cell(poly))
             assert np.array_equal(batch[i], loop_convex_cell(poly))
-        assert all(np.all(np.diff(idxs) > 0) for idxs, _ in blocks.values())
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(min_value=1, max_value=12))
+    @settings(max_examples=60, deadline=None)
+    def test_huge_cells_normalise_as_their_rescaled_copies(self, seed, count):
+        # past about 1e154 a product of two raw edges overflows, so the loop
+        # reference does not apply: a cell is checked against its copy
+        # scaled by 2**-e to below 1, which every test sees alike
+        polys = edited_convex_polygons(count, 154, 300, np.random.default_rng(seed))
+        batch = normalised_batch(polys)
+        for i, poly in enumerate(polys):
+            e = np.frexp(np.abs(poly).max())[1]
+            assert np.array_equal(batch[i], np.ldexp(convex_cell(np.ldexp(poly, -e)), e))
+            assert np.array_equal(batch[i], convex_cell(poly))
 
 
 class TestLargestSquare:
@@ -412,6 +439,29 @@ class TestLargestSquare:
         expected = side * (3.0 - math.sqrt(3.0))
         assert largest_square_in_cell(cell) == pytest.approx(expected, rel=1e-9)
 
+    # Past about 1e154 a product of two raw coordinates overflows; every
+    # test runs on the cell scaled by a power of two.
+    @pytest.mark.parametrize("side", [1e155, 1e200, 1e300])
+    @pytest.mark.parametrize("angle", TURNS[:4])
+    def test_huge_regular_hexagon_is_exact(self, angle, side):
+        cell = regular_polygon(6, side, angle, (0.0, 0.0))
+        assert largest_square_in_cell(cell) == pytest.approx(side * (3.0 - math.sqrt(3.0)), rel=1e-15, abs=0.0)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_huge_cells_score_as_their_rescaled_copies(self, seed):
+        # exactly 2**e times the side of the copy scaled by 2**-e, alone and
+        # in a batch with unit-sized cells
+        rng = np.random.default_rng(seed)
+        huge = edited_convex_polygons(3, 0, 300, rng)
+        batch = [cell for pair in zip(huge, edited_convex_polygons(3, 0, 0, rng)) for cell in pair]
+        for p in (1.0, 2.5):
+            singles = [largest_rectangles([cell], p)[0] for cell in batch]
+            assert np.array_equal(largest_rectangles(batch, p), singles)
+            for cell, side in zip(huge, singles[::2]):
+                e = np.frexp(np.abs(cell).max())[1]
+                assert side == np.ldexp(largest_rectangles([np.ldexp(cell, -e)], p)[0], e)
+
     def test_mixed_batch_matches_single_cells(self):
         # 3- to 6-gons in one call: cells are grouped by edge count, and the
         # 5- and 6-gons solve more vertex quadruples per piece.  The last
@@ -467,6 +517,21 @@ class TestLargestSquare:
         batch = [[(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 1)]]
         with pytest.raises(DegenerateCellError, match="cell 1 "):
             largest_squares(batch)
+
+    def test_lowest_infeasible_cell_is_named_across_blocks(self, monkeypatch):
+        # the last cell of each block emptied: cell 3 of the triangles' and
+        # cell 2 of the quads'; every block is solved before either is named
+        halfplanes = cells._halfplanes
+
+        def emptied(poly):
+            normals, offsets = halfplanes(poly)
+            offsets[-1] -= 2.0
+            return normals, offsets
+
+        monkeypatch.setattr(cells, "_halfplanes", emptied)
+        triangle, quad = [(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (1, 1), (0, 1)]
+        with pytest.raises(DegenerateCellError, match="^cell 2 "):
+            largest_squares([triangle, quad, quad, triangle])
 
     @given(
         angle=st.floats(min_value=0.0, max_value=1.5),

@@ -4,6 +4,7 @@ import re
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -248,10 +249,54 @@ class TestJsonTables:
         path = tmp_path_factory.getbasetemp() / "base-curve.json"
         self.assert_file_is_the_payload(cmd_base_curve, (k, p_min, p_min + width, width / samples), path, precision)
 
-    def test_a_p_that_rounds_past_the_largest_float_is_infinity(self, tmp_path):
-        # at one digit, p = 1.7e308 .. 1.79e308 rounds to 2e+308: inf, which JSON writes as Infinity
-        self.assert_file_is_the_payload(cmd_curve, (1.0, 1.7e308, 1.79e308, 1e306), tmp_path / "c.json", 1)
-        assert '"p": Infinity,' in (tmp_path / "c.json").read_text()
+
+
+# At one digit, p = 1.7e308 .. 1.79e308 prints as 2e+308, past the largest float.
+PAST_THE_LARGEST_FLOAT = [
+    ["curve", "--n", "1", "--p-min", "1.7e308", "--p-max", "1.79e308", "--step", "1e306"],
+    ["base-curve", "--k", "3", "--p-min", "1.7e308", "--p-max", "1.79e308", "--step", "1e306"],
+    ["optimal-net", "--k", "4", "--p", "1.7e308"],
+]
+
+
+@pytest.mark.parametrize(
+    "flags,fmt",
+    [
+        pytest.param(flags, fmt, id=f"{flags[0]}-{fmt}")
+        for flags in PAST_THE_LARGEST_FLOAT
+        for fmt in ("csv", "json", "svg")
+        if (flags[0], fmt) != ("optimal-net", "csv")
+    ],
+)
+def test_a_number_printed_past_the_largest_float_is_a_usage_error(tmp_path, capsys, flags, fmt):
+    out = tmp_path / f"t.{fmt}"
+    with pytest.raises(SystemExit) as err:
+        run_main([*flags, "--precision", "1", "--format", fmt, "--out", str(out)])
+    assert err.value.code == 2
+    assert "1.7e+308 printed at precision 1 is 2e+308, past the largest float" in capsys.readouterr().err
+    assert not out.exists()
+    # at three digits the largest p printed is 1.79e+308, a float
+    assert run_main([*flags, "--precision", "3", "--format", fmt, "--out", str(out)]) == 0
+
+
+@pytest.mark.parametrize(
+    "command,args,fmt",
+    [
+        pytest.param(command, args, fmt, id=f"{name}-{fmt}")
+        for name, command, args, formats in (
+            ("base-curve-3", cmd_base_curve, (3, 1.0, 4.0, 0.5), ("csv", "json", "svg")),
+            ("base-curve-4", cmd_base_curve, (4, 1.0, 4.0, 0.5), ("csv", "json", "svg")),
+            ("optimal-net", cmd_optimal_net, (4, 2.0), ("json", "svg")),
+        )
+        for fmt in formats
+    ],
+)
+def test_a_numpy_k_writes_what_an_int_k_writes(tmp_path, command, args, fmt):
+    k, *rest = args
+    int_k = command(k, *rest, OutputSpec(format=fmt, path=str(tmp_path / "int")))
+    numpy_k = command(np.int64(k), *rest, OutputSpec(format=fmt, path=str(tmp_path / "numpy")))
+    assert int_k == numpy_k
+    assert (tmp_path / "int").read_bytes() == (tmp_path / "numpy").read_bytes()
 
 
 class TestOptimalNetCommand:
