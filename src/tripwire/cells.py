@@ -121,11 +121,11 @@ def _convex_blocks(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int
             _fail(failures, idx, DegenerateCellError(f"cell needs at least 3 planar points, got shape {shape}"))
             continue
 
-        # Tolerances follow each cell's size along each axis, not its
-        # distance from the origin.  Drop consecutive duplicates (closed
-        # polygon).
+        # Tolerances follow each cell's own size along each axis, however
+        # small, not its distance from the origin.  Drop consecutive
+        # duplicates (closed polygon).
         centred = poly - _centre(poly)
-        extent = np.maximum(1.0, np.abs(centred).max(axis=1))
+        extent = np.abs(centred).max(axis=1)
         scale = extent.max(axis=1)
         distinct = ~(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent[:, None, :]).all(axis=2)
         for m, rows, keep in _vertex_counts(distinct):
@@ -186,7 +186,11 @@ def _convexity(idx, poly, unit, e, failures, done) -> None:
 
     Turns are taken on each cell scaled by 2**-e, whose size is then unit.
     A vertex is straight when its turn is below 1e-12 rad, and a reflex turn
-    within 1e-12 of the cell's size squared is taken as rounding.
+    within 1e-12 of the cell's size squared is taken as rounding.  A pass
+    drops only the first vertex of each run of straight ones: the turn of
+    the next is taken again on its new edge, so of two vertices closer than
+    the rounding of a turn, whose short edge turns both of them by noise,
+    one goes and the corner they make stays.
     """
     shrunk = np.ldexp(poly, -e[:, None, None])
     back = shrunk - _turn(shrunk, -1)
@@ -194,6 +198,8 @@ def _convexity(idx, poly, unit, e, failures, done) -> None:
     cross = _cross2(back, ahead)
     reflex = (cross < (-1e-12 * unit * unit)[:, None]).any(axis=1)
     straight = cross <= 1e-12 * np.hypot(back[..., 0], back[..., 1]) * np.hypot(ahead[..., 0], ahead[..., 1])
+    if straight.any():
+        straight &= ~np.roll(straight, 1, axis=1) | straight.all(axis=1)[:, None]
     if reflex.any():
         _fail(failures, idx[reflex], DomainError("cell must be convex"))
         idx, poly, unit, e, straight = idx[~reflex], poly[~reflex], unit[~reflex], e[~reflex], straight[~reflex]

@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 from . import nets, svg
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count
-from .inscribe import _sample, check_aspect, crossover_w, p_grid, placement
+from .inscribe import _samples, check_aspect, crossover_w, p_grid, placement
 from .oracle import (
     VerificationReport,
     curve_oracle_check,
@@ -62,6 +62,19 @@ def _num(x: float, precision: int) -> str:
     return text
 
 
+def _nums(xs: list[float], precision: int) -> list[str]:
+    """_num of each x in xs, checked once: at the largest |x|, since no
+    smaller |x| prints past the largest float unless that one does."""
+    if xs:
+        try:
+            _num(max(map(abs, xs)), precision)
+        except DomainError:
+            for x in xs:  # raises at the first x that prints past the largest float
+                _num(x, precision)
+    spec = f".{precision}g"
+    return [format(x, spec) for x in xs]
+
+
 def _round_sig(x: float, precision: int) -> float:
     return float(_num(x, precision))
 
@@ -71,14 +84,15 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dict, rows, plot) -> dict:
-    """Write a (p, c, branch) sample table to out.path and return its JSON payload.
+def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dict, ps, cs, branches, plot) -> dict:
+    """Write a sample table, the columns p, c (lists of floats) and branch,
+    to out.path and return its JSON payload.
 
-    Each number is formatted once at out.precision: CSV prints that
-    string and JSON the float it parses back to.  The table leads with
-    `head` = value (an int is written as is), then the `notes_key` block
-    of notes, whose None values are JSON nulls and left out of the CSV.
-    `plot()` returns the SVG document.
+    Each number is formatted once at out.precision, a column at a time
+    (_nums): CSV prints that string and JSON the float it parses back to.
+    The table leads with `head` = value (an int is written as is), then
+    the `notes_key` block of notes, whose None values are JSON nulls and
+    left out of the CSV.  `plot()` returns the SVG document.
 
     The JSON file is json.dumps(payload, indent=2) + "\n", written in one
     pass: json.dumps of the payload without its samples, then one string
@@ -90,18 +104,21 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
     """
     head_text = str(value) if isinstance(value, int) else _num(value, out.precision)
     note_texts = {key: None if x is None else _num(x, out.precision) for key, x in notes.items()}
-    row_texts = [(_num(p, out.precision), _num(c, out.precision), branch) for p, c, branch in rows]
+    p_texts, c_texts = _nums(ps, out.precision), _nums(cs, out.precision)
     payload = {
         head: value if isinstance(value, int) else float(head_text),
         "precision": out.precision,
         notes_key: {key: None if text is None else float(text) for key, text in note_texts.items()},
-        "samples": [{"p": float(p), "c": float(c), "branch": branch} for p, c, branch in row_texts],
+        "samples": [
+            {"p": p, "c": c, "branch": branch}
+            for p, c, branch in zip(map(float, p_texts), map(float, c_texts), branches)
+        ],
     }
     if out.format == "csv":
         lines = [f"# {head}={head_text}"]
         lines += [f"# {key}={text}" for key, text in note_texts.items() if text is not None]
         lines.append("p,c,branch")
-        lines += [",".join(row) for row in row_texts]
+        lines += [f"{p},{c},{branch}" for p, c, branch in zip(p_texts, c_texts, branches)]
         _write(out.path, "\n".join(lines) + "\n")
     elif out.format == "json":
         rows_json = ",\n".join(
@@ -122,7 +139,9 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
 def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec) -> dict:
     """Sample the inscribing curve for hole aspect n and write it to out.path."""
     n = check_aspect(n, "hole aspect n")
-    samples = [(p, *_sample(n, p)) for p in p_grid(p_min, p_max, step)]
+    ps = p_grid(p_min, p_max, step)
+    cs, branches = _samples(n, ps)
+    cs = cs.tolist()
     w_n = crossover_w(n)
     return _write_samples(
         out,
@@ -130,9 +149,11 @@ def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec
         n,
         "markers",
         {"plateau_end": n, "vertical_end": w_n},
-        samples,
+        ps,
+        cs,
+        branches,
         lambda: svg.curve_plot_svg(
-            [("inscribing-curve", [(p, c) for p, c, _ in samples], "#2040a0")],
+            [("inscribing-curve", ps, cs, "#2040a0")],
             markers=[(n, "p=n"), (w_n, "p=w")],
             title=f"Inscribing curve, hole aspect n={_num(n, 6)}",
         ),
@@ -156,13 +177,14 @@ def cmd_base_curve(
         raise DomainError("--overlay is only supported with --format svg")
     grid_ps = p_grid(p_min, p_max, step)
     k = nets._line_count(k)
-    points = [(p, *point) for p, point in zip(grid_ps, nets._base_curve(k, grid_ps))]
+    values, families = nets._base_curve(k, grid_ps)
+    values = values.tolist()
     annotations = {"crossover_aspect": nets.crossover_aspect(k) if k >= 2 else None}
     if k >= 3 and k % 2 == 1:
         annotations["crossover_aspect_line_count"] = nets.odd_crossover_line_count(k)
 
     def plot() -> str:
-        series = [("base-curve", [(p, c) for p, c, _ in points], "#2040a0")]
+        series = [("base-curve", grid_ps, values, "#2040a0")]
         markers: list[tuple[float, str]] = []
         if annotations["crossover_aspect"] is not None:
             markers.append((annotations["crossover_aspect"], "p1"))
@@ -171,13 +193,7 @@ def cmd_base_curve(
             if v + h != k or min(v, h) < 0:
                 raise DomainError(f"overlay split {overlay!r} must use {k} lines")
             hole = nets.evenly_spaced(v, h).widest_hole
-            series.append(
-                (
-                    f"N({v},{h})",
-                    [(p, nets._hole_scale(*hole, p)) for p in grid_ps],
-                    "#c03030",
-                )
-            )
+            series.append((f"N({v},{h})", grid_ps, nets._hole_scales(*hole, grid_ps).tolist(), "#c03030"))
             aspect_comp = (max(v, h) + 1) / (min(v, h) + 1)
             grid_aspect = (k - k // 2 + 1) / (k // 2 + 1)  # 1 for even k
             markers.append((aspect_comp, "p2"))
@@ -186,7 +202,7 @@ def cmd_base_curve(
                 markers.append((crossover_w(aspect_comp), "p4"))
         return svg.curve_plot_svg(series, markers, title=f"Base curve, k={k}")
 
-    return _write_samples(out, "k", k, "annotations", annotations, points, plot)
+    return _write_samples(out, "k", k, "annotations", annotations, grid_ps, values, families, plot)
 
 
 # ----------------------------------------------------------------------------

@@ -35,6 +35,13 @@ the largest root of the cubic p^3 - 3n p^2 + p + n.
 
 Each public function checks its numbers once and then calls one
 unchecked core (`_sample`, `_diagonal`) that takes checked floats.
+`_samples` is `_sample` over a whole p-grid in one numpy pass, bit for
+bit: the p-grid callers (the CLI tables, nets._base_curve and
+nets._hole_scales, the theorem scans, the curve-oracle suite) use it,
+and so does nets.base_curve, the one-point case of nets._base_curve.
+The other one-point callers keep `_sample`.  Both take the legs from
+`_legs`, or from `_huge_legs` from p = 2**512 on, where (p - 1)(p + 1)
+overflows.
 """
 
 from __future__ import annotations
@@ -43,11 +50,14 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+import numpy as np
+
 from .errors import DomainError, check_real
 
 BRANCH_PLATEAU = "horizontal-plateau"
 BRANCH_VERTICAL = "vertical"
 BRANCH_DIAGONAL = "diagonal"
+_LABELS = np.array((BRANCH_PLATEAU, BRANCH_VERTICAL, BRANCH_DIAGONAL), dtype=object)
 
 # Two values within this share of each other tie: branch labels and net
 # scores alike.  Relative, because both fall like 1/p and an absolute
@@ -56,6 +66,9 @@ TIE_RTOL = 1e-12
 
 # Most samples a p range may ask for (p_grid).
 MAX_P_SAMPLES = 10**6
+
+# (p - 1)(p + 1) is finite exactly for p below 2**512 (_legs).
+HUGE_P = 2.0**512
 
 
 def check_aspect(value: float, name: str = "aspect ratio") -> float:
@@ -93,7 +106,9 @@ def p_grid(p_min: float, p_max: float, step: float) -> list[float]:
 
 
 def ties(value: float, best: float) -> bool:
-    """True when `value` is at most TIE_RTOL * |best| above `best`: it ties or beats a minimum `best`."""
+    """True when `value` is at most TIE_RTOL * |best| above `best`: it ties or beats a minimum `best`.
+
+    Elementwise on numpy arrays."""
     return value <= best + abs(best) * TIE_RTOL
 
 
@@ -130,20 +145,25 @@ class Placement:
     c: float
 
 
-def _diagonal(n: float, p: float) -> tuple[float, float, float]:
-    """(a1, a2, c) of the corner-contact placement, for checked aspects p > n."""
+def _legs(n, p):
+    """(a1, a2) of the corner-contact placement for checked aspects p > n,
+    p below HUGE_P; floats or arrays of p alike."""
     # Written so that nothing cancels: p - n, p - 1 and n - 1 are exact
     # wherever their operands are close (Sterbenz), q is a product rather
     # than p^2 - 1, and p n - 1 = (p - 1) n + (n - 1) adds like-signed terms.
     q = (p - 1.0) * (p + 1.0)
-    if math.isfinite(q):
-        a1 = ((p - 1.0) * n + (n - 1.0)) / q
-        a2 = (p - n) / q
-    else:
-        # q overflows for p above about 1.34e154: divide by its factors in
-        # turn, with a1 = (n + (n - 1) / (p - 1)) / (p + 1).
-        a1 = (n + (n - 1.0) / (p - 1.0)) / (p + 1.0)
-        a2 = (p - n) / (p - 1.0) / (p + 1.0)
+    return ((p - 1.0) * n + (n - 1.0)) / q, (p - n) / q
+
+
+def _huge_legs(n, p):
+    """_legs for p from HUGE_P up, where q overflows: divide by its factors in
+    turn, with a1 = (n + (n - 1) / (p - 1)) / (p + 1)."""
+    return (n + (n - 1.0) / (p - 1.0)) / (p + 1.0), (p - n) / (p - 1.0) / (p + 1.0)
+
+
+def _diagonal(n: float, p: float) -> tuple[float, float, float]:
+    """(a1, a2, c) of the corner-contact placement, for checked aspects p > n."""
+    a1, a2 = _legs(n, p) if p < HUGE_P else _huge_legs(n, p)
     return a1, a2, math.hypot(a1, a2)
 
 
@@ -168,6 +188,32 @@ def _sample(n: float, p: float) -> tuple[float, str]:
     else:
         diagonal_wins = diagonal > vertical
     return max(vertical, diagonal), BRANCH_DIAGONAL if diagonal_wins else BRANCH_VERTICAL
+
+
+def _samples(n: float, ps) -> tuple[np.ndarray, list[str]]:
+    """_sample at a checked n and each checked p in ps, in one numpy pass:
+    (c array, branch list), bit for bit _sample's.
+
+    numpy's elementwise + - * / and maximum round as Python floats do, the
+    diagonal's c is math.hypot (np.hypot can differ in the last bit), and
+    the tie band's labels take the exact cubic point by point.
+    """
+    p = np.array(ps, dtype=float)
+    c = np.ones_like(p)
+    code = np.zeros(len(p), dtype=np.intp)  # index into _LABELS
+    (above,) = np.nonzero(p > n)
+    p = p[above]
+    a1, a2 = np.empty_like(p), np.empty_like(p)
+    small = p < HUGE_P
+    a1[small], a2[small] = _legs(n, p[small])
+    a1[~small], a2[~small] = _huge_legs(n, p[~small])
+    vertical, diagonal = n / p, np.array(list(map(math.hypot, a1.tolist(), a2.tolist())))
+    c[above] = np.maximum(vertical, diagonal)
+    diagonal_wins = diagonal > vertical
+    for i in np.flatnonzero(ties(diagonal, vertical) & ties(vertical, diagonal)).tolist():
+        diagonal_wins[i] = _cubic(n, float(p[i])) > 0
+    code[above] = 1 + diagonal_wins
+    return c, _LABELS[code].tolist()
 
 
 def diagonal_branch(n: float, p: float) -> DiagonalSolution:

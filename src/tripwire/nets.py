@@ -22,8 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
+import numpy as np
+
 from .errors import DomainError, check_count, check_real
-from .inscribe import _sample, check_aspect, ties
+from .inscribe import _sample, _samples, check_aspect, ties
 
 
 @dataclass(frozen=True)
@@ -113,6 +115,12 @@ def _hole_scale(w: float, h: float, p: float) -> float:
     return s * _sample(max(w, h) / s, p)[0]
 
 
+def _hole_scales(w: float, h: float, ps) -> np.ndarray:
+    """_hole_scale at each checked p in ps, in one pass (inscribe._samples)."""
+    s = min(w, h)
+    return s * _samples(max(w, h) / s, ps)[0]
+
+
 def net_scale_factor(net: Net, p: float) -> float:
     """Scale factor of a net: the largest intruder scale over its holes.
 
@@ -151,7 +159,8 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     from the hole count per axis.  "parallel" wins when it ties the
     grid (ties); the value returned is the winning family's own.
     """
-    return _base_curve(_line_count(k), [check_aspect(p, "intruder aspect p")])[0]
+    values, families = _base_curve(_line_count(k), [check_aspect(p, "intruder aspect p")])
+    return values.tolist()[0], families[0]
 
 
 def _line_count(k: int) -> int:
@@ -161,16 +170,16 @@ def _line_count(k: int) -> int:
     return k
 
 
-def _base_curve(k: int, ps: list[float]) -> list[tuple[float, str]]:
-    """base_curve for a checked line count k at each checked p in ps; an
-    odd k's grid net is built once."""
-    hole = evenly_spaced(k - k // 2, k // 2).widest_hole if k % 2 else None
-    points = []
-    for p in ps:
-        parallel = _sample(float(k + 1), p)[0] / (k + 1)
-        grid = _hole_scale(*hole, p) if hole else _sample(1.0, p)[0] / (k // 2 + 1)
-        points.append((parallel, "parallel") if ties(parallel, grid) else (grid, "grid"))
-    return points
+def _base_curve(k: int, ps) -> tuple[np.ndarray, list[str]]:
+    """base_curve for a checked line count k at each checked p in ps, in one
+    pass per family: (value array, family list)."""
+    parallel = _samples(float(k + 1), ps)[0] / (k + 1)
+    if k % 2:
+        grid = _hole_scales(*evenly_spaced(k - k // 2, k // 2).widest_hole, ps)
+    else:
+        grid = _samples(1.0, ps)[0] / (k // 2 + 1)
+    wins = ties(parallel, grid)
+    return np.where(wins, parallel, grid), np.where(wins, "parallel", "grid").tolist()
 
 
 def crossover_aspect(k: int) -> float:

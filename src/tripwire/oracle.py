@@ -5,9 +5,10 @@ kernel run on the hole as a convex cell (see cells.largest_rectangles),
 which the curve-oracle suite compares with the closed form over a
 p-grid, and the perturbation experiment measures inscribed squares in
 the cells of a perturbed arrangement.  The others score nets with the
-closed curve under test (nets._hole_scale): net enumeration every split
-of k lines between the two axes, the theorem scans every split over a
-p-grid, and the irregular check jittered cuts of every split; the split
+closed curve under test (nets._hole_scale, and nets._hole_scales over a
+p-grid): net enumeration every split of k lines between the two axes,
+the theorem scans every split over a p-grid in one (class, p) table, and
+the irregular check jittered cuts of every split; the split
 check takes its short side from inscribe.diagonal_branch and re-solves
 the corner-contact equations per split.  ROADMAP item 2 moves them onto
 the kernel.  Each suite returns its finished VerificationReport.
@@ -31,7 +32,7 @@ from .cells import (
     perturbed_vertical_lines,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
-from .inscribe import TIE_RTOL, check_aspect, crossover_w, curve_value, diagonal_branch, p_grid, ties
+from .inscribe import TIE_RTOL, _samples, check_aspect, crossover_w, diagonal_branch, p_grid, ties
 
 # Largest relative deviation of the closed-form curve from the exact
 # rectangle kernel that the curve-oracle suite accepts.
@@ -110,9 +111,9 @@ def curve_oracle_check(n: float) -> VerificationReport:
     except DomainError as exc:
         raise DomainError(f"n={n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
     candidates, failures = [], []
-    for p in grid:
+    for p, closed in zip(grid, _samples(n, grid)[0].tolist()):
         exact = oracle_curve_value(n, p)
-        deviation = abs(curve_value(n, p) - exact) / exact
+        deviation = abs(closed - exact) / exact
         candidates.append((f"p={p:.9g}", deviation))
         if deviation > CURVE_ORACLE_RTOL:
             failures.append(
@@ -178,17 +179,23 @@ def theorem_scan(k: int) -> VerificationReport:
     k = check_count(k, "line count k", minimum=2)
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
-    class_holes = {vmax: nets.evenly_spaced(vmax, k - vmax).widest_hole for vmax in range(grid_class, k + 1)}
+    classes = range(grid_class, k + 1)
+    # One (class, p) table: each class scores its split's widest hole.
+    holes = [nets.evenly_spaced(v, k - v).widest_hole for v in classes]
+    values = np.array([nets._hole_scales(*hole, THEOREM_P_VALUES) for hole in holes])
+    tied = ties(values, values.min(axis=0))
+    ps = np.array(THEOREM_P_VALUES)
+    predicted = np.where(ps <= x, k, grid_class)
+    predicted_tied = tied[predicted - grid_class, np.arange(len(ps))]
+    wrong = ~predicted_tied | ((np.abs(ps - x) > CROSSOVER_WINDOW) & (tied.sum(axis=0) > 1))
     mismatches = []
-    for p in THEOREM_P_VALUES:
-        values = {vmax: nets._hole_scale(*hole, p) for vmax, hole in class_holes.items()}
-        best = min(values.values())
-        tied = sorted(v for v, value in values.items() if ties(value, best))
-        predicted = k if p <= x else grid_class
-        if predicted not in tied:
-            mismatches.append(f"p={p!r}: predicted class {predicted} not in argmin set {tied}")
-        elif abs(p - x) > CROSSOVER_WINDOW and tied != [predicted]:
-            mismatches.append(f"p={p!r}: unexpected tie set {tied}, predicted {predicted}")
+    for j in np.flatnonzero(wrong).tolist():
+        p, expected = THEOREM_P_VALUES[j], int(predicted[j])
+        argmin = [classes[i] for i in np.flatnonzero(tied[:, j]).tolist()]
+        if predicted_tied[j]:
+            mismatches.append(f"p={p!r}: unexpected tie set {argmin}, predicted {expected}")
+        else:
+            mismatches.append(f"p={p!r}: predicted class {expected} not in argmin set {argmin}")
     p_above = next(p for p in THEOREM_P_VALUES if p > x + CROSSOVER_WINDOW)
     parameters = {
         "k": k,

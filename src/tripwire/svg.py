@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 # Net drawings: pixels per unit-square side and outer margin.
 NET_UNIT = 480.0
 NET_MARGIN = 40.0
@@ -19,15 +21,14 @@ def _fmt(x: float) -> str:
 
 
 def curve_plot_svg(
-    series: list[tuple[str, list[tuple[float, float]], str]],
+    series: list[tuple[str, list[float], list[float], str]],
     markers: list[tuple[float, str]],
     title: str,
 ) -> str:
-    """Line plot of (p, c) series with labeled vertical marker lines."""
-    points = [pt for _, pts, _ in series for pt in pts]
-    p_lo = min(p for p, _ in points)
-    p_hi = max(p for p, _ in points)
-    c_hi = max(c for _, c in points) * 1.05
+    """Line plot of (label, p values, c values, colour) series with labeled vertical marker lines."""
+    p_lo = min(min(ps) for _, ps, _, _ in series)
+    p_hi = max(max(ps) for _, ps, _, _ in series)
+    c_hi = max(max(cs) for _, _, cs, _ in series) * 1.05
     span_p = (p_hi - p_lo) or 1.0
     plot_w = PLOT_WIDTH - PLOT_ML - PLOT_MR
     plot_h = PLOT_HEIGHT - PLOT_MT - PLOT_MB
@@ -77,8 +78,9 @@ def curve_plot_svg(
             f'<text x="{_fmt(x + 3)}" y="{_fmt(PLOT_MT + 12)}" font-family="sans-serif" '
             f'font-size="11" fill="gray">{label}</text>'
         )
-    for label, pts, color in series:
-        coords = " ".join(f"{_fmt(sx(p))},{_fmt(sy(c))}" for p, c in pts)
+    for label, ps, cs, color in series:
+        xs, ys = sx(np.array(ps)).tolist(), sy(np.array(cs)).tolist()
+        coords = " ".join(f"{x:.10g},{y:.10g}" for x, y in zip(xs, ys))
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5" class="series" data-label="{label}"/>'

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -146,9 +147,10 @@ def zoomed_fixed_angle_lp(poly, p, count, rounds=14, points=21):
 
 def loop_convex_cell(points):
     """Reference for cells.convex_cell: the same checks on one cell with
-    Python scalars and a loop over collinear-vertex removal, as the module
-    ran them before it normalised cells in blocks.  Its turn test
-    multiplies raw edges, which overflow past about 1e154."""
+    Python scalars and a loop over collinear-vertex removal (the first
+    straight vertex of each run per pass), with tolerances of the cell's
+    own size however small.  Its turn test multiplies raw edges, which
+    overflow past about 1e154 and underflow below about 1e-154."""
     if isinstance(points, np.ndarray) and points.dtype == float:
         if not np.isfinite(points).all():
             raise DomainError("cell vertex coordinates must be finite")
@@ -159,7 +161,7 @@ def loop_convex_cell(points):
     if poly.ndim != 2 or poly.shape[1] != 2 or poly.shape[0] < 3:
         raise DegenerateCellError(f"cell needs at least 3 planar points, got shape {poly.shape}")
     centred = poly - np.ldexp(np.ldexp(poly, -len(poly).bit_length()).mean(axis=0), len(poly).bit_length())
-    extent = np.maximum(1.0, np.abs(centred).max(axis=0))
+    extent = np.abs(centred).max(axis=0)
     scale = float(extent.max())
     distinct = ~(np.abs(poly - np.roll(poly, -1, axis=0)) <= 1e-15 * extent).all(axis=1)
     poly, centred = poly[distinct], centred[distinct]
@@ -180,6 +182,8 @@ def loop_convex_cell(points):
         if (cross < -1e-12 * scale * scale).any():
             raise DomainError("cell must be convex")
         straight = cross <= 1e-12 * np.hypot(*back.T) * np.hypot(*ahead.T)
+        if not straight.all():
+            straight &= ~np.roll(straight, 1)
         if not straight.any():
             return poly
         poly = poly[~straight]
@@ -268,6 +272,30 @@ def normalised_batch(polys):
     return batch
 
 
+# Non-convex: the vertex (1, 0.5) dents the triangle (0, 0), (2, 0), (1, 2).
+DENTED_QUAD = [(0, 0), (2, 0), (1, 0.5), (1, 2)]
+
+# A 6-gon of size about 5e-9 whose vertices 0 and 1 are about 4e-22 apart
+# at a corner: the short edge between them turns both by rounding.
+CLOSE_PAIR_HEXAGON = [
+    (-7.5971880701518615e-09, 1.9641558854764458e-09),
+    (-7.5971880701514628e-09, 1.9641558854763429e-09),
+    (-7.6210176030310229e-09, 1.8695629462508994e-09),
+    (-7.4239987683655466e-09, -2.5415383536373995e-09),
+    (-5.5480391986762227e-09, -5.5492734628647696e-09),
+    (-3.6777996661233418e-09, -6.9317360402402861e-09),
+]
+
+
+def scaled_verdict(run, cell, j):
+    """run(cell) scaled by 2**-j, or its error type and message with the
+    exponent of a zero-area message's 4**e moved down by j."""
+    try:
+        return np.ldexp(run(cell), -j).tolist()
+    except (DegenerateCellError, DomainError) as exc:
+        return type(exc), re.sub(r"4\*\*(-?\d+)", lambda m: f"4**{int(m.group(1)) - j}", str(exc))
+
+
 def regular_polygon(count, side, angle, center):
     """Regular count-gon with the given side, turned by angle about center."""
     radius = side / (2.0 * math.sin(math.pi / count))
@@ -320,7 +348,7 @@ class TestConvexCell:
             arrangement_cells([(1, -1, 0), (1, 1, 1)])[1],
             [(0, 0), (1, 0), (2, 0)],
             [(0, 0)] * 4,
-            [(0, 0), (2, 0), (1, 0.5), (1, 2)],
+            DENTED_QUAD,
             [(0, 0), (1, 0), (1, 1), (0.5, 1 - 1e-13), (0, 1)],
             np.array([(0.0, 0.0), (1.0, np.nan), (0.0, 1.0)]),
             [(0, 0), (1, 0), ("a", 1)],
@@ -361,6 +389,42 @@ class TestConvexCell:
             e = np.frexp(np.abs(poly).max())[1]
             assert np.array_equal(batch[i], np.ldexp(convex_cell(np.ldexp(poly, -e)), e))
             assert np.array_equal(batch[i], convex_cell(poly))
+
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-5, 1e-7, 1e-20, 1e-300])
+    def test_a_small_dent_is_judged_at_the_cell_size(self, scale):
+        with pytest.raises(DomainError, match="cell must be convex"):
+            convex_cell(np.array(DENTED_QUAD) * scale)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-14, 1e-16, 1e-300])
+    def test_a_small_triangle_is_kept(self, scale):
+        triangle = np.array([(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]) * scale
+        assert np.array_equal(convex_cell(triangle), triangle)
+        assert largest_square_in_cell(triangle) == pytest.approx(scale / 2, rel=1e-15, abs=0.0)
+
+    @pytest.mark.parametrize("j", [0, 30, -30, 900, -900])
+    def test_two_close_vertices_keep_their_corner(self, j):
+        # both turns at the pair read as straight; only vertex 0, the first
+        # of that run, goes, and the cell keeps its 5 corners
+        hexagon = np.ldexp(np.array(CLOSE_PAIR_HEXAGON), j)
+        assert np.array_equal(convex_cell(hexagon), hexagon[1:])
+        assert largest_square_in_cell(hexagon) == math.ldexp(1.5007775759910374e-09, j)
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), j=st.integers(min_value=-900, max_value=900))
+    @settings(max_examples=60, deadline=None)
+    def test_a_cell_scaled_by_a_power_of_two_keeps_its_verdict(self, seed, j):
+        # every tolerance follows the cell's own size, so 2**j moves nothing
+        # but the sides and the exponent of a zero-area message
+        rng = np.random.default_rng(seed)
+        polys = edited_convex_polygons(6, -3, 3, rng)
+        polys += [np.array(DENTED_QUAD) * 10.0 ** rng.uniform(-3, 3), [(0, 0), (1, 0), (2, 0)], *THIN_CELLS.values()]
+        for poly in polys:
+            poly = np.asarray(poly, dtype=float)
+            big = np.ldexp(poly, j)
+            assert scaled_verdict(convex_cell, big, j) == scaled_verdict(convex_cell, poly, 0)
+            for p in (1.0, 2.5):
+                side = scaled_verdict(lambda cell: largest_rectangles([cell], p), big, j)
+                assert side == scaled_verdict(lambda cell: largest_rectangles([cell], p), poly, 0)
 
 
 class TestLargestSquare:

@@ -279,6 +279,16 @@ def test_a_number_printed_past_the_largest_float_is_a_usage_error(tmp_path, caps
     assert run_main([*flags, "--precision", "3", "--format", fmt, "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("command", ["curve --n 1", "base-curve --k 4"])
+def test_a_table_names_its_first_number_past_the_largest_float(tmp_path, capsys, command):
+    # p = 1e308, 1.5e308, 1.79e308: the first prints as 1e+308, the other two as 2e+308
+    argv = [*command.split(), "--p-min", "1e308", "--p-max", "1.79e308", "--step", "5e307", "--precision", "1"]
+    with pytest.raises(SystemExit) as err:
+        run_main([*argv, "--out", str(tmp_path / "t.csv")])
+    assert err.value.code == 2
+    assert "error: 1.5e+308 printed at precision 1 is 2e+308, past the largest float" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "command,args,fmt",
     [

@@ -1,8 +1,11 @@
 """Golden sha256 digests of the closed-form CLI outputs.
 
 `curve`, `base-curve`, `optimal-net` and the theorem and lagrange
-reports use only Python float math (`math.hypot`, `math.cos` and
-`math.sin` included), so their bytes do not depend on the numpy build.
+reports use Python float math (`math.hypot`, `math.cos` and `math.sin`
+included) and, over their p-grids, numpy's elementwise + - * /, maximum
+and comparisons, which round as IEEE 754 prescribes, like Python floats;
+the diagonal's hypot stays `math.hypot`.  So their bytes do not depend
+on the numpy build.
 Any change that moves one byte of them fails here.  The tie band of the
 curve's branch labels, where the vertical and diagonal scales lie within
 TIE_RTOL, is kept out of these grids: its exact labels have their own
@@ -61,11 +64,19 @@ CASES = {
     **{f"verify-theorem-odd-k{k}.json": ["verify", "theorem-odd", "--k", str(k)] for k in (3, 5, 11)},
     **{f"verify-lagrange-k{k}-p{p}.json": ["verify", "lagrange", "--k", str(k), "--p", p]
        for k, p in ((2, "4"), (4, "4"), (6, "7.5"))},
+    # tables across p = 2**512, where the diagonal's legs change formula
+    **{f"curve-n2-past-2-512.{fmt}": _curve("2", "1e160", "1e157", fmt, 17, p_min="1e150") for fmt in ("csv", "json")},
+    **{
+        f"base-curve-k5-past-2-512.{fmt}": ["base-curve", "--k", "5", "--p-min", "1e150", "--p-max", "1e160",
+                                            "--step", "1e157", "--format", fmt, "--precision", "17"]
+        for fmt in ("csv", "json")
+    },
 }
 
 # Recorded before the closed forms were split into checked entries and
 # unchecked cores; the JSON tables at precisions 1 and 9 and the base-curve
-# JSON at k = 1, 5 and 12 before the tables' JSON was written in one pass.
+# JSON at k = 1, 5 and 12 before the tables' JSON was written in one pass;
+# the tables past 2**512 before the p-grids were tabulated in numpy.
 DIGESTS = {
     "base-curve-k1.csv": "c7542181162c8bb457014de5e83b38fcdcf1a3a11da68e21758eeddf918d62e7",
     "base-curve-k1.json": "1c393a49f868760a93f029c0fd57f75822c6d4b88030909f9746354a2537915a",
@@ -81,6 +92,8 @@ DIGESTS = {
     "base-curve-k5-overlay.svg": "35f8baf4e942a9fdbd9b43cef8be4885d3d893fcd66007c1f50d7325739ddcfd",
     "base-curve-k5.csv": "b7e1e9e7ac189ddb7823238dc967038f6ca2c9b96c653eb1c7e9e786698c8d72",
     "base-curve-k5.json": "3e9b2198db70b9b57c5f0d8767877b5ba6da5051845a4ef26a5577cadc612791",
+    "base-curve-k5-past-2-512.csv": "a9814c363438c98312270271c737ee7a5e7b3dc428d75e67b5902c3b28b04ac8",
+    "base-curve-k5-past-2-512.json": "793a7fb9fffbb04d7a1bd9ce2905d59c83bde40a4c1f1bb188b7cce1303f10cf",
     "base-curve-k6.csv": "24b814973d32a80759393f25fcac269fd3bd7d8040cc274eee71447709d8447d",
     "base-curve-k7.csv": "44db7db12141cde20db0ba196bdd32495084cf39ff2a56290c4c22872a6fe01b",
     "base-curve-k8.csv": "4fa928a66b7e23801a526de2a7823a26bb68455c0d2cf029628669f0fac47821",
@@ -101,6 +114,8 @@ DIGESTS = {
     "curve-n10-p6.json": "91a3dd3da7cd60c5f0fefec8998ded9e37e1b4a823c45a15e8e385218f45ad9c",
     "curve-n10-p6.svg": "3c743c52b10a326fd82f9b1947f6242e97fbf347fb181965a24d949ee33986f2",
     "curve-n10-p9.json": "6082203a0fff5c13d36c3256895887b2afb4c7db97798700afdb173805812b15",
+    "curve-n2-past-2-512.csv": "67af6fb653f4b420b62b175ce0046a23cbceb715e66da6839113d8ca563ce2ca",
+    "curve-n2-past-2-512.json": "aec28dfd94d0531e2bbe4643905f21ec1c927fe5cd0c6a73d798b74f9adba28e",
     "curve-n1e4-wide.csv": "8e125a3fa0206ef8103f8df097e7be9de1544a3c601ca03cc07cc224ba57a374",
     "curve-n1e4-wide.json": "42ade5884c567f4b66a8fe09f9a93dc3f0d534242b8a9622172e05d126cef24f",
     "curve-n1e4-wide.svg": "e7fa2a8da7e13544d160959b0eb42a2f2fbded4495207a54bcd5246efc303077",

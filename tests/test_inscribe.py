@@ -12,8 +12,11 @@ from tripwire.inscribe import (
     BRANCH_DIAGONAL,
     BRANCH_PLATEAU,
     BRANCH_VERTICAL,
+    HUGE_P,
     MAX_P_SAMPLES,
     TIE_RTOL,
+    _sample,
+    _samples,
     check_aspect,
     crossover_w,
     curve_sample,
@@ -315,6 +318,58 @@ class TestExactBranchLabels:
             assert sample.branch == BRANCH_DIAGONAL
             assert placement(n, p).branch == BRANCH_DIAGONAL
             assert placement(n, p).c == pytest.approx(sample.c, rel=1e-15)
+
+
+@st.composite
+def aspect_and_ps(draw):
+    """A hole aspect n in [1, 1e300] and a list of p: any finite p >= 1,
+    near n, p = n, 2**512 and its float neighbours, and w_n with its
+    neighbours, where the labels come from the exact cubic."""
+    n = draw(st.floats(min_value=1.0, max_value=1e300))
+    w = crossover_w(n)
+    special = [n, math.nextafter(n, math.inf), HUGE_P, math.nextafter(HUGE_P, 0.0), math.nextafter(HUGE_P, math.inf)]
+    special += [w + i * math.ulp(w) for i in range(-4, 5)]
+    p = st.one_of(
+        st.floats(min_value=1.0, max_value=1.7976931348623157e308),
+        st.floats(min_value=n, max_value=4.0 * n),
+        st.sampled_from(special),
+    )
+    return n, draw(st.lists(p, max_size=40))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestSamples:
+    def test_huge_p_is_where_the_product_overflows(self):
+        below = 1.3407807929942596e154
+        assert HUGE_P == 2.0**512 == math.nextafter(below, math.inf)
+        assert math.isfinite((below - 1.0) * (below + 1.0))
+        assert not math.isfinite((HUGE_P - 1.0) * (HUGE_P + 1.0))
+
+    @given(aspect_and_ps())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_the_one_point_core(self, case):
+        n, ps = case
+        c, branches = _samples(n, ps)
+        assert len(c) == len(branches) == len(ps)
+        assert list(zip(c.tolist(), branches)) == [_sample(n, p) for p in ps]
+
+    @pytest.mark.parametrize("n", [1.0, 2.0, 1e150])
+    def test_a_grid_across_2_512(self, n):
+        ps = p_grid(1e150, 1e160, 1e157) + [HUGE_P, math.nextafter(HUGE_P, 0.0), math.nextafter(HUGE_P, math.inf)]
+        c, branches = _samples(n, ps)
+        assert list(zip(c.tolist(), branches)) == [_sample(n, p) for p in ps]
+
+    def test_the_tie_band_takes_the_exact_label(self):
+        n = 163324.44039590604
+        ps = [530888.3, 530888.4, 530888.5, 530888.6, 530888.7]
+        assert _samples(n, ps)[1] == [BRANCH_DIAGONAL] * 5
+        w = crossover_w(n)
+        ps = [math.nextafter(w, 0.0), w, math.nextafter(w, math.inf)]
+        assert _samples(n, ps)[1] == [BRANCH_VERTICAL, BRANCH_DIAGONAL, BRANCH_DIAGONAL]
+
+    def test_no_points(self):
+        c, branches = _samples(2.0, [])
+        assert c.shape == (0,) and branches == []
 
 
 class TestPlacement:

@@ -5,9 +5,11 @@ import pytest
 
 from tripwire.cells import PerturbationSpec
 from tripwire.errors import DomainError
-from tripwire.inscribe import crossover_w, curve_value, diagonal_branch, p_grid
+from tripwire import oracle
+from tripwire.inscribe import _sample, _samples, crossover_w, curve_value, diagonal_branch, p_grid, ties
 from tripwire.nets import crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
 from tripwire.oracle import (
+    CROSSOVER_WINDOW,
     THEOREM_P_VALUES,
     VerificationReport,
     curve_oracle_check,
@@ -117,6 +119,62 @@ class TestTheoremScan:
         assert report.parameters["crossover_line_count_formula"] == 6 * 2 / 9
         assert report.parameters["formulas_disagree"] is True
         assert report.parameters["table_at_p"] == 2 + 1 / 64
+
+
+def rounded_aspect_scale(w, h, p):
+    """A wrong hole score: the hole's aspect rounded to a whole number."""
+    s = min(w, h)
+    return s * _sample(float(round(max(w, h) / s)), p)[0]
+
+
+def rounded_aspect_scales(w, h, ps):
+    """rounded_aspect_scale at each p in ps, as nets._hole_scales is called."""
+    s = min(w, h)
+    return s * _samples(float(round(max(w, h) / s)), ps)[0]
+
+
+def per_p_mismatches(k, ps, score):
+    """theorem_scan's mismatches over ps from its one-p-at-a-time loop, with
+    the hole score `score`: the reference for its (class, p) table."""
+    x = crossover_aspect(k)
+    grid_class = k - k // 2
+    class_holes = {vmax: evenly_spaced(vmax, k - vmax).widest_hole for vmax in range(grid_class, k + 1)}
+    mismatches = []
+    for p in ps:
+        values = {vmax: score(*hole, p) for vmax, hole in class_holes.items()}
+        best = min(values.values())
+        tied = sorted(v for v, value in values.items() if ties(value, best))
+        predicted = k if p <= x else grid_class
+        if predicted not in tied:
+            mismatches.append(f"p={p!r}: predicted class {predicted} not in argmin set {tied}")
+        elif abs(p - x) > CROSSOVER_WINDOW and tied != [predicted]:
+            mismatches.append(f"p={p!r}: unexpected tie set {tied}, predicted {predicted}")
+    return mismatches
+
+
+class TestTheoremScanFailures:
+    @pytest.mark.parametrize("k", [3, 5, 8, 11])
+    def test_mismatches_match_the_per_p_loop(self, monkeypatch, k):
+        # A report keeps its first 10 failures, so the scan runs on every
+        # tail of the grid that starts at a tenth mismatch: together they
+        # show every mismatch, in order.
+        monkeypatch.setattr("tripwire.nets._hole_scales", rounded_aspect_scales)
+        expected = per_p_mismatches(k, THEOREM_P_VALUES, rounded_aspect_scale)
+        assert expected
+        starts = [THEOREM_P_VALUES.index(float(m[2 : m.index(":")])) for m in expected[::10]]
+        for start in starts:
+            monkeypatch.setattr(oracle, "THEOREM_P_VALUES", THEOREM_P_VALUES[start:])
+            report = theorem_scan(k)
+            wanted = per_p_mismatches(k, THEOREM_P_VALUES[start:], rounded_aspect_scale)[:10]
+            assert list(report.failures) == wanted
+            assert report.parameters["mismatches"] == wanted
+            assert not report.passed
+
+    def test_both_kinds_of_mismatch(self, monkeypatch):
+        monkeypatch.setattr("tripwire.nets._hole_scales", rounded_aspect_scales)
+        failures = theorem_scan(5).failures
+        assert failures[0] == "p=1.5: unexpected tie set [3, 5], predicted 5"
+        assert failures[1].endswith(": predicted class 5 not in argmin set [3]")
 
 
 class TestLagrangeSplitCheck:
