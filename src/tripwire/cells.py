@@ -16,15 +16,22 @@ B = cp sin(theta) the rectangles of that piece are a polytope in
 (x, A, B).  The long side |(A, B)| is convex, so its maximum there is at
 a vertex (Rockafellar, Convex Analysis, section 32): largest_rectangles
 enumerates every vertex of every piece of non-zero width, batched over
-cells with the same edge count, in chunks of bounded size.
+cells with the same edge count, in chunks of bounded size, and tests
+each vertex against only the m - 2 rows outside its quadruple.
 
-Cells are normalised the same way: one numpy pass per block of cells with
-the same vertex count checks them and turns them counter-clockwise, and a
-cell that drops vertices is normalised again in a block of its new count.
-Every product of coordinates, in the area and turn tests as in the LP, is
-taken on the cell scaled by a power of two (exact) to a size below 1, so
-that none overflows.  convex_cell is the one-cell case of that pass.  A
-batch raises the error of its failing cell of lowest index.
+Cells reach the kernel as stacked (G, m, 2) blocks, one per vertex
+count: largest_rectangles stacks the cells it is given, and the
+perturbation experiments hand it their arrangement faces already
+stacked.  Cells are normalised the same way: one numpy pass per block
+checks them and turns them counter-clockwise, and a cell that drops
+vertices is normalised again in a block of its new count.  Every product
+of coordinates, in the area and turn tests as in the LP, is taken on the
+cell scaled by a power of two (exact) to a size below 1, so that none
+overflows.  convex_cell is the one-cell case of that pass.  A batch
+raises the error of its failing cell of lowest index.
+
+arrangement_cells splits each face that a line cuts into both halves in
+one pass over the face's vertices.
 """
 
 from __future__ import annotations
@@ -46,9 +53,10 @@ from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, 
 # arrangement_cells' bound on the rounding of n.x - b in the unit square.
 GEO_TOL = 1e-15
 
-# Most elements in one of the kernel's work arrays: the (piece, quadruple,
-# row) vertex check of a chunk of pieces, or its 4 x 6 Laplace terms per
-# (piece, quadruple), whichever is larger.
+# Most elements in one of the kernel's work arrays: the five coefficients
+# (n_x, n_y, alpha, beta | b) of every row outside each quadruple of a
+# chunk of pieces, 5 (m - 2) per (piece, quadruple), or its 4 x 6 Laplace
+# terms per (piece, quadruple), whichever is larger.
 CHECK_BUDGET = 1 << 20
 
 # Height on each shifted line about which perturbed_vertical_lines pivots it.
@@ -77,23 +85,18 @@ def convex_cell(points) -> np.ndarray:
     however thin it is.  This is the one-cell case of the block
     normalisation that largest_rectangles runs on its cells.
     """
-    blocks, failures = _convex_blocks([points])
+    stacked, failures = _stack([points])
+    blocks = _convex_blocks(stacked, failures)
     if failures:
         raise failures[0]
     ((_, poly),) = blocks
     return poly[0]
 
 
-def _convex_blocks(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
-    """Normalise cells as convex_cell does, one numpy pass per block of cells
-    with the same vertex count.
-
-    Returns a list of blocks (indices, (G, m, 2) cells), indices ascending
-    within a block, and {index: error} for the cells that fail.  A cell
-    that drops vertices goes on in a new block of its new count, with the
-    size, and so the tolerances and the power-of-two frame, of the cell it
-    was given; two blocks may share a count.
-    """
+def _stack(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
+    """Cells as float arrays stacked by shape: a list of blocks (indices,
+    (G,) + shape array), indices ascending, and {index: DomainError} for
+    the cells with a coordinate that is not a real."""
     failures: dict[int, ValueError] = {}
     shapes: dict[tuple, tuple[list, list]] = {}
     for idx, points in enumerate(cells):
@@ -109,10 +112,36 @@ def _convex_blocks(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int
         group = shapes.setdefault(poly.shape, ([], []))
         group[0].append(idx)
         group[1].append(poly)
+    return [(np.array(idxs), np.array(polys)) for idxs, polys in shapes.values()], failures
 
+
+def _face_blocks(faces) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
+    """Faces given as lists of float points, as _arrangement_faces gives
+    them, stacked as _stack stacks cells: one block per vertex count, and
+    no failures, since their coordinates are floats already."""
+    counts: dict[int, tuple[list, list]] = {}
+    for idx, face in enumerate(faces):
+        group = counts.setdefault(len(face), ([], []))
+        group[0].append(idx)
+        group[1].append(face)
+    return [(np.array(idxs), np.array(group, dtype=float)) for idxs, group in counts.values()], {}
+
+
+def _convex_blocks(blocks, failures: dict[int, ValueError]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Normalise stacked cells as convex_cell does, one numpy pass per block
+    of cells with the same vertex count.
+
+    blocks are (indices, (G,) + shape float array), indices ascending
+    within a block.  Returns the normalised blocks (indices, (G, m, 2)
+    cells), in the same form, and adds {index: error} for the cells that
+    fail to `failures`.  A cell that drops vertices goes on in a new block
+    of its new count, with the size, and so the tolerances and the
+    power-of-two frame, of the cell it was given; two blocks may share a
+    count.
+    """
     done: list[tuple[np.ndarray, np.ndarray]] = []
-    for shape, (idxs, polys) in shapes.items():
-        idx, poly = np.array(idxs), np.array(polys)
+    for idx, poly in blocks:
+        shape = poly.shape[1:]
         finite = np.isfinite(poly).all(axis=tuple(range(1, poly.ndim)))
         if not finite.all():
             _fail(failures, idx[~finite], DomainError("cell vertex coordinates must be finite"))
@@ -133,7 +162,7 @@ def _convex_blocks(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int
                 _fail(failures, idx[rows], DegenerateCellError("cell collapses to fewer than 3 distinct vertices"))
             else:
                 _orient(idx[rows], _cut(poly, rows, keep), _cut(centred, rows, keep), scale[rows], failures, done)
-    return done, failures
+    return done
 
 
 def _fail(failures: dict[int, ValueError], idx: np.ndarray, exc: ValueError) -> None:
@@ -229,7 +258,8 @@ def _quadruples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     swapped; for each quadruple of rows (itertools.combinations order) and
     split (0 1|2 3) (0 2|1 3) (0 3|1 2) (1 2|0 3) (1 3|0 2) (2 3|0 1), the
     pair rows of the leading pair, swapped where the Laplace sign is minus,
-    and of the rest (i < j), both (6, Q); and a (Q, m + 2) row mask."""
+    and of the rest (i < j), both (6, Q); and the (Q, m - 2) rows of
+    0..m + 1 outside each quadruple, ascending."""
     pairs = np.array(list(itertools.combinations(range(m + 1), 2)), dtype=np.intp).T
     pairs = np.concatenate((pairs, pairs[::-1]), axis=1)
     quads = np.array(list(itertools.combinations(range(m + 1), 4)), dtype=np.intp).reshape(-1, 4)
@@ -237,42 +267,42 @@ def _quadruples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     row[pairs[0], pairs[1]] = np.arange(pairs.shape[1])
     lead = np.ascontiguousarray(row[quads[:, [0, 2, 0, 1, 3, 2]], quads[:, [1, 0, 3, 2, 1, 3]]].T)
     rest = np.ascontiguousarray(row[quads[:, [2, 1, 1, 0, 0, 0]], quads[:, [3, 3, 2, 3, 2, 1]]].T)
-    members = (quads[:, :, None] == np.arange(m + 2)).any(axis=1)
-    for table in (pairs, lead, rest, members):
+    outside = np.array([[i for i in range(m + 2) if i not in quad] for quad in quads.tolist()], dtype=np.intp)
+    for table in (pairs, lead, rest, outside):
         table.setflags(write=False)
-    return pairs, lead, rest, members
+    return pairs, lead, rest, outside
 
 
 def _minors(u: np.ndarray, v: np.ndarray, b: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """(4, ..., P): for each pair (i, j) of rows, the 2x2 minor u_i v_j - u_j v_i
-    of the columns u, v (..., rows), the sum |u_i v_j| + |u_j v_i| that
+    """(4, P, ...): for each pair (i, j) of rows, the 2x2 minor u_i v_j - u_j v_i
+    of the columns u, v (rows, ...), the sum |u_i v_j| + |u_j v_i| that
     bounds its rounding, and the minors of the columns (b, v) and (u, b)."""
-    ui, uj, vi, vj, bi, bj = (c[..., k] for c in (u, v, b) for k in pairs)
+    ui, uj, vi, vj, bi, bj = (c[k] for c in (u, v, b) for k in pairs)
     left, right = ui * vj, uj * vi
     return np.array((left - right, abs(left) + abs(right), bi * vj - bj * vi, ui * bj - uj * bi))
 
 
-def _vertices(cell_minors, cell, alpha, beta, offsets, m: int) -> tuple:
+def _vertices(cell_minors, cell, alpha, beta, offsets, m: int) -> np.ndarray:
     """The vertex (x, y, A, B) of every row quadruple of a chunk of K pieces:
-    four (K, Q) arrays, NaN where the quadruple is singular (GEO_TOL).
+    a (4, Q, K) array, NaN where the quadruple is singular (GEO_TOL).
 
-    cell_minors (4, G, P): _minors of the cells' columns (n_x, n_y, b);
-    cell (K,): each piece's cell; alpha, beta, offsets (K, m + 2): each
+    cell_minors (4, P, G): _minors of the cells' columns (n_x, n_y, b);
+    cell (K,): each piece's cell; alpha, beta, offsets (m + 2, K): each
     piece's rows.  Cramer's rule, each determinant expanded along its
-    (n_x, n_y) columns: the six terms of every expansion are gathered at
-    once and summed in a fixed order, so that chunking does not change a
-    bit.
+    (n_x, n_y) columns: the six terms of every expansion are gathered one
+    axis at a time and summed in a fixed order, so that chunking does not
+    change a bit.
     """
     pairs, lead, rest, _ = _quadruples(m)
     piece_minors = _minors(alpha, beta, offsets, pairs[:, : pairs.shape[1] // 2])
-    xy, xy_size, by, xb = cell_minors[:, cell[:, None], lead[:, None, :]]
-    ab, ab_size, b_beta, alpha_b = piece_minors[:, np.arange(len(cell))[:, None], rest[:, None, :]]
+    xy, xy_size, by, xb = cell_minors[:, :, cell][:, lead]
+    ab, ab_size, b_beta, alpha_b = piece_minors[:, rest]
     det, size, x, y, big_a, big_b = (
         np.add.reduce(u * v, axis=0)
         for u, v in ((xy, ab), (xy_size, ab_size), (by, ab), (xb, ab), (xy, b_beta), (xy, alpha_b))
     )
     det[~(np.abs(det) > GEO_TOL * size)] = np.nan
-    return x / det, y / det, big_a / det, big_b / det
+    return np.array((x, y, big_a, big_b)) / det
 
 
 def _centre(poly: np.ndarray) -> np.ndarray:
@@ -296,8 +326,9 @@ def largest_rectangles(cells, p) -> np.ndarray:
     piece, every quadruple of rows but the end wedge's gives a vertex (one
     at t1 is one at the next piece's start), kept where its quadruple is
     not singular (a square's inscribed squares form a continuum), it meets
-    every row outside its quadruple within GEO_TOL of that row's terms (its
-    own rows only up to Cramer's rounding, larger on a thin cell), and
+    each of the m - 2 rows outside its quadruple within GEO_TOL of that
+    row's terms (its own rows hold only up to Cramer's rounding, larger
+    on a thin cell, so they are not read), and
     A cos + B sin at the midpoint is >= 0 (on a piece narrower than that
     rounding the wedge rows admit the opposite direction too).
     The largest |(A, B)| kept is cp.  p must be a finite real >= 1
@@ -307,7 +338,13 @@ def largest_rectangles(cells, p) -> np.ndarray:
     the failing cell of lowest index and name it by its index in `cells`.
     """
     p = check_real(p, "rectangle aspect p", 1.0)
-    blocks, failures = _convex_blocks(cells)
+    return _largest_rectangles(*_stack(cells), p)
+
+
+def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> np.ndarray:
+    """largest_rectangles of cells stacked as _stack stacks them, with
+    {index: error} for those that failed already, at a checked p."""
+    blocks = _convex_blocks(stacked, failures)
     if failures:
         idx = min(failures)
         raise type(failures[idx])(f"cell {idx}: {failures[idx]}") from failures[idx]
@@ -333,44 +370,46 @@ def largest_rectangles(cells, p) -> np.ndarray:
         cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
         sign1 = q * np.sign(n1 * cos + n2 * sin)
         sign2 = np.sign(n2 * cos - n1 * sin)
-        # Every piece's m + 2 rows (n_x, n_y, alpha, beta | b): the cell's,
-        # then the start and end wedges, whose n and b are 0.
-        nx, ny, offsets = np.zeros((3, len(idxs), m + 2))
-        nx[:, :m], ny[:, :m], offsets[:, :m] = normals[..., 0], normals[..., 1], cell_offsets
-        alpha, beta = np.empty((2, len(idxs), pieces, m + 2))
-        alpha[..., :m] = 0.5 * (sign1 * n1 + sign2 * n2)
-        beta[..., :m] = 0.5 * (sign1 * n2 - sign2 * n1)
-        alpha[..., m], beta[..., m] = np.sin(breaks), -np.cos(breaks)
-        alpha[..., m + 1], beta[..., m + 1] = -np.sin(ends), np.cos(ends)
-        alpha, beta = alpha.reshape(-1, m + 2), beta.reshape(-1, m + 2)
+        # Every piece's m + 2 rows (n_x, n_y, alpha, beta | b), rows first:
+        # the cell's, then the start and end wedges, whose n and b are 0.
+        cell_rows = np.zeros((3, m + 2, len(idxs)))
+        cell_rows[:, :m] = normals[..., 0].T, normals[..., 1].T, cell_offsets.T
+        rows = np.empty((5, m + 2, len(idxs), pieces))
+        rows[[0, 1, 4]] = cell_rows[..., None]
+        rows[2, :m] = (0.5 * (sign1 * n1 + sign2 * n2)).transpose(2, 0, 1)
+        rows[3, :m] = (0.5 * (sign1 * n2 - sign2 * n1)).transpose(2, 0, 1)
+        rows[2, m], rows[3, m] = np.sin(breaks), -np.cos(breaks)
+        rows[2, m + 1], rows[3, m + 1] = -np.sin(ends), np.cos(ends)
+        rows = rows.reshape(5, m + 2, -1)
 
-        pairs, _, _, members = _quadruples(m)
-        cell_minors = _minors(nx, ny, offsets, pairs)
+        pairs, _, _, outside = _quadruples(m)
+        cell_minors = _minors(*cell_rows, pairs)
         owner = np.repeat(np.arange(len(idxs)), pieces)
+        cos, sin = cos.ravel(), sin.ravel()
         # A zero-width piece (a repeated breakpoint) starts where the next
         # one does, so only the others are solved.
         wide = np.flatnonzero(ends > breaks)
         best = np.full(len(owner), -np.inf)
-        step = max(1, CHECK_BUDGET // (len(members) * max(m + 2, 24)))
+        step = max(1, CHECK_BUDGET // (len(outside) * max(5 * (m - 2), 24)))
         for lo in range(0, len(wide), step):
             chunk = wide[lo : lo + step]
-            cell, a, b = owner[chunk], alpha[chunk], beta[chunk]
-            rb = offsets[cell]
-            x, y, big_a, big_b = _vertices(cell_minors, cell, a, b, rb, m)
-            # Each row's residual n . v + alpha A + beta B - b, and GEO_TOL
-            # times its terms' magnitudes, which bound its rounding.
-            residual = np.repeat(-rb[:, None, :], x.shape[1], axis=1)
+            chunk_rows = rows[:, :, chunk]
+            vertices = _vertices(cell_minors, owner[chunk], *chunk_rows[2:], m)
+            # Each outside row's residual n . v + alpha A + beta B - b, and
+            # GEO_TOL times its terms' magnitudes, which bound its rounding,
+            # each summed term by term in a fixed order.
+            coefs = chunk_rows[:, outside]
+            terms = coefs[:4] * vertices[:, :, None, :]
+            residual = -coefs[4]
             slack = np.abs(residual)
-            term = np.empty_like(residual)
-            for coef, value in ((nx[cell], x), (ny[cell], y), (a, big_a), (b, big_b)):
-                np.multiply(coef[:, None, :], value[..., None], out=term)
+            for term, size in zip(terms, np.abs(terms)):
                 residual += term
-                slack += np.abs(term, out=term)
+                slack += size
             slack *= GEO_TOL
-            ahead = big_a * cos.ravel()[chunk, None] + big_b * sin.ravel()[chunk, None]
-            ok = np.all((residual <= slack) | members, axis=2) & (ahead >= 0.0)
-            ok &= np.isfinite(x) & np.isfinite(y) & np.isfinite(big_a) & np.isfinite(big_b)
-            best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=1)
+            big_a, big_b = vertices[2:]
+            ahead = big_a * cos[chunk] + big_b * sin[chunk]
+            ok = np.all(residual <= slack, axis=1) & (ahead >= 0.0) & np.isfinite(vertices).all(axis=0)
+            best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=0)
 
         sides = np.ldexp(best.reshape(-1, pieces).max(axis=1), exponent) / p
         bad = np.flatnonzero(~(sides > 0.0))
@@ -467,20 +506,6 @@ def perturbed_vertical_lines(k: int, spec: PerturbationSpec) -> list[tuple[float
     ]
 
 
-def _clip_halfplane(poly: list[tuple[float, float]], nx: float, ny: float, b: float):
-    """Sutherland-Hodgman clip of a convex polygon (a list of points) by {x : n.x <= b}."""
-    out: list[tuple[float, float]] = []
-    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
-        d_cur = nx * cur[0] + ny * cur[1] - b
-        d_nxt = nx * nxt[0] + ny * nxt[1] - b
-        if d_cur <= 0.0:
-            out.append(cur)
-        if (d_cur <= 0.0) != (d_nxt <= 0.0):
-            t = d_cur / (d_cur - d_nxt)
-            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
-    return out
-
-
 def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarray]:
     """The faces that lines (nx, ny, b) cut the unit square into.
 
@@ -492,11 +517,13 @@ def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarra
     first, give their faces left to right.  Faces are counter-clockwise
     (m, 2) arrays, not normalised (a vertex may repeat); largest_rectangles
     normalises them, as convex_cell does, in one pass per block.  Three or
-    more lines through one interior point can leave a face of zero area,
-    which the kernel rejects (DegenerateCellError).  A line that is not
-    three finite reals with (nx, ny) != 0 raises DomainError.
+    more lines through one interior point can leave a face that is a
+    rounding sliver at that point; the kernel judges it at its own size,
+    so it may be scored (a side near the rounding) or rejected
+    (DegenerateCellError).  A line that is not three finite reals with
+    (nx, ny) != 0 raises DomainError.
     """
-    faces = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
+    checked = []
     for idx, line in enumerate(lines):
         try:
             nx, ny, b = line
@@ -506,14 +533,49 @@ def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarra
         nx, ny, b = check_real(nx, name), check_real(ny, name), check_real(b, name)
         if nx == 0.0 and ny == 0.0:
             raise DomainError(f"line {idx} has the zero normal (nx, ny) = (0, 0)")
+        checked.append((nx, ny, b))
+    return [np.asarray(face, dtype=float) for face in _arrangement_faces(checked)]
+
+
+def _arrangement_faces(lines) -> list[list[tuple[float, float]]]:
+    """arrangement_cells' faces, as lists of points, for checked float lines."""
+    faces = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
+    for nx, ny, b in lines:
         tol = GEO_TOL * (abs(nx) + abs(ny) + abs(b))
         split = []
         for face in faces:
             sides = [nx * x + ny * y - b for x, y in face]
             if min(sides) < -tol and max(sides) > tol:
-                split.append(_clip_halfplane(face, nx, ny, b))
-                split.append(_clip_halfplane(face, -nx, -ny, -b))
+                split.extend(_halves(face, sides))
             else:
                 split.append(face)
         faces = split
-    return [np.asarray(face, dtype=float) for face in faces]
+    return faces
+
+
+def _halves(face, sides):
+    """The halves {d <= 0} and {d >= 0} of a face whose vertices have the
+    sides d = n.x - b, in one Sutherland-Hodgman pass.
+
+    Against the negated line every IEEE step gives exactly -d (a zero may
+    keep its sign) and the same crossing parameter t (a zero t, whatever
+    its sign, moves no vertex), so each half is the one that a clip by its
+    own half-plane gives, repeated vertices included.
+    """
+    below: list[tuple[float, float]] = []
+    above: list[tuple[float, float]] = []
+    for cur, nxt, d_cur, d_nxt in zip(face, face[1:] + face[:1], sides, sides[1:] + sides[:1]):
+        if d_cur <= 0.0:
+            below.append(cur)
+        if d_cur >= 0.0:
+            above.append(cur)
+        cuts_below = (d_cur <= 0.0) != (d_nxt <= 0.0)
+        cuts_above = (d_cur >= 0.0) != (d_nxt >= 0.0)
+        if cuts_below or cuts_above:
+            t = d_cur / (d_cur - d_nxt)
+            point = (cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1]))
+            if cuts_below:
+                below.append(point)
+            if cuts_above:
+                above.append(point)
+    return below, above

@@ -26,9 +26,10 @@ from . import nets
 from .cells import (
     PIVOT_HEIGHT,
     PerturbationSpec,
-    arrangement_cells,
+    _arrangement_faces,
+    _face_blocks,
+    _largest_rectangles,
     largest_rectangles,
-    largest_squares,
     perturbed_vertical_lines,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
@@ -351,26 +352,27 @@ def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> np.ndarray:
 
     Each spec's perturbed lines must cut the unit square into k + 1
     convex cells (DegenerateCellError otherwise); the cells of all specs
-    go through one batched largest_squares call.  Every error names its
-    spec, and the kernel's errors the cell within that spec.
+    go to the kernel in one call, stacked into one block per vertex
+    count.  Every error names its spec, and the kernel's errors the cell
+    within that spec.
     """
-    cells_per_spec = []
+    faces_per_spec = []
     for idx, spec in enumerate(specs):
         try:
-            cells = arrangement_cells(perturbed_vertical_lines(k, spec))
+            faces = _arrangement_faces(perturbed_vertical_lines(k, spec))
         except InvalidPerturbationError as exc:
             raise InvalidPerturbationError(f"spec {idx}: {exc}") from exc
-        if len(cells) != k + 1:
-            raise DegenerateCellError(f"spec {idx}: {k} lines cut {len(cells)} cells, not {k + 1}")
-        cells_per_spec.append(cells)
+        if len(faces) != k + 1:
+            raise DegenerateCellError(f"spec {idx}: {k} lines cut {len(faces)} cells, not {k + 1}")
+        faces_per_spec.append(faces)
     try:
-        values = largest_squares([cell for cells in cells_per_spec for cell in cells])
+        values = _largest_rectangles(*_face_blocks([face for faces in faces_per_spec for face in faces]), 1.0)
     except (DegenerateCellError, DomainError):
         # Rerun spec by spec (the kernel's values do not depend on its
         # batch) so that the error names the cell within its spec.
-        for idx, cells in enumerate(cells_per_spec):
+        for idx, faces in enumerate(faces_per_spec):
             try:
-                largest_squares(cells)
+                _largest_rectangles(*_face_blocks(faces), 1.0)
             except (DegenerateCellError, DomainError) as exc:
                 raise type(exc)(f"spec {idx}: {exc}") from exc
         raise

@@ -191,6 +191,76 @@ def loop_convex_cell(points):
             raise DegenerateCellError("cell has zero area after collinear-vertex removal")
 
 
+def clip_halfplane(poly, nx, ny, b):
+    """Sutherland-Hodgman clip of a convex polygon (a list of points) by {x : n.x <= b}."""
+    out = []
+    for cur, nxt in zip(poly, poly[1:] + poly[:1]):
+        d_cur = nx * cur[0] + ny * cur[1] - b
+        d_nxt = nx * nxt[0] + ny * nxt[1] - b
+        if d_cur <= 0.0:
+            out.append(cur)
+        if (d_cur <= 0.0) != (d_nxt <= 0.0):
+            t = d_cur / (d_cur - d_nxt)
+            out.append((cur[0] + t * (nxt[0] - cur[0]), cur[1] + t * (nxt[1] - cur[1])))
+    return out
+
+
+def two_clip_faces(lines):
+    """Reference for cells._arrangement_faces: each cut face clipped twice,
+    by the line's half-plane and then by the negated line's, each clip
+    taking every vertex's side again."""
+    faces = [[(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)]]
+    for nx, ny, b in lines:
+        tol = cells.GEO_TOL * (abs(nx) + abs(ny) + abs(b))
+        split = []
+        for face in faces:
+            sides = [nx * x + ny * y - b for x, y in face]
+            if min(sides) < -tol and max(sides) > tol:
+                split.append(clip_halfplane(face, nx, ny, b))
+                split.append(clip_halfplane(face, -nx, -ny, -b))
+            else:
+                split.append(face)
+        faces = split
+    return faces
+
+
+def lines_through(point, count, rng):
+    """count lines (nx, ny, b) at random angles through point."""
+    x, y = (float(c) for c in point)
+    angles = rng.uniform(0.0, 2.0 * math.pi, size=count).tolist()
+    return [(math.cos(a), math.sin(a), math.cos(a) * x + math.sin(a) * y) for a in angles]
+
+
+def generated_lines(kind, rng):
+    """The lines of one generated arrangement: "lines", 1-7 random lines;
+    "pencil" and "corner", 2-6 lines through a point in [0.1, 0.9]^2 or
+    through a corner of the square, then up to two random lines; "spec",
+    the lines of a valid perturbation spec of 3-7 lines, epsilon 0, 0.02
+    or 0.2."""
+    if kind == "lines":
+        count = int(rng.integers(1, 8))
+        return [line for point in rng.uniform(-0.25, 1.25, size=(count, 2)) for line in lines_through(point, 1, rng)]
+    if kind in ("pencil", "corner"):
+        point = rng.uniform(0.1, 0.9, size=2) if kind == "pencil" else rng.integers(0, 2, size=2).astype(float)
+        others = generated_lines("lines", rng)[: int(rng.integers(0, 3))]
+        return lines_through(point, int(rng.integers(2, 7)), rng) + others
+    while True:
+        k, epsilon = int(rng.integers(3, 8)), float(rng.choice([0.0, 0.02, 0.2]))
+        spec = PerturbationSpec(tuple(rng.uniform(0.0, epsilon, k)), tuple(rng.uniform(0.0, epsilon, k)), epsilon)
+        try:
+            return perturbed_vertical_lines(k, spec)
+        except InvalidPerturbationError:
+            pass
+
+
+def verdict(run):
+    """run()'s values as a list, or its error type and message."""
+    try:
+        return run().tolist()
+    except (DegenerateCellError, DomainError) as exc:
+        return type(exc), str(exc)
+
+
 def random_convex_polygon(count, rng):
     """count points on a random ellipse, turned and moved: always convex."""
     t = np.sort(rng.uniform(0.0, 2.0 * math.pi, count))
@@ -262,9 +332,11 @@ def edited_convex_polygons(count, low, high, rng):
 
 
 def normalised_batch(polys):
-    """{index: normalised cell} of cells._convex_blocks(polys), which must
-    accept every cell and list each block's indices in ascending order."""
-    blocks, failures = cells._convex_blocks(polys)
+    """{index: normalised cell} of cells._convex_blocks on polys stacked by
+    cells._stack, which must accept every cell and list each block's
+    indices in ascending order."""
+    stacked, failures = cells._stack(polys)
+    blocks = cells._convex_blocks(stacked, failures)
     assert failures == {}
     assert all(np.all(np.diff(idxs) > 0) for idxs, _ in blocks)
     batch = {int(i): poly for idxs, block in blocks for i, poly in zip(idxs, block)}
@@ -740,6 +812,35 @@ class TestLargestRectangles:
         with pytest.raises(DomainError):
             largest_rectangles([hole(2.0)], p)
 
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_quadruple_tables_cover_every_row(self, m):
+        # each split of a quadruple names its four rows, and those rows and
+        # the ones outside it are 0..m + 1, each once
+        pairs, lead, rest, outside = cells._quadruples(m)
+        quads = list(itertools.combinations(range(m + 1), 4))
+        assert outside.shape == (len(quads), m - 2)
+        for q, quad in enumerate(quads):
+            for split in range(6):
+                assert sorted([*pairs[:, lead[split, q]], *pairs[:, rest[split, q]]]) == list(quad)
+            assert sorted([*quad, *outside[q]]) == list(range(m + 2))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), count=st.integers(min_value=1, max_value=10))
+    @settings(max_examples=60, deadline=None)
+    def test_stacked_blocks_match_the_list(self, seed, count):
+        # arrangement faces (lists of points, some with a repeated vertex)
+        # and edited polygons, of which a repeated or a collinear vertex
+        # drops into a block of a smaller count; a dent or a zero area
+        # fails and must be named by the same index
+        rng = np.random.default_rng(seed)
+        polys = [poly.tolist() for poly in edited_convex_polygons(count, -3, 3, rng)]
+        polys += cells._arrangement_faces(generated_lines(str(rng.choice(["pencil", "corner", "spec"])), rng))
+        polys += [DENTED_QUAD, [(0.0, 0.0), (1.0, 0.0), (2.0, 0.0)]][: int(rng.integers(0, 3))]
+        order = rng.permutation(len(polys))
+        polys = [polys[i] for i in order.tolist()]
+        for p in (1.0, 2.5):
+            stacked = verdict(lambda: cells._largest_rectangles(*cells._face_blocks(polys), p))
+            assert stacked == verdict(lambda: largest_rectangles([np.array(poly, dtype=float) for poly in polys], p))
+
     def test_chunks_give_the_same_sides(self, monkeypatch):
         # a budget this small solves one piece at a time, so a lone 16-gon's
         # pieces are split over chunks
@@ -858,6 +959,19 @@ class TestArrangementCells:
         areas = [0.5 * float(cells._cross2(face, np.roll(face, -1, axis=0)).sum()) for face in faces]
         assert min(areas) > 0.0
         assert math.fsum(areas) == pytest.approx(1.0, abs=1e-14)
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["lines", "pencil", "corner", "spec"]),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_one_pass_split_matches_two_clips(self, seed, kind):
+        # the same faces in the same order, vertex for vertex, repeated
+        # vertices and the signs of zeros included
+        lines = generated_lines(kind, np.random.default_rng(seed))
+        faces = cells._arrangement_faces(lines)
+        assert repr(faces) == repr(two_clip_faces(lines))
+        assert repr([face.tolist() for face in arrangement_cells(lines)]) == repr([list(map(list, f)) for f in faces])
 
     def test_both_diagonals(self):
         r = math.sqrt(0.5)
@@ -995,17 +1109,18 @@ class TestLocalPerturbationExperiment:
 
     def test_kernel_errors_name_the_spec_and_its_cell(self, monkeypatch):
         # the second spec's third cell replaced by a zero-area one
-        build = oracle.arrangement_cells
+        # (a triangle, so it goes to the kernel in a block of its own count)
+        build = oracle._arrangement_faces
         built = []
 
         def with_sliver(lines):
             faces = build(lines)
             built.append(faces)
             if len(built) == 2:
-                faces[2] = np.array([(0.5, 0.0), (0.5, 0.5), (0.5, 1.0)])
+                faces[2] = [(0.5, 0.0), (0.5, 0.5), (0.5, 1.0)]
             return faces
 
-        monkeypatch.setattr(oracle, "arrangement_cells", with_sliver)
+        monkeypatch.setattr(oracle, "_arrangement_faces", with_sliver)
         zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
         with pytest.raises(DegenerateCellError, match=r"^spec 1: cell 2: cell has zero area"):
             oracle._spec_cell_values(3, [zero, zero, zero])
@@ -1027,6 +1142,27 @@ class TestPerturbationSuite:
         assert report.passed
         assert report.parameters["min_perturbed"] >= 0.25 - 1e-9
         assert report.seed == 7
+
+    @pytest.mark.parametrize("k", [3, 6])
+    def test_spec_values_match_each_arrangement_alone(self, k):
+        # all specs' faces in stacked blocks against each spec's public
+        # arrangement_cells and largest_squares, bit for bit; at epsilon
+        # 0.2 a line can leave through a side, so triangles and pentagons
+        # join the quads
+        rng = np.random.default_rng(k)
+        specs = []
+        while len(specs) < 40:
+            spec = PerturbationSpec(tuple(rng.uniform(0.0, 0.2, k)), tuple(rng.uniform(0.0, 0.2, k)), 0.2)
+            try:
+                perturbed_vertical_lines(k, spec)
+            except InvalidPerturbationError:
+                continue
+            specs.append(spec)
+        faces = [arrangement_cells(perturbed_vertical_lines(k, spec)) for spec in specs]
+        assert len({len(face) for spec_faces in faces for face in spec_faces}) > 1
+        values = oracle._spec_cell_values(k, specs)
+        for row, spec_faces in zip(values, faces):
+            assert np.array_equal(row, largest_squares(spec_faces))
 
     def test_suite_matches_per_spec_experiments(self):
         rng = np.random.default_rng(7)
