@@ -4,8 +4,9 @@
     python scripts/run_verifications.py --out-dir out/reports [--quick]
 
 --quick trims trial counts for a fast smoke run; the defaults match the
-full verification settings.  local-optimum runs at k = 3..6, one report
-local-optimum-k<k>.json each.
+full verification settings, and the full run adds irregular-k300.json,
+the irregular check on nets of 300 lines.  local-optimum runs at
+k = 3..6, one report local-optimum-k<k>.json each.
 """
 
 import argparse
@@ -34,6 +35,9 @@ def main() -> int:
         "irregular": ["irregular", "--k", "4", "--trials", irregular_trials, *seed],
         "lagrange": ["lagrange", "--k", "6"],
     }
+    if not args.quick:
+        # nets with hundreds of cuts
+        runs["irregular-k300"] = ["irregular", "--k", "300", "--trials", "4", "--p", "4.2", *seed]
     for k in range(3, 7):
         runs[f"local-optimum-k{k}"] = ["local-optimum", "--k", str(k), "--trials", local_trials, *seed]
     worst = 0

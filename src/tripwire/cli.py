@@ -64,15 +64,15 @@ def _num(x: float, precision: int) -> str:
 
 def _nums(xs: list[float], precision: int) -> list[str]:
     """_num of each x in xs, checked once: at the largest |x|, since no
-    smaller |x| prints past the largest float unless that one does."""
+    smaller |x| prints past the largest float unless that one does.  One
+    %-format call prints them all, as format(x, f".{precision}g") prints each."""
     if xs:
         try:
             _num(max(map(abs, xs)), precision)
         except DomainError:
             for x in xs:  # raises at the first x that prints past the largest float
                 _num(x, precision)
-    spec = f".{precision}g"
-    return [format(x, spec) for x in xs]
+    return (f"%.{precision}g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
 
 
 def _round_sig(x: float, precision: int) -> float:

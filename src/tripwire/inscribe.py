@@ -35,11 +35,13 @@ the largest root of the cubic p^3 - 3n p^2 + p + n.
 
 Each public function checks its numbers once and then calls one
 unchecked core (`_sample`, `_diagonal`) that takes checked floats.
-`_samples` is `_sample` over a whole p-grid in one numpy pass, bit for
-bit: the p-grid callers (the CLI tables, nets._base_curve and
-nets._hole_scales, the theorem scans, the curve-oracle suite) use it,
-and so does nets.base_curve, the one-point case of nets._base_curve.
-The other one-point callers keep `_sample`.  Both take the legs from
+`_samples` is `_sample` over arrays of n and p, broadcast against each
+other, in one numpy pass, bit for bit: the p-grid callers (the CLI
+tables, nets._base_curve, the curve-oracle suite) use it, and so does
+nets._hole_scales, which scores the theorem scans' (class, p) table and
+the irregular check's (p, trial) table in one call each.  So does
+nets.base_curve, the one-point case of nets._base_curve.  The other
+one-point callers keep `_sample`.  Both take the legs from
 `_legs`, or from `_huge_legs` from p = 2**512 on, where (p - 1)(p + 1)
 overflows.
 """
@@ -190,28 +192,30 @@ def _sample(n: float, p: float) -> tuple[float, str]:
     return max(vertical, diagonal), BRANCH_DIAGONAL if diagonal_wins else BRANCH_VERTICAL
 
 
-def _samples(n: float, ps) -> tuple[np.ndarray, list[str]]:
-    """_sample at a checked n and each checked p in ps, in one numpy pass:
-    (c array, branch list), bit for bit _sample's.
+def _samples(n, ps) -> tuple[np.ndarray, list]:
+    """_sample at checked aspects n and p, broadcast against each other (a
+    float or an array of either), in one numpy pass: (c array, branch
+    labels as nested lists of the same shape), bit for bit _sample's at
+    each point.
 
     numpy's elementwise + - * / and maximum round as Python floats do, the
     diagonal's c is math.hypot (np.hypot can differ in the last bit), and
     the tie band's labels take the exact cubic point by point.
     """
-    p = np.array(ps, dtype=float)
-    c = np.ones_like(p)
-    code = np.zeros(len(p), dtype=np.intp)  # index into _LABELS
-    (above,) = np.nonzero(p > n)
-    p = p[above]
+    n, p = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(ps, dtype=float))
+    c = np.ones(p.shape)
+    code = np.zeros(p.shape, dtype=np.intp)  # index into _LABELS
+    above = p > n
+    n, p = n[above], p[above]
     a1, a2 = np.empty_like(p), np.empty_like(p)
     small = p < HUGE_P
-    a1[small], a2[small] = _legs(n, p[small])
-    a1[~small], a2[~small] = _huge_legs(n, p[~small])
+    a1[small], a2[small] = _legs(n[small], p[small])
+    a1[~small], a2[~small] = _huge_legs(n[~small], p[~small])
     vertical, diagonal = n / p, np.array(list(map(math.hypot, a1.tolist(), a2.tolist())))
     c[above] = np.maximum(vertical, diagonal)
     diagonal_wins = diagonal > vertical
     for i in np.flatnonzero(ties(diagonal, vertical) & ties(vertical, diagonal)).tolist():
-        diagonal_wins[i] = _cubic(n, float(p[i])) > 0
+        diagonal_wins[i] = _cubic(float(n[i]), float(p[i])) > 0
     code[above] = 1 + diagonal_wins
     return c, _LABELS[code].tolist()
 

@@ -115,10 +115,12 @@ def _hole_scale(w: float, h: float, p: float) -> float:
     return s * _sample(max(w, h) / s, p)[0]
 
 
-def _hole_scales(w: float, h: float, ps) -> np.ndarray:
-    """_hole_scale at each checked p in ps, in one pass (inscribe._samples)."""
-    s = min(w, h)
-    return s * _samples(max(w, h) / s, ps)[0]
+def _hole_scales(w, h, ps) -> np.ndarray:
+    """_hole_scale with the hole sides w and h and the checked aspects ps
+    broadcast against each other (floats or arrays), in one pass
+    (inscribe._samples)."""
+    s = np.minimum(w, h)
+    return s * _samples(np.maximum(w, h) / s, ps)[0]
 
 
 def net_scale_factor(net: Net, p: float) -> float:

@@ -5,13 +5,14 @@ kernel run on the hole as a convex cell (see cells.largest_rectangles),
 which the curve-oracle suite compares with the closed form over a
 p-grid, and the perturbation experiment measures inscribed squares in
 the cells of a perturbed arrangement.  The others score nets with the
-closed curve under test (nets._hole_scale, and nets._hole_scales over a
-p-grid): net enumeration every split of k lines between the two axes,
+closed curve under test (nets._hole_scale, and nets._hole_scales over
+arrays): net enumeration every split of k lines between the two axes,
 the theorem scans every split over a p-grid in one (class, p) table, and
-the irregular check jittered cuts of every split; the split
-check takes its short side from inscribe.diagonal_branch and re-solves
-the corner-contact equations per split.  ROADMAP item 2 moves them onto
-the kernel.  Each suite returns its finished VerificationReport.
+the irregular check the widest hole of jittered cuts of every split, all
+its trials at all its p in one (p, trial) table; the split check takes
+its short side from inscribe.diagonal_branch and re-solves the
+corner-contact equations per split.  ROADMAP item 2 moves them onto the
+kernel.  Each suite returns its finished VerificationReport.
 """
 
 from __future__ import annotations
@@ -182,8 +183,8 @@ def theorem_scan(k: int) -> VerificationReport:
     grid_class = k - k // 2
     classes = range(grid_class, k + 1)
     # One (class, p) table: each class scores its split's widest hole.
-    holes = [nets.evenly_spaced(v, k - v).widest_hole for v in classes]
-    values = np.array([nets._hole_scales(*hole, THEOREM_P_VALUES) for hole in holes])
+    holes = np.array([nets.evenly_spaced(v, k - v).widest_hole for v in classes])
+    values = nets._hole_scales(holes[:, :1], holes[:, 1:], THEOREM_P_VALUES)
     tied = ties(values, values.min(axis=0))
     ps = np.array(THEOREM_P_VALUES)
     predicted = np.where(ps <= x, k, grid_class)
@@ -297,9 +298,11 @@ def lagrange_split_check(k: int, p: float) -> VerificationReport:
 def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: int) -> VerificationReport:
     """Random position jitters never beat even spacing for the same split.
 
-    For each p, with the generator reseeded, each trial draws a split
-    v + h = k and jitters every cut position by up to 49% of its even gap
-    (order-preserving); the evenly spaced net's scale factor must tie or
+    Each trial draws a split v + h = k and jitters every cut position by
+    up to 49% of its even gap (order-preserving); the trials are drawn
+    once from seed, and every p scores the same trials.  A net is scored
+    by its widest hole alone (the widest gap of each axis, as
+    nets.Net.widest_hole), and the evenly spaced net's score must tie or
     beat the jittered net's (ties).  Each p's candidate is its worst
     margin, the least jittered-minus-even score over its trials.
     """
@@ -310,27 +313,32 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
         raise DomainError(f"p_values must be a sequence of intruder aspects, got {p_values!r}") from None
     trials = check_count(trials, "trials", minimum=1)
     seed = check_count(seed, "seed")
+    # One draw per trial: the split, then all k jitters, vertical cuts first.
+    rng = np.random.default_rng(seed)
+    splits, widths, heights = [], [], []
+    for _ in range(trials):
+        v = int(rng.integers(0, k + 1))
+        jitter = rng.uniform(-0.49, 0.49, size=k).tolist()
+        splits.append(v)
+        widths.append(_widest_gap(jitter[:v]))
+        heights.append(_widest_gap(jitter[v:]))
+    # One (p, trial) table of jittered scores.
+    jittered = nets._hole_scales(np.array(widths), np.array(heights), np.array(p_values)[:, None])
+    even_holes = {v: nets.evenly_spaced(v, k - v).widest_hole for v in set(splits)}
     candidates = []
     failures = []
-    for p in p_values:
-        rng = np.random.default_rng(seed)
-        even_value: dict[int, float] = {}
-        worst = math.inf
-        for trial in range(trials):
-            v = int(rng.integers(0, k + 1))
-            h = k - v
-            if v not in even_value:
-                even_value[v] = nets._hole_scale(*nets.evenly_spaced(v, h).widest_hole, p)
-            vertical = _jittered_positions(v, rng)
-            horizontal = _jittered_positions(h, rng)
-            value = nets._hole_scale(*nets.Net(vertical=vertical, horizontal=horizontal).widest_hole, p)
-            worst = min(worst, value - even_value[v])
-            if not ties(even_value[v], value):
-                failures.append(
-                    f"trial {trial}: jittered N({v},{h}) scores {value!r} below even "
-                    f"spacing {even_value[v]!r} at p={p}"
-                )
-        candidates.append((f"p={p:.9g} worst margin", worst))
+    for p, values in zip(p_values, jittered):
+        by_split = np.zeros(k + 1)
+        for v, hole in even_holes.items():
+            by_split[v] = nets._hole_scale(*hole, p)
+        even = by_split[splits]
+        for trial in np.flatnonzero(~ties(even, values)).tolist():
+            v = splits[trial]
+            failures.append(
+                f"trial {trial}: jittered N({v},{k - v}) scores {float(values[trial])!r} below even "
+                f"spacing {float(even[trial])!r} at p={p}"
+            )
+        candidates.append((f"p={p:.9g} worst margin", float((values - even).min())))
     return VerificationReport(
         candidates=tuple(candidates),
         parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": TIE_RTOL},
@@ -339,12 +347,11 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     )
 
 
-def _jittered_positions(count: int, rng: np.random.Generator) -> tuple[float, ...]:
-    if count == 0:
-        return ()
-    gap = 1.0 / (count + 1)
-    jitter = rng.uniform(-0.49, 0.49, size=count) * gap
-    return tuple((i + 1) * gap + jitter[i] for i in range(count))
+def _widest_gap(jitter: list[float]) -> float:
+    """Widest gap of the cuts i = 0 .. len(jitter) - 1 at (i + 1 + jitter[i])
+    times the even gap."""
+    gap = 1.0 / (len(jitter) + 1)
+    return max(nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(jitter)]))
 
 
 def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> np.ndarray:

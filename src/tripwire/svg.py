@@ -79,8 +79,8 @@ def curve_plot_svg(
             f'font-size="11" fill="gray">{label}</text>'
         )
     for label, ps, cs, color in series:
-        xs, ys = sx(np.array(ps)).tolist(), sy(np.array(cs)).tolist()
-        coords = " ".join(f"{x:.10g},{y:.10g}" for x, y in zip(xs, ys))
+        xys = np.column_stack((sx(np.array(ps)), sy(np.array(cs)))).ravel().tolist()
+        coords = ("%.10g,%.10g " * len(ps) % tuple(xys))[:-1]
         parts.append(
             f'<polyline points="{coords}" fill="none" stroke="{color}" '
             f'stroke-width="1.5" class="series" data-label="{label}"/>'

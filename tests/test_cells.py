@@ -683,6 +683,19 @@ class TestLargestSquare:
         cell = base @ rot.T
         assert largest_square_in_cell(cell) == pytest.approx(min(w, h), abs=1e-8)
 
+    @pytest.mark.xfail(
+        strict=True,
+        reason="edge-normal breakpoints one ulp apart leave two pieces of width 2.2e-16, "
+        "whose near-singular quadruple gives a vertex 4.7e-5 too large",
+    )
+    def test_a_square_turned_onto_breakpoints_one_ulp_apart(self):
+        # A square that test_rectangles_at_any_angle can draw: it scores
+        # 0.8229188289636598 at p = 1, and the right side at p = 1 + 1e-9.
+        angle, side = 0.772388139569393, 0.8228798948692264
+        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+        cell = np.array([(0, 0), (side, 0), (side, side), (0, side)]) @ rot.T
+        assert largest_square_in_cell(cell) == pytest.approx(side, abs=1e-8)
+
 
 def hole(n):
     return [(0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n)]

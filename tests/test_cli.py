@@ -289,6 +289,23 @@ def test_a_table_names_its_first_number_past_the_largest_float(tmp_path, capsys,
     assert "error: 1.5e+308 printed at precision 1 is 2e+308, past the largest float" in capsys.readouterr().err
 
 
+NUMBERS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 1.0, -2.5, 0.1, 1 / 3, 123456789.125,
+           1e16, 9.999999999999999e22, 1.7e308, -1.7e308, 1.7976931348623157e308]
+
+
+@pytest.mark.parametrize("precision", range(1, 18))
+def test_a_column_prints_as_each_number_does(precision):
+    numbers = [x for x in NUMBERS if math.isfinite(float(format(x, f".{precision}g")))]
+    assert tripwire.cli._nums(numbers, precision) == [format(x, f".{precision}g") for x in numbers]
+    assert tripwire.cli._nums([], precision) == []
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=20), st.integers(1, 17))
+def test_any_column_prints_as_each_number_does(numbers, precision):
+    assume(all(math.isfinite(float(format(x, f".{precision}g"))) for x in numbers))
+    assert tripwire.cli._nums(numbers, precision) == [format(x, f".{precision}g") for x in numbers]
+
+
 @pytest.mark.parametrize(
     "command,args,fmt",
     [

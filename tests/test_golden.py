@@ -1,11 +1,12 @@
 """Golden sha256 digests of the closed-form CLI outputs.
 
-`curve`, `base-curve`, `optimal-net` and the theorem and lagrange
-reports use Python float math (`math.hypot`, `math.cos` and `math.sin`
-included) and, over their p-grids, numpy's elementwise + - * /, maximum
-and comparisons, which round as IEEE 754 prescribes, like Python floats;
-the diagonal's hypot stays `math.hypot`.  So their bytes do not depend
-on the numpy build.
+`curve`, `base-curve`, `optimal-net` and the theorem, lagrange and
+irregular reports use Python float math (`math.hypot`, `math.cos` and
+`math.sin` included) and, over their arrays, numpy's elementwise
++ - * /, maximum and comparisons, which round as IEEE 754 prescribes,
+like Python floats; the diagonal's hypot stays `math.hypot`.  So their
+bytes do not depend on the numpy build.  The irregular reports also
+rest on the draws of numpy's seeded PCG64 generator.
 Any change that moves one byte of them fails here.  The tie band of the
 curve's branch labels, where the vertical and diagonal scales lie within
 TIE_RTOL, is kept out of these grids: its exact labels have their own
@@ -64,6 +65,11 @@ CASES = {
     **{f"verify-theorem-odd-k{k}.json": ["verify", "theorem-odd", "--k", str(k)] for k in (3, 5, 11)},
     **{f"verify-lagrange-k{k}-p{p}.json": ["verify", "lagrange", "--k", str(k), "--p", p]
        for k, p in ((2, "4"), (4, "4"), (6, "7.5"))},
+    # the suite's default aspects at small k; one aspect at k = 150 and 300
+    **{f"verify-irregular-k{k}-t{trials}.json": ["verify", "irregular", "--k", str(k), "--trials", str(trials)]
+       for k in (1, 4, 6) for trials in (40, 1000)},
+    **{f"verify-irregular-k{k}-p4.2.json": ["verify", "irregular", "--k", str(k), "--trials", "4", "--p", "4.2"]
+       for k in (150, 300)},
     # tables across p = 2**512, where the diagonal's legs change formula
     **{f"curve-n2-past-2-512.{fmt}": _curve("2", "1e160", "1e157", fmt, 17, p_min="1e150") for fmt in ("csv", "json")},
     **{
@@ -76,7 +82,8 @@ CASES = {
 # Recorded before the closed forms were split into checked entries and
 # unchecked cores; the JSON tables at precisions 1 and 9 and the base-curve
 # JSON at k = 1, 5 and 12 before the tables' JSON was written in one pass;
-# the tables past 2**512 before the p-grids were tabulated in numpy.
+# the tables past 2**512 before the p-grids were tabulated in numpy; the
+# irregular reports while each trial still built and scored its own Net.
 DIGESTS = {
     "base-curve-k1.csv": "c7542181162c8bb457014de5e83b38fcdcf1a3a11da68e21758eeddf918d62e7",
     "base-curve-k1.json": "1c393a49f868760a93f029c0fd57f75822c6d4b88030909f9746354a2537915a",
@@ -139,6 +146,14 @@ DIGESTS = {
     "optimal-net-k5-p2.75.svg": "c73ccd47cf08f4f7f04d4ffec1b68e16387fd70d595251677a20ad56d3f8055c",
     "optimal-net-k9-p8.json": "6c3fe8f54547bb8804b608e65993d5f5a6cb7cdd08db3c3bb5110f497a2740b2",
     "optimal-net-k9-p8.svg": "2bfe6a514e71bffdb95f3465ce1398d6d8f1238bcfe0bff559ef408a80a1ef3b",
+    "verify-irregular-k1-t1000.json": "8ed2cb307ca5a4b445a9ac4b878a9e3cb3e13748f299c9ac491ff3b0ba097eba",
+    "verify-irregular-k1-t40.json": "f06a6ee9d356b1349d8da122705f33392d702a337139845dc1f7087d1bd0c491",
+    "verify-irregular-k150-p4.2.json": "a114235cae710d9fd52cc86196d268eeff8577e569cc2971ab37e35355e0207e",
+    "verify-irregular-k300-p4.2.json": "14cbaf3b7d0b535fc648407527060bc18b9404f7a74b8df652c76b51cec5fea4",
+    "verify-irregular-k4-t1000.json": "3a64e5436f3ecb1f95f5a99ea78d44c1dbcf46b9be4707d6c7e52f101feeb563",
+    "verify-irregular-k4-t40.json": "6d17e7c5b9155f2627041b568beef5cded60ea49961689228eeb76a12ee22b7c",
+    "verify-irregular-k6-t1000.json": "88a71c108cae85fdd9259f29f8db617084ec30e89e758f5c1439704656b823b5",
+    "verify-irregular-k6-t40.json": "246bf5199184bd6879e6f51bf01c2927c18a0a1aef14607377bcb593b3b4270b",
     "verify-lagrange-k2-p4.json": "cfc1c0f053ce9bb127df07788e695c72e925be3e21233bdd8d22f8a9939a2128",
     "verify-lagrange-k4-p4.json": "3ffa6a75448d5a1f4383330120fad7ff9ed2b8dc220d41e7bdd8b34d9b64407a",
     "verify-lagrange-k6-p7.5.json": "71a28079f55518ba9a33828d1e035857ee45542b39310a2ac80adad72406c816",

@@ -337,6 +337,29 @@ def aspect_and_ps(draw):
     return n, draw(st.lists(p, max_size=40))
 
 
+@st.composite
+def aspect_pairs(draw):
+    """(n, p) pairs: n in [1, 1e300], p any finite p >= 1, near n, n and
+    its float neighbours, 2**512 and its neighbours, or within four ulps
+    of w_n, the tie band, where the labels come from the exact cubic."""
+    pairs = []
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        n = draw(st.floats(min_value=1.0, max_value=1e300))
+        w = crossover_w(n)
+        special = [n, max(1.0, math.nextafter(n, 0.0)), math.nextafter(n, math.inf)]
+        special += [HUGE_P, math.nextafter(HUGE_P, 0.0), math.nextafter(HUGE_P, math.inf)]
+        special += [w + i * math.ulp(w) for i in range(-4, 5)]
+        p = draw(
+            st.one_of(
+                st.floats(min_value=1.0, max_value=1.7976931348623157e308),
+                st.floats(min_value=n, max_value=4.0 * n),
+                st.sampled_from(special),
+            )
+        )
+        pairs.append((n, p))
+    return pairs
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestSamples:
     def test_huge_p_is_where_the_product_overflows(self):
@@ -353,6 +376,23 @@ class TestSamples:
         assert len(c) == len(branches) == len(ps)
         assert list(zip(c.tolist(), branches)) == [_sample(n, p) for p in ps]
 
+    @given(aspect_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_an_array_of_n_against_an_array_of_p(self, pairs):
+        ns, ps = [n for n, _ in pairs], [p for _, p in pairs]
+        c, branches = _samples(np.array(ns), np.array(ps))
+        assert list(zip(c.tolist(), branches)) == [_sample(n, p) for n, p in pairs]
+
+    @given(aspect_pairs())
+    @settings(max_examples=50, deadline=None)
+    def test_a_column_of_n_against_a_row_of_p(self, pairs):
+        ns, ps = [n for n, _ in pairs], [p for _, p in pairs]
+        c, branches = _samples(np.array(ns)[:, None], ps)
+        assert c.shape == (len(ns), len(ps))
+        assert [list(zip(row, labels)) for row, labels in zip(c.tolist(), branches)] == [
+            [_sample(n, p) for p in ps] for n in ns
+        ]
+
     @pytest.mark.parametrize("n", [1.0, 2.0, 1e150])
     def test_a_grid_across_2_512(self, n):
         ps = p_grid(1e150, 1e160, 1e157) + [HUGE_P, math.nextafter(HUGE_P, 0.0), math.nextafter(HUGE_P, math.inf)]
@@ -366,6 +406,16 @@ class TestSamples:
         w = crossover_w(n)
         ps = [math.nextafter(w, 0.0), w, math.nextafter(w, math.inf)]
         assert _samples(n, ps)[1] == [BRANCH_VERTICAL, BRANCH_DIAGONAL, BRANCH_DIAGONAL]
+        # an array of n, each n beside its own w_n and that root's neighbours
+        pairs = [
+            (m, q)
+            for m in (n, 2.0, 1e300)
+            for w in [crossover_w(m)]
+            for q in (math.nextafter(w, 0.0), w, math.nextafter(w, math.inf))
+        ]
+        c, branches = _samples(np.array([m for m, _ in pairs]), np.array([q for _, q in pairs]))
+        assert list(zip(c.tolist(), branches)) == [_sample(m, q) for m, q in pairs]
+        assert branches[:3] == [BRANCH_VERTICAL, BRANCH_DIAGONAL, BRANCH_DIAGONAL]
 
     def test_no_points(self):
         c, branches = _samples(2.0, [])

@@ -1,13 +1,16 @@
 import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tripwire.cells import PerturbationSpec
 from tripwire.errors import DomainError
-from tripwire import oracle
-from tripwire.inscribe import _sample, _samples, crossover_w, curve_value, diagonal_branch, p_grid, ties
-from tripwire.nets import crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
+from tripwire import nets, oracle
+from tripwire.inscribe import TIE_RTOL, _sample, _samples, crossover_w, curve_value, diagonal_branch, p_grid, ties
+from tripwire.nets import Net, _hole_scale, crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
 from tripwire.oracle import (
     CROSSOVER_WINDOW,
     THEOREM_P_VALUES,
@@ -128,9 +131,23 @@ def rounded_aspect_scale(w, h, p):
 
 
 def rounded_aspect_scales(w, h, ps):
-    """rounded_aspect_scale at each p in ps, as nets._hole_scales is called."""
-    s = min(w, h)
-    return s * _samples(float(round(max(w, h) / s)), ps)[0]
+    """rounded_aspect_scale with w, h and ps broadcast, as nets._hole_scales
+    is called; np.round rounds half to even, as round does."""
+    s = np.minimum(w, h)
+    return s * _samples(np.round(np.maximum(w, h) / s), ps)[0]
+
+
+def one_call(monkeypatch, scores):
+    """Patch nets._hole_scales with `scores`; the returned list records each call's output shape."""
+    shapes = []
+
+    def patched(w, h, ps):
+        values = scores(w, h, ps)
+        shapes.append(values.shape)
+        return values
+
+    monkeypatch.setattr("tripwire.nets._hole_scales", patched)
+    return shapes
 
 
 def per_p_mismatches(k, ps, score):
@@ -158,20 +175,23 @@ class TestTheoremScanFailures:
         # A report keeps its first 10 failures, so the scan runs on every
         # tail of the grid that starts at a tenth mismatch: together they
         # show every mismatch, in order.
-        monkeypatch.setattr("tripwire.nets._hole_scales", rounded_aspect_scales)
+        # The scan scores its whole (class, p) table in one call.
+        shapes = one_call(monkeypatch, rounded_aspect_scales)
         expected = per_p_mismatches(k, THEOREM_P_VALUES, rounded_aspect_scale)
         assert expected
         starts = [THEOREM_P_VALUES.index(float(m[2 : m.index(":")])) for m in expected[::10]]
         for start in starts:
             monkeypatch.setattr(oracle, "THEOREM_P_VALUES", THEOREM_P_VALUES[start:])
+            shapes.clear()
             report = theorem_scan(k)
+            assert shapes == [(k // 2 + 1, len(THEOREM_P_VALUES) - start)]
             wanted = per_p_mismatches(k, THEOREM_P_VALUES[start:], rounded_aspect_scale)[:10]
             assert list(report.failures) == wanted
             assert report.parameters["mismatches"] == wanted
             assert not report.passed
 
     def test_both_kinds_of_mismatch(self, monkeypatch):
-        monkeypatch.setattr("tripwire.nets._hole_scales", rounded_aspect_scales)
+        one_call(monkeypatch, rounded_aspect_scales)
         failures = theorem_scan(5).failures
         assert failures[0] == "p=1.5: unexpected tie set [3, 5], predicted 5"
         assert failures[1].endswith(": predicted class 5 not in argmin set [3]")
@@ -248,12 +268,93 @@ class TestIrregularSpacing:
         assert both.parameters["p_values"] == [2.0, 1.5]
 
     def test_failures_from_every_p(self, monkeypatch):
-        # a scale factor that drops with every call makes each jittered net beat even spacing
+        # even spacing scored far above any real score makes each jittered net beat it
         scores = iter(range(10**6, 0, -1))
         monkeypatch.setattr("tripwire.nets._hole_scale", lambda w, h, p: float(next(scores)))
         report = irregular_spacing_check(2, [1.0, 2.0], trials=3, seed=0)
         assert not report.passed
         assert [f[-5:] for f in report.failures] == ["p=1.0"] * 3 + ["p=2.0"] * 3
+
+
+def jittered_positions(count, rng):
+    if count == 0:
+        return ()
+    gap = 1.0 / (count + 1)
+    jitter = rng.uniform(-0.49, 0.49, size=count) * gap
+    return tuple((i + 1) * gap + jitter[i] for i in range(count))
+
+
+def per_trial_irregular_report(k, p_values, trials, seed, even_score=_hole_scale):
+    """irregular_spacing_check from one validated Net per trial, each p
+    drawing its own trials: the reference for its gap lists and tables.
+    `even_score` scores the evenly spaced nets."""
+    candidates, failures = [], []
+    for p in p_values:
+        rng = np.random.default_rng(seed)
+        even_value = {}
+        worst = math.inf
+        for trial in range(trials):
+            v = int(rng.integers(0, k + 1))
+            h = k - v
+            if v not in even_value:
+                even_value[v] = even_score(*evenly_spaced(v, h).widest_hole, p)
+            vertical = jittered_positions(v, rng)
+            horizontal = jittered_positions(h, rng)
+            value = _hole_scale(*Net(vertical=vertical, horizontal=horizontal).widest_hole, p)
+            worst = min(worst, value - even_value[v])
+            if not ties(even_value[v], value):
+                failures.append(
+                    f"trial {trial}: jittered N({v},{h}) scores {value!r} below even "
+                    f"spacing {even_value[v]!r} at p={p}"
+                )
+        candidates.append((f"p={p:.9g} worst margin", worst))
+    return VerificationReport(
+        candidates=tuple(candidates),
+        parameters={"k": k, "p_values": list(p_values), "trials": trials, "tolerance": TIE_RTOL},
+        seed=seed,
+        failures=tuple(failures),
+    )
+
+
+@st.composite
+def irregular_cases(draw):
+    """(k, p_values, trials, seed): k in 1..12 or 150 or 300, and a p list
+    that holds 1 and 1e12 among other aspects."""
+    k = draw(st.sampled_from([*range(1, 13), 150, 300]))
+    others = draw(st.lists(st.floats(min_value=1.0, max_value=1e6), max_size=3))
+    p_values = draw(st.permutations([1.0, 1e12, *others]))
+    trials = draw(st.integers(min_value=1, max_value=6 if k > 12 else 60))
+    return k, p_values, trials, draw(st.integers(min_value=0, max_value=2**63))
+
+
+def narrowest_gap(jitter):
+    """A wrong oracle._widest_gap: the narrowest gap of the same cuts."""
+    gap = 1.0 / (len(jitter) + 1)
+    return min(nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(jitter)]))
+
+
+class TestIrregularGapLists:
+    @given(irregular_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_reports_match_one_net_per_trial(self, case):
+        assert irregular_spacing_check(*case).to_json() == per_trial_irregular_report(*case).to_json()
+
+    @pytest.mark.parametrize("k,trials", [(1, 30), (5, 30), (150, 3)])
+    def test_failure_messages_match_one_net_per_trial(self, monkeypatch, k, trials):
+        # even spacing scored at twice its value: every trial fails
+        def doubled(w, h, p):
+            return 2.0 * _hole_scale(w, h, p)
+
+        monkeypatch.setattr("tripwire.nets._hole_scale", doubled)
+        report = irregular_spacing_check(k, [1.0, 2.5, 1e12], trials, 7)
+        assert len(report.failures) == min(10, 3 * trials)
+        assert report.to_json() == per_trial_irregular_report(k, [1.0, 2.5, 1e12], trials, 7, doubled).to_json()
+
+    def test_the_narrowest_gap_fails_the_suite(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_widest_gap", narrowest_gap)
+        report = irregular_spacing_check(4, [1.0, 3.0], trials=150, seed=11)
+        assert not report.passed
+        assert min(value for _, value in report.candidates) < 0.0
 
 
 class TestVerificationReport:
