@@ -84,19 +84,20 @@ def _write(path: str, text: str) -> None:
         handle.write(text)
 
 
-def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dict, ps, cs, branches, plot) -> dict:
+def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dict, ps, cs, branches, plot) -> None:
     """Write a sample table, the columns p, c (lists of floats) and branch,
-    to out.path and return its JSON payload.
+    to out.path.
 
     Each number is formatted once at out.precision, a column at a time
-    (_nums): CSV prints that string and JSON the float it parses back to.
-    The table leads with `head` = value (an int is written as is), then
-    the `notes_key` block of notes, whose None values are JSON nulls and
-    left out of the CSV.  `plot()` returns the SVG document.
+    (_nums), in every format, so each rejects a number printed past the
+    largest float: CSV prints that string and JSON the float it parses
+    back to.  The table leads with `head` = value (an int is written as
+    is), then the `notes_key` block of notes, whose None values are JSON
+    nulls and left out of the CSV.  `plot()` returns the SVG document.
 
-    The JSON file is json.dumps(payload, indent=2) + "\n", written in one
-    pass: json.dumps of the payload without its samples, then one string
-    per sample from a format spec of that layout, which prints each float
+    The JSON file is the json.dumps(..., indent=2) + "\n" of the table,
+    written in one pass: json.dumps of the head fields, then one string
+    per row from a format spec of that layout, which prints each float
     as json does for a finite one, by float.__repr__ (_num has rejected
     the rest); indent would send the whole table through json's
     pure-Python encoder.  Branch labels are plain ASCII constants,
@@ -105,15 +106,6 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
     head_text = str(value) if isinstance(value, int) else _num(value, out.precision)
     note_texts = {key: None if x is None else _num(x, out.precision) for key, x in notes.items()}
     p_texts, c_texts = _nums(ps, out.precision), _nums(cs, out.precision)
-    payload = {
-        head: value if isinstance(value, int) else float(head_text),
-        "precision": out.precision,
-        notes_key: {key: None if text is None else float(text) for key, text in note_texts.items()},
-        "samples": [
-            {"p": p, "c": c, "branch": branch}
-            for p, c, branch in zip(map(float, p_texts), map(float, c_texts), branches)
-        ],
-    }
     if out.format == "csv":
         lines = [f"# {head}={head_text}"]
         lines += [f"# {key}={text}" for key, text in note_texts.items() if text is not None]
@@ -121,29 +113,32 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
         lines += [f"{p},{c},{branch}" for p, c, branch in zip(p_texts, c_texts, branches)]
         _write(out.path, "\n".join(lines) + "\n")
     elif out.format == "json":
+        head_fields = {
+            head: value if isinstance(value, int) else float(head_text),
+            "precision": out.precision,
+            notes_key: {key: None if text is None else float(text) for key, text in note_texts.items()},
+        }
         rows_json = ",\n".join(
-            f'    {{\n      "p": {s["p"]!r},\n      "c": {s["c"]!r},\n      "branch": "{s["branch"]}"\n    }}'
-            for s in payload["samples"]
+            f'    {{\n      "p": {float(p)!r},\n      "c": {float(c)!r},\n      "branch": "{branch}"\n    }}'
+            for p, c, branch in zip(p_texts, c_texts, branches)
         )
-        head_json = json.dumps({key: x for key, x in payload.items() if key != "samples"}, indent=2)
-        _write(out.path, f'{head_json[:-2]},\n  "samples": [\n{rows_json}\n  ]\n}}\n')
+        _write(out.path, f'{json.dumps(head_fields, indent=2)[:-2]},\n  "samples": [\n{rows_json}\n  ]\n}}\n')
     else:
         _write(out.path, plot())
-    return payload
 
 
 # ----------------------------------------------------------------------------
 # curve
 
 
-def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec) -> dict:
+def cmd_curve(n: float, p_min: float, p_max: float, step: float, out: OutputSpec) -> None:
     """Sample the inscribing curve for hole aspect n and write it to out.path."""
     n = check_aspect(n, "hole aspect n")
     ps = p_grid(p_min, p_max, step)
     cs, branches = _samples(n, ps)
     cs = cs.tolist()
     w_n = crossover_w(n)
-    return _write_samples(
+    _write_samples(
         out,
         "n",
         n,
@@ -171,7 +166,7 @@ def cmd_base_curve(
     step: float,
     out: OutputSpec,
     overlay: tuple[int, int] | None = None,
-) -> dict:
+) -> None:
     """Sample the base curve for k lines; overlay a competitor split in SVG mode."""
     if overlay is not None and out.format != "svg":
         raise DomainError("--overlay is only supported with --format svg")
@@ -202,15 +197,18 @@ def cmd_base_curve(
                 markers.append((crossover_w(aspect_comp), "p4"))
         return svg.curve_plot_svg(series, markers, title=f"Base curve, k={k}")
 
-    return _write_samples(out, "k", k, "annotations", annotations, grid_ps, values, families, plot)
+    _write_samples(out, "k", k, "annotations", annotations, grid_ps, values, families, plot)
 
 
 # ----------------------------------------------------------------------------
 # optimal-net
 
 
-def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> dict:
-    """Emit the optimal k-line net for intruder aspect p, with its placement."""
+def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> None:
+    """Emit the optimal k-line net for intruder aspect p, with its placement.
+
+    Both formats round every field at out.precision, so both reject a
+    number printed past the largest float."""
     if out.format == "csv":
         raise DomainError("optimal-net supports json or svg output")
     net = nets.optimal_net(k, p)
@@ -255,7 +253,6 @@ def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> dict:
             title=f"{net.describe()}, p={_num(p, 6)}, c={_num(scale, 6)}",
         )
         _write(out.path, doc)
-    return payload
 
 
 # ----------------------------------------------------------------------------
@@ -289,13 +286,13 @@ VERIFY_SUITES = {
 }
 
 
-def cmd_verify(suite: str, args: argparse.Namespace, out_path: str) -> tuple[int, VerificationReport]:
-    """Run one verification suite, write its JSON report, return (exit code, report)."""
+def cmd_verify(suite: str, args: argparse.Namespace, out_path: str) -> VerificationReport:
+    """Run one verification suite, write its JSON report and return the report."""
     if suite not in VERIFY_SUITES:
         raise DomainError(f"unknown verification suite {suite!r}")
     report = VERIFY_SUITES[suite](args)
     _write(out_path, report.to_json() + "\n")
-    return (0 if report.passed else 1), report
+    return report
 
 
 # ----------------------------------------------------------------------------
@@ -362,12 +359,18 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "curve":
-            out = OutputSpec(format=args.format, path=args.out, precision=args.precision)
-            cmd_curve(args.n, args.p_min, args.p_max, args.step, out)
+        if args.command == "verify":
+            out_path = args.out or f"verify-{args.suite}.json"
+            report = cmd_verify(args.suite, args, out_path)
+            if not report.passed:
+                print(f"{args.suite}: FAIL: {report.failures[0]}", file=sys.stderr)
+                return 1
+            print(f"{args.suite}: PASS ({out_path})")
             return 0
-        if args.command == "base-curve":
-            out = OutputSpec(format=args.format, path=args.out, precision=args.precision)
+        out = OutputSpec(format=args.format, path=args.out, precision=args.precision)
+        if args.command == "curve":
+            cmd_curve(args.n, args.p_min, args.p_max, args.step, out)
+        elif args.command == "base-curve":
             overlay = None
             if args.overlay is not None:
                 try:
@@ -376,25 +379,14 @@ def main(argv: list[str] | None = None) -> int:
                     parser.error(f"--overlay expects 'v,h' integers, got {args.overlay!r}")
                 overlay = (v, h)
             cmd_base_curve(args.k, args.p_min, args.p_max, args.step, out, overlay)
-            return 0
-        if args.command == "optimal-net":
-            out = OutputSpec(format=args.format, path=args.out, precision=args.precision)
+        else:
             cmd_optimal_net(args.k, args.p, out)
-            return 0
-        if args.command == "verify":
-            out_path = args.out or f"verify-{args.suite}.json"
-            code, report = cmd_verify(args.suite, args, out_path)
-            if report.passed:
-                print(f"{args.suite}: PASS ({out_path})")
-            else:
-                print(f"{args.suite}: FAIL: {report.failures[0]}", file=sys.stderr)
-            return code
+        return 0
     except DomainError as exc:
         parser.error(str(exc))
     except (DegenerateCellError, InvalidPerturbationError) as exc:
         print(f"{parser.prog} {args.command}: geometric or numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    return 2
 
 
 if __name__ == "__main__":

@@ -193,10 +193,10 @@ def _sample(n: float, p: float) -> tuple[float, str]:
 
 
 def _samples(n, ps) -> tuple[np.ndarray, list]:
-    """_sample at checked aspects n and p, broadcast against each other (a
-    float or an array of either), in one numpy pass: (c array, branch
-    labels as nested lists of the same shape), bit for bit _sample's at
-    each point.
+    """_sample at checked aspects n and p, broadcast against each other (n
+    a float or an array, ps an array or a list: a float p has no label
+    list to return), in one numpy pass: (c array, branch labels as nested
+    lists of the same shape), bit for bit _sample's at each point.
 
     numpy's elementwise + - * / and maximum round as Python floats do, the
     diagonal's c is math.hypot (np.hypot can differ in the last bit), and

@@ -117,8 +117,8 @@ def _hole_scale(w: float, h: float, p: float) -> float:
 
 def _hole_scales(w, h, ps) -> np.ndarray:
     """_hole_scale with the hole sides w and h and the checked aspects ps
-    broadcast against each other (floats or arrays), in one pass
-    (inscribe._samples)."""
+    broadcast against each other (w and h floats or arrays, ps an array or
+    a list, as inscribe._samples takes), in one pass."""
     s = np.minimum(w, h)
     return s * _samples(np.maximum(w, h) / s, ps)[0]
 

@@ -11,7 +11,7 @@ the theorem scans every split over a p-grid in one (class, p) table, and
 the irregular check the widest hole of jittered cuts of every split, all
 its trials at all its p in one (p, trial) table; the split check takes
 its short side from inscribe.diagonal_branch and re-solves the
-corner-contact equations per split.  ROADMAP item 2 moves them onto the
+corner-contact equations per split.  ROADMAP item 4 moves them onto the
 kernel.  Each suite returns its finished VerificationReport.
 """
 
@@ -311,6 +311,8 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
         p_values = [check_aspect(p, "intruder aspect p") for p in p_values]
     except TypeError:
         raise DomainError(f"p_values must be a sequence of intruder aspects, got {p_values!r}") from None
+    if not p_values:
+        raise DomainError("p_values must hold at least one intruder aspect, got []")
     trials = check_count(trials, "trials", minimum=1)
     seed = check_count(seed, "seed")
     # One draw per trial: the split, then all k jitters, vertical cuts first.

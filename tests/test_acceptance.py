@@ -212,34 +212,40 @@ def test_criterion_8_local_optimum_under_perturbation():
     )
 
 
+def read_csv_table(path):
+    """(notes, samples) of a written CSV table: the '# key=value' lines as
+    floats, then one (p, c, branch) per row after the header."""
+    lines = path.read_text().splitlines()
+    notes = {key: float(value) for key, value in (line[2:].split("=") for line in lines if line.startswith("# "))}
+    rows = [line.split(",") for line in lines if not line.startswith(("# ", "p,c,branch"))]
+    return notes, [(float(p), float(c), branch) for p, c, branch in rows]
+
+
 def test_criterion_9_figure_reproduction(tmp_path):
     problems = []
 
-    curve_payload = cmd_curve(
-        1.0, 1.0, 4.0, 0.01, OutputSpec(format="csv", path=str(tmp_path / "curve.csv"), precision=12)
-    )
-    samples = curve_payload["samples"]
-    values = [s["c"] for s in samples]
+    cmd_curve(1.0, 1.0, 4.0, 0.01, OutputSpec(format="csv", path=str(tmp_path / "curve.csv"), precision=12))
+    markers, samples = read_csv_table(tmp_path / "curve.csv")
+    values = [c for _, c, _ in samples]
     if not all(b <= a + 1e-12 for a, b in zip(values, values[1:])):
         problems.append("inscribing curve not non-increasing")
-    if abs(curve_payload["markers"]["plateau_end"] - 1.0) > 1e-9:
+    if abs(markers["plateau_end"] - 1.0) > 1e-9:
         problems.append("plateau marker off")
-    if abs(curve_payload["markers"]["vertical_end"] - (1 + math.sqrt(2))) > 1e-9:
+    if abs(markers["vertical_end"] - (1 + math.sqrt(2))) > 1e-9:
         problems.append("vertical/diagonal marker does not match w_1")
-    switch = [s["p"] for s in samples if s["branch"] == "diagonal"]
+    switch = [p for p, _, branch in samples if branch == "diagonal"]
     if not switch or abs(switch[0] - (1 + math.sqrt(2))) > 0.011:
         problems.append("branch switch in samples away from w_1")
 
-    base_payload = cmd_base_curve(
-        4, 1.0, 4.0, 0.01, OutputSpec(format="csv", path=str(tmp_path / "base.csv"), precision=12)
-    )
-    base_values = [s["c"] for s in base_payload["samples"]]
+    cmd_base_curve(4, 1.0, 4.0, 0.01, OutputSpec(format="csv", path=str(tmp_path / "base.csv"), precision=12))
+    annotations, base_samples = read_csv_table(tmp_path / "base.csv")
+    base_values = [c for _, c, _ in base_samples]
     if not all(b <= a + 1e-12 for a, b in zip(base_values, base_values[1:])):
         problems.append("base curve not non-increasing")
-    annotated = base_payload["annotations"]["crossover_aspect"]
+    annotated = annotations["crossover_aspect"]
     if abs(annotated - crossover_aspect(4)) > 1e-9 or abs(annotated - 5 / 3) > 1e-9:
         problems.append("base curve crossover annotation off")
-    switch = [s["p"] for s in base_payload["samples"] if s["branch"] == "grid"]
+    switch = [p for p, _, branch in base_samples if branch == "grid"]
     if not switch or abs(switch[0] - 5 / 3) > 0.011:
         problems.append("family switch in samples away from the crossover")
     # the two base-curve arms really meet there: scores of the two nets agree

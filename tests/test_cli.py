@@ -10,6 +10,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import tripwire.cli
+import tripwire.nets
+import tripwire.oracle
 from tripwire.cli import OutputSpec, cmd_base_curve, cmd_curve, cmd_optimal_net, main
 from tripwire.errors import DegenerateCellError, DomainError
 from tripwire.svg import NET_MARGIN, NET_UNIT
@@ -191,9 +193,8 @@ class TestCsvAndJsonAgree:
 
     def tables(self, command, args, tmp_path, precision):
         command(*args, OutputSpec(format="csv", path=str(tmp_path / "t.csv"), precision=precision))
-        payload = command(*args, OutputSpec(format="json", path=str(tmp_path / "t.json"), precision=precision))
+        command(*args, OutputSpec(format="json", path=str(tmp_path / "t.json"), precision=precision))
         data = json.loads((tmp_path / "t.json").read_text())
-        assert payload == data
         notes, rows = read_csv_table(tmp_path / "t.csv")
         assert [[float(p), float(c), branch] for p, c, branch in rows] == [
             [s["p"], s["c"], s["branch"]] for s in data["samples"]
@@ -221,7 +222,7 @@ class TestCsvAndJsonAgree:
 
 
 class TestJsonTables:
-    """A table's JSON file is json.dumps(payload, indent=2) + "\\n" of the payload that its command returns."""
+    """A table's JSON file is json.dumps(data, indent=2) + "\\n" of the data that it parses to."""
 
     RANGES = {
         "p_min": st.floats(min_value=1.0, max_value=1e12),
@@ -231,23 +232,24 @@ class TestJsonTables:
     }
 
     @staticmethod
-    def assert_file_is_the_payload(command, args, path, precision):
-        payload = command(*args, OutputSpec(format="json", path=str(path), precision=precision))
-        assert path.read_bytes() == (json.dumps(payload, indent=2) + "\n").encode()
+    def assert_file_is_json_dumps(command, args, path, precision):
+        command(*args, OutputSpec(format="json", path=str(path), precision=precision))
+        data = path.read_bytes()
+        assert data == (json.dumps(json.loads(data), indent=2) + "\n").encode()
 
     @given(n=st.floats(min_value=1.0, max_value=1e12), **RANGES)
     @settings(max_examples=150, deadline=None)
     def test_curve(self, tmp_path_factory, n, p_min, width, samples, precision):
         assume(p_min + width > p_min)
         path = tmp_path_factory.getbasetemp() / "curve.json"
-        self.assert_file_is_the_payload(cmd_curve, (n, p_min, p_min + width, width / samples), path, precision)
+        self.assert_file_is_json_dumps(cmd_curve, (n, p_min, p_min + width, width / samples), path, precision)
 
     @given(k=st.integers(min_value=1, max_value=40), **RANGES)
     @settings(max_examples=150, deadline=None)
     def test_base_curve(self, tmp_path_factory, k, p_min, width, samples, precision):
         assume(p_min + width > p_min)
         path = tmp_path_factory.getbasetemp() / "base-curve.json"
-        self.assert_file_is_the_payload(cmd_base_curve, (k, p_min, p_min + width, width / samples), path, precision)
+        self.assert_file_is_json_dumps(cmd_base_curve, (k, p_min, p_min + width, width / samples), path, precision)
 
 
 
@@ -320,9 +322,8 @@ def test_any_column_prints_as_each_number_does(numbers, precision):
 )
 def test_a_numpy_k_writes_what_an_int_k_writes(tmp_path, command, args, fmt):
     k, *rest = args
-    int_k = command(k, *rest, OutputSpec(format=fmt, path=str(tmp_path / "int")))
-    numpy_k = command(np.int64(k), *rest, OutputSpec(format=fmt, path=str(tmp_path / "numpy")))
-    assert int_k == numpy_k
+    command(k, *rest, OutputSpec(format=fmt, path=str(tmp_path / "int")))
+    command(np.int64(k), *rest, OutputSpec(format=fmt, path=str(tmp_path / "numpy")))
     assert (tmp_path / "int").read_bytes() == (tmp_path / "numpy").read_bytes()
 
 
@@ -350,13 +351,13 @@ class TestOptimalNetCommand:
         assert data["net"] == {"vertical": [0.5], "horizontal": []}
         assert data["scale_factor"] == pytest.approx(0.5, abs=1e-9)
 
-    def test_placement_corners_inside_maximizing_hole(self):
+    def test_placement_corners_inside_maximizing_hole(self, tmp_path):
+        out = tmp_path / "net.json"
         for k, p in [(2, 3), (4, 4), (5, 2.5), (3, 1.0)]:
-            payload = cmd_optimal_net(
-                k, p, OutputSpec(format="json", path="/dev/null", precision=17)
-            )
-            hole = payload["maximizing_hole"]
-            for x, y in payload["placement"]["corners"]:
+            cmd_optimal_net(k, p, OutputSpec(format="json", path=str(out), precision=17))
+            data = json.loads(out.read_text())
+            hole = data["maximizing_hole"]
+            for x, y in data["placement"]["corners"]:
                 assert hole["x0"] - 1e-9 <= x <= hole["x0"] + hole["width"] + 1e-9
                 assert hole["y0"] - 1e-9 <= y <= hole["y0"] + hole["height"] + 1e-9
 
@@ -453,6 +454,23 @@ class TestVerifyCommand:
         code = run_main(["verify", "irregular", "--k", "3", "--p", "2", "--trials", "60",
                          "--seed", "3", "--out", str(out)])
         assert code == 0
+
+    def test_a_failed_suite_exits_1_and_names_its_first_failure(self, tmp_path, monkeypatch, capsys):
+        # scoring each jittered net by its narrowest gap lets jitter beat even spacing
+        def narrowest_gap(jitter):
+            gap = 1.0 / (len(jitter) + 1)
+            return min(tripwire.nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(jitter)]))
+
+        monkeypatch.setattr(tripwire.oracle, "_widest_gap", narrowest_gap)
+        out = tmp_path / "rep.json"
+        code = run_main(["verify", "irregular", "--k", "4", "--p", "3", "--trials", "150",
+                         "--seed", "11", "--out", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("irregular: FAIL: trial ")
+        assert json.loads(out.read_text())["passed"] is False
 
     def test_local_optimum_suite(self, tmp_path):
         out = tmp_path / "rep.json"

@@ -437,7 +437,7 @@ def test_counts_are_checked_integers(call):
         call()
 
 
-@pytest.mark.parametrize("p_values", [2.0, None], ids=["float", "none"])
+@pytest.mark.parametrize("p_values", [2.0, None, []], ids=["float", "none", "empty"])
 def test_irregular_p_values_must_be_a_sequence(p_values):
     with pytest.raises(DomainError, match="p_values"):
         irregular_spacing_check(3, p_values, 5, 0)
