@@ -4,8 +4,9 @@
     python scripts/run_verifications.py --out-dir out/reports [--quick]
 
 --quick trims trial counts for a fast smoke run; the defaults match the
-full verification settings, and the full run adds irregular-k300.json,
-the irregular check on nets of 300 lines.  local-optimum runs at
+full verification settings, and the full run adds the irregular check on
+nets of 300 lines: irregular-k300.json, and irregular-k300-t300.json,
+whose 300 trials span two nets.GAP_BUDGET chunks.  local-optimum runs at
 k = 3..6, one report local-optimum-k<k>.json each.
 """
 
@@ -38,6 +39,7 @@ def main() -> int:
     if not args.quick:
         # nets with hundreds of cuts
         runs["irregular-k300"] = ["irregular", "--k", "300", "--trials", "4", "--p", "4.2", *seed]
+        runs["irregular-k300-t300"] = ["irregular", "--k", "300", "--trials", "300", *seed]
     for k in range(3, 7):
         runs[f"local-optimum-k{k}"] = ["local-optimum", "--k", str(k), "--trials", local_trials, *seed]
     worst = 0

@@ -27,6 +27,10 @@ import numpy as np
 from .errors import DomainError, check_count, check_real
 from .inscribe import _sample, _samples, check_aspect, ties
 
+# Most elements of a (row, cut) array that one pass of a gap core builds:
+# longer inputs are taken in chunks of rows.
+GAP_BUDGET = 1 << 16
+
 
 @dataclass(frozen=True)
 class Net:
@@ -79,9 +83,33 @@ def evenly_spaced(v: int, h: int) -> Net:
     """The net with v evenly spaced vertical and h evenly spaced horizontal lines."""
     v = check_count(v, "vertical line count")
     h = check_count(h, "horizontal line count")
-    vertical = tuple(i / (v + 1) for i in range(1, v + 1))
-    horizontal = tuple(j / (h + 1) for j in range(1, h + 1))
+    vertical, horizontal = (tuple(_even_cuts(n)[1:-1].tolist()) for n in (v, h))
     return Net(vertical=vertical, horizontal=horizontal)
+
+
+def _even_cuts(counts) -> np.ndarray:
+    """i / (n + 1) for i = 0 .. max(counts) + 1, one row per line count n in
+    counts (an int or an int array): the n evenly spaced cuts at i = 1 .. n,
+    between the sides 0 and 1 at i = 0 and i = n + 1.  Each is one division;
+    (i + 1) * (1 / (n + 1)) rounds differently."""
+    counts = np.asarray(counts)
+    return np.arange(counts.max() + 2) / (counts[..., None] + 1)
+
+
+def _even_holes(v, h) -> np.ndarray:
+    """evenly_spaced(v, h).widest_hole, bit for bit, for the line counts v
+    and h (int arrays of one shape): widths and heights stacked on a first
+    axis of 2.  Every count's gaps come from one _even_cuts division, in
+    chunks of at most GAP_BUDGET cuts (one count when its row is longer)."""
+    counts = np.stack((v, h)).reshape(-1)
+    widest = np.empty(counts.shape)
+    rows = max(1, GAP_BUDGET // (int(counts.max()) + 2))
+    for start in range(0, counts.size, rows):
+        chunk = counts[start : start + rows]
+        gaps = np.diff(_even_cuts(chunk), axis=1)
+        # the row of n cuts has n + 1 gaps; past them its cuts run beyond 1
+        widest[start : start + rows] = np.where(np.arange(gaps.shape[1]) <= chunk[:, None], gaps, 0.0).max(axis=1)
+    return widest.reshape(2, *np.shape(v))
 
 
 def holes(net: Net) -> HoleGrid:

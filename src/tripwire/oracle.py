@@ -12,7 +12,10 @@ the irregular check the widest hole of jittered cuts of every split, all
 its trials at all its p in one (p, trial) table; the split check takes
 its short side from inscribe.diagonal_branch and re-solves the
 corner-contact equations per split.  ROADMAP item 4 moves them onto the
-kernel.  Each suite returns its finished VerificationReport.
+kernel.  None builds a Net per split or per trial: the widest holes of
+evenly spaced splits come from one nets._even_holes pass, and the
+jittered widest gaps from one (trial, cut) pass per chunk of trials
+(_widest_gaps).  Each suite returns its finished VerificationReport.
 """
 
 from __future__ import annotations
@@ -139,9 +142,9 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     """
     k = check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
-    scores = [(v, nets._hole_scale(*nets.evenly_spaced(v, k - v).widest_hole, p)) for v in range(k, -1, -1)]
-    best_value = min(value for _, value in scores)
-    tied = [f"N({v},{k - v})" for v, value in scores if ties(value, best_value)]
+    candidates = _split_candidates(k, _split_holes(k), p)
+    best_value = min(value for _, value in candidates)
+    tied = [name for name, value in candidates if ties(value, best_value)]
     predicted = nets.optimal_net(k, p).describe()
     failures = []
     if predicted not in tied:
@@ -149,7 +152,7 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
             f"predicted optimum {predicted} absent from argmin set {tied} at k={k}, p={p}"
         )
     return VerificationReport(
-        candidates=tuple((f"N({v},{k - v})", value) for v, value in scores),
+        candidates=candidates,
         parameters={
             "k": k,
             "p": p,
@@ -159,6 +162,21 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
         },
         failures=tuple(failures),
     )
+
+
+def _split_holes(k: int) -> np.ndarray:
+    """Widest holes of the evenly spaced nets N(v, k - v), v = 0 .. k:
+    widths and heights stacked on a first axis of 2 (nets._even_holes)."""
+    v = np.arange(k + 1)
+    return nets._even_holes(v, k - v)
+
+
+def _split_candidates(k: int, holes: np.ndarray, p: float) -> tuple[tuple[str, float], ...]:
+    """("N(v,h)", score) of every split v + h = k, from v = k down: each split
+    scored at p by nets._hole_scale of its widest hole in holes (_split_holes)."""
+    widths, heights = holes[:, ::-1].tolist()
+    splits = zip(range(k, -1, -1), widths, heights)
+    return tuple((f"N({v},{k - v})", nets._hole_scale(w, h, p)) for v, w, h in splits)
 
 
 # The theorem scans' p-grid: [1, 8] in steps of 1/64, every point exact in binary.
@@ -176,15 +194,17 @@ def theorem_scan(k: int) -> VerificationReport:
     between the parallel and grid families is accepted.  Each mismatch is
     a failure; the candidates are the enumeration table at the first grid
     p past the crossover, and odd k also reports the line-count variant
-    of the crossover (nets.odd_crossover_line_count) beside it.
+    of the crossover (nets.odd_crossover_line_count) beside it.  Every
+    split's widest hole (nets._even_holes) comes from one pass, which
+    both the table and the candidates read.
     """
     k = check_count(k, "line count k", minimum=2)
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
     classes = range(grid_class, k + 1)
     # One (class, p) table: each class scores its split's widest hole.
-    holes = np.array([nets.evenly_spaced(v, k - v).widest_hole for v in classes])
-    values = nets._hole_scales(holes[:, :1], holes[:, 1:], THEOREM_P_VALUES)
+    holes = _split_holes(k)
+    values = nets._hole_scales(holes[0, grid_class:, None], holes[1, grid_class:, None], THEOREM_P_VALUES)
     tied = ties(values, values.min(axis=0))
     ps = np.array(THEOREM_P_VALUES)
     predicted = np.where(ps <= x, k, grid_class)
@@ -213,7 +233,7 @@ def theorem_scan(k: int) -> VerificationReport:
         parameters["crossover_line_count_formula"] = alt
         parameters["formulas_disagree"] = abs(alt - x) > 1e-12
     return VerificationReport(
-        candidates=enumerate_axis_nets(k, p_above).candidates,
+        candidates=_split_candidates(k, holes, p_above),
         parameters=parameters,
         failures=tuple(mismatches),
     )
@@ -302,9 +322,13 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     up to 49% of its even gap (order-preserving); the trials are drawn
     once from seed, and every p scores the same trials.  A net is scored
     by its widest hole alone (the widest gap of each axis, as
-    nets.Net.widest_hole), and the evenly spaced net's score must tie or
-    beat the jittered net's (ties).  Each p's candidate is its worst
-    margin, the least jittered-minus-even score over its trials.
+    nets.Net.widest_hole, from _widest_gaps for the jittered nets and
+    nets._even_holes for the evenly spaced ones), and the evenly spaced
+    net's score must tie or beat the jittered net's (ties).  Each p's
+    candidate is its worst margin, the least jittered-minus-even score
+    over its trials.  The draws of each chunk of trials, at most
+    nets.GAP_BUDGET jitters (one trial when k is larger), feed one
+    _widest_gaps pass.
     """
     k = check_count(k, "line count k", minimum=1)
     try:
@@ -317,43 +341,64 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     seed = check_count(seed, "seed")
     # One draw per trial: the split, then all k jitters, vertical cuts first.
     rng = np.random.default_rng(seed)
-    splits, widths, heights = [], [], []
-    for _ in range(trials):
-        v = int(rng.integers(0, k + 1))
-        jitter = rng.uniform(-0.49, 0.49, size=k).tolist()
-        splits.append(v)
-        widths.append(_widest_gap(jitter[:v]))
-        heights.append(_widest_gap(jitter[v:]))
-    # One (p, trial) table of jittered scores.
-    jittered = nets._hole_scales(np.array(widths), np.array(heights), np.array(p_values)[:, None])
-    even_holes = {v: nets.evenly_spaced(v, k - v).widest_hole for v in set(splits)}
-    candidates = []
+    splits = np.empty(trials, dtype=np.intp)
+    widths, heights = np.empty(trials), np.empty(trials)
+    rows = max(1, nets.GAP_BUDGET // k)
+    for start in range(0, trials, rows):
+        stop = min(start + rows, trials)
+        jitter = np.empty((stop - start, k))
+        for row in range(stop - start):
+            splits[start + row] = rng.integers(0, k + 1)
+            jitter[row] = rng.uniform(-0.49, 0.49, size=k)
+        widths[start:stop], heights[start:stop] = _widest_gaps(splits[start:stop], jitter)
+    # (p, trial) tables of jittered and even scores; even spacing is scored
+    # once per (p, drawn split).
+    jittered = nets._hole_scales(widths, heights, np.array(p_values)[:, None])
+    drawn = np.flatnonzero(np.bincount(splits, minlength=k + 1))
+    even_holes = nets._even_holes(drawn, k - drawn).T.tolist()
+    by_split = np.zeros((len(p_values), k + 1))
+    by_split[:, drawn] = [[nets._hole_scale(w, h, p) for w, h in even_holes] for p in p_values]
+    even = by_split[:, splits]
     failures = []
-    for p, values in zip(p_values, jittered):
-        by_split = np.zeros(k + 1)
-        for v, hole in even_holes.items():
-            by_split[v] = nets._hole_scale(*hole, p)
-        even = by_split[splits]
-        for trial in np.flatnonzero(~ties(even, values)).tolist():
-            v = splits[trial]
-            failures.append(
-                f"trial {trial}: jittered N({v},{k - v}) scores {float(values[trial])!r} below even "
-                f"spacing {float(even[trial])!r} at p={p}"
-            )
-        candidates.append((f"p={p:.9g} worst margin", float((values - even).min())))
+    for i, trial in np.argwhere(~ties(even, jittered))[:10].tolist():
+        v = int(splits[trial])
+        failures.append(
+            f"trial {trial}: jittered N({v},{k - v}) scores {float(jittered[i, trial])!r} below even "
+            f"spacing {float(even[i, trial])!r} at p={p_values[i]}"
+        )
+    margins = (jittered - even).min(axis=1).tolist()
     return VerificationReport(
-        candidates=tuple(candidates),
+        candidates=tuple((f"p={p:.9g} worst margin", margin) for p, margin in zip(p_values, margins)),
         parameters={"k": k, "p_values": p_values, "trials": trials, "tolerance": TIE_RTOL},
         seed=seed,
         failures=tuple(failures),
     )
 
 
-def _widest_gap(jitter: list[float]) -> float:
-    """Widest gap of the cuts i = 0 .. len(jitter) - 1 at (i + 1 + jitter[i])
-    times the even gap."""
-    gap = 1.0 / (len(jitter) + 1)
-    return max(nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(jitter)]))
+def _widest_gaps(splits: np.ndarray, jitter: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Widest vertical and horizontal gap of each trial's jittered cuts, in
+    one (trial, cut) pass.
+
+    Row t of jitter holds a trial's k jitters, the first splits[t] of them
+    vertical.  Cut i of an axis with m cuts lies at (i + 1 + jitter) times
+    the even gap 1 / (m + 1); the gaps run from 0 through the axis's cuts
+    to 1.
+    """
+    k = jitter.shape[1]
+    cut = np.arange(k)
+    v = splits[:, None]
+    vertical = cut < v
+    gap = np.where(vertical, 1.0 / (v + 1), 1.0 / (k - v + 1))
+    positions = np.where(vertical, cut + 1, cut + 1 - v) * gap + jitter * gap
+    # A row of k + 2 bounds per axis: 0, the axis's cuts and 1, where the
+    # other axis's cuts repeat a bound; those gaps of 0 are below every
+    # real gap.
+    bounds = np.zeros((2, len(splits), k + 2))
+    bounds[:, :, -1] = 1.0
+    bounds[0, :, 1:-1] = np.where(vertical, positions, 1.0)
+    bounds[1, :, 1:-1] = np.where(vertical, 0.0, positions)
+    widths, heights = (bounds[:, :, 1:] - bounds[:, :, :-1]).max(axis=2)
+    return widths, heights
 
 
 def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> np.ndarray:

@@ -457,11 +457,15 @@ class TestVerifyCommand:
 
     def test_a_failed_suite_exits_1_and_names_its_first_failure(self, tmp_path, monkeypatch, capsys):
         # scoring each jittered net by its narrowest gap lets jitter beat even spacing
-        def narrowest_gap(jitter):
-            gap = 1.0 / (len(jitter) + 1)
-            return min(tripwire.nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(jitter)]))
+        def narrowest_gaps(splits, jitter):
+            def narrowest(row):
+                gap = 1.0 / (len(row) + 1)
+                return min(tripwire.nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(row)]))
 
-        monkeypatch.setattr(tripwire.oracle, "_widest_gap", narrowest_gap)
+            pairs = [(narrowest(row[:v]), narrowest(row[v:])) for v, row in zip(splits.tolist(), jitter.tolist())]
+            return tuple(np.array(axis) for axis in zip(*pairs))
+
+        monkeypatch.setattr(tripwire.oracle, "_widest_gaps", narrowest_gaps)
         out = tmp_path / "rep.json"
         code = run_main(["verify", "irregular", "--k", "4", "--p", "3", "--trials", "150",
                          "--seed", "11", "--out", str(out)])

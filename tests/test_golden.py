@@ -24,6 +24,7 @@ from pathlib import Path
 
 import pytest
 
+from tripwire import nets
 from tripwire.cli import main
 
 
@@ -70,6 +71,8 @@ CASES = {
        for k in (1, 4, 6) for trials in (40, 1000)},
     **{f"verify-irregular-k{k}-p4.2.json": ["verify", "irregular", "--k", str(k), "--trials", "4", "--p", "4.2"]
        for k in (150, 300)},
+    # 300 trials of 300 cuts: two nets.GAP_BUDGET chunks, as in the full verification run
+    "verify-irregular-k300-t300.json": ["verify", "irregular", "--k", "300", "--trials", "300"],
     # tables across p = 2**512, where the diagonal's legs change formula
     **{f"curve-n2-past-2-512.{fmt}": _curve("2", "1e160", "1e157", fmt, 17, p_min="1e150") for fmt in ("csv", "json")},
     **{
@@ -83,7 +86,9 @@ CASES = {
 # unchecked cores; the JSON tables at precisions 1 and 9 and the base-curve
 # JSON at k = 1, 5 and 12 before the tables' JSON was written in one pass;
 # the tables past 2**512 before the p-grids were tabulated in numpy; the
-# irregular reports while each trial still built and scored its own Net.
+# irregular reports while each trial still built and scored its own Net,
+# and verify-irregular-k300-t300.json while each trial's gaps still came
+# from Python floats.
 DIGESTS = {
     "base-curve-k1.csv": "c7542181162c8bb457014de5e83b38fcdcf1a3a11da68e21758eeddf918d62e7",
     "base-curve-k1.json": "1c393a49f868760a93f029c0fd57f75822c6d4b88030909f9746354a2537915a",
@@ -150,6 +155,7 @@ DIGESTS = {
     "verify-irregular-k1-t40.json": "f06a6ee9d356b1349d8da122705f33392d702a337139845dc1f7087d1bd0c491",
     "verify-irregular-k150-p4.2.json": "a114235cae710d9fd52cc86196d268eeff8577e569cc2971ab37e35355e0207e",
     "verify-irregular-k300-p4.2.json": "14cbaf3b7d0b535fc648407527060bc18b9404f7a74b8df652c76b51cec5fea4",
+    "verify-irregular-k300-t300.json": "ca7b348ac38676ffab65e872fe2343efa0a0ed7b02313f5260b6ee5bba8b8fcc",
     "verify-irregular-k4-t1000.json": "3a64e5436f3ecb1f95f5a99ea78d44c1dbcf46b9be4707d6c7e52f101feeb563",
     "verify-irregular-k4-t40.json": "6d17e7c5b9155f2627041b568beef5cded60ea49961689228eeb76a12ee22b7c",
     "verify-irregular-k6-t1000.json": "88a71c108cae85fdd9259f29f8db617084ec30e89e758f5c1439704656b823b5",
@@ -174,6 +180,11 @@ def digest(name: str, directory: Path) -> str:
 
 def test_every_case_has_a_digest():
     assert sorted(CASES) == sorted(DIGESTS)
+
+
+def test_an_irregular_report_spans_two_gap_chunks():
+    trials_per_chunk = nets.GAP_BUDGET // 300
+    assert trials_per_chunk < 300 <= 2 * trials_per_chunk
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from tripwire import nets
 from tripwire.errors import DomainError
 from tripwire.inscribe import curve_value
 from tripwire.nets import (
     Net,
+    _even_holes,
     base_curve,
     crossover_aspect,
     evenly_spaced,
@@ -68,6 +70,44 @@ class TestNetConstruction:
     def test_negative_counts_rejected(self):
         with pytest.raises(DomainError):
             evenly_spaced(-1, 0)
+
+
+def python_widest_even_gap(n):
+    """Widest gap of n evenly spaced cuts i / (n + 1), in Python floats."""
+    return max(nets._gaps(tuple(i / (n + 1) for i in range(1, n + 1))))
+
+
+# python_widest_even_gap(n) for n = 0 .. 300
+WIDEST_EVEN_GAPS = [python_widest_even_gap(n) for n in range(301)]
+
+
+class TestEvenHoles:
+    """nets._even_holes, bit for bit the widest hole of evenly_spaced."""
+
+    def test_evenly_spaced_cuts_are_one_division_each(self):
+        for n in range(301):
+            assert evenly_spaced(n, 0).vertical == tuple(i / (n + 1) for i in range(1, n + 1))
+
+    def test_every_net_up_to_64_lines_per_axis(self):
+        v, h = np.meshgrid(np.arange(65), np.arange(65), indexing="ij")
+        widths, heights = _even_holes(v, h)
+        for a in range(65):
+            for b in range(65):
+                assert (widths[a, b], heights[a, b]) == evenly_spaced(a, b).widest_hole
+
+    @pytest.mark.parametrize("budget", [nets.GAP_BUDGET, 1, 1000])
+    def test_every_split_of_150_to_300_lines(self, monkeypatch, budget):
+        # a budget below one row of cuts takes one count per chunk
+        monkeypatch.setattr(nets, "GAP_BUDGET", budget)
+        for k in range(150, 301):
+            v = np.arange(k + 1)
+            widths, heights = _even_holes(v, k - v)
+            assert widths.tolist() == WIDEST_EVEN_GAPS[: k + 1]
+            assert heights.tolist() == WIDEST_EVEN_GAPS[k::-1]
+        for k in (150, 300):
+            v = np.arange(k + 1)
+            holes = _even_holes(v, k - v).T.tolist()
+            assert [tuple(hole) for hole in holes] == [evenly_spaced(a, k - a).widest_hole for a in range(k + 1)]
 
 
 class TestHoles:

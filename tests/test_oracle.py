@@ -327,10 +327,39 @@ def irregular_cases(draw):
     return k, p_values, trials, draw(st.integers(min_value=0, max_value=2**63))
 
 
-def narrowest_gap(jitter):
-    """A wrong oracle._widest_gap: the narrowest gap of the same cuts."""
+def jittered_cuts(jitter):
+    """Cut i at (i + 1 + jitter[i]) times the even gap, in Python floats."""
     gap = 1.0 / (len(jitter) + 1)
-    return min(nets._gaps([(i + 1) * gap + j * gap for i, j in enumerate(jitter)]))
+    return [(i + 1) * gap + j * gap for i, j in enumerate(jitter)]
+
+
+def per_trial_gaps(splits, jitter, pick=max):
+    """oracle._widest_gaps trial by trial: `pick` of each axis's gaps of
+    Python-float cuts, as (widths, heights) arrays."""
+    rows = [
+        (pick(nets._gaps(jittered_cuts(row[:v]))), pick(nets._gaps(jittered_cuts(row[v:]))))
+        for v, row in zip(splits.tolist(), jitter.tolist())
+    ]
+    widths, heights = zip(*rows)
+    return np.array(widths), np.array(heights)
+
+
+def narrowest_gaps(splits, jitter):
+    """A wrong oracle._widest_gaps: the narrowest gap of the same cuts."""
+    return per_trial_gaps(splits, jitter, min)
+
+
+@st.composite
+def jittered_trials(draw):
+    """(splits, jitter) of 1 to 4 trials at k <= 300: splits of 0 and k
+    among others, and jitters at the extremes +-0.49 among others."""
+    k = draw(st.sampled_from([1, 2, 150, 300]) | st.integers(min_value=1, max_value=300))
+    trials = draw(st.integers(min_value=1, max_value=4))
+    splits = draw(st.lists(st.sampled_from([0, k]) | st.integers(0, k), min_size=trials, max_size=trials))
+    jitter = draw(
+        st.lists(st.sampled_from([-0.49, 0.49]) | st.floats(-0.49, 0.49), min_size=trials * k, max_size=trials * k)
+    )
+    return np.array(splits), np.array(jitter).reshape(trials, k)
 
 
 class TestIrregularGapLists:
@@ -350,11 +379,63 @@ class TestIrregularGapLists:
         assert len(report.failures) == min(10, 3 * trials)
         assert report.to_json() == per_trial_irregular_report(k, [1.0, 2.5, 1e12], trials, 7, doubled).to_json()
 
+    @given(jittered_trials())
+    @settings(max_examples=100, deadline=None)
+    def test_widest_gaps_match_the_per_trial_gaps(self, trials):
+        widths, heights = oracle._widest_gaps(*trials)
+        expected_widths, expected_heights = per_trial_gaps(*trials)
+        assert widths.tolist() == expected_widths.tolist()
+        assert heights.tolist() == expected_heights.tolist()
+
+    @pytest.mark.parametrize("budget", [1, 9, 40, 150, 299, 301, 1200])
+    def test_reports_do_not_depend_on_the_gap_budget(self, monkeypatch, budget):
+        cases = [(4, [1.0, 3.0, 5.0], 60, 2), (300, [1.0, 4.2], 5, 9), (7, [2.5], 1, 0)]
+        expected = [irregular_spacing_check(*case).to_json() for case in cases]
+        widest_gaps, chunks = oracle._widest_gaps, []
+
+        def spied(splits, jitter):
+            chunks.append(jitter.shape)
+            return widest_gaps(splits, jitter)
+
+        monkeypatch.setattr(oracle, "_widest_gaps", spied)
+        monkeypatch.setattr(nets, "GAP_BUDGET", budget)
+        assert [irregular_spacing_check(*case).to_json() for case in cases] == expected
+        # each chunk holds as many trials as fit the budget, and at least one
+        k_of_chunks = [k for k, _, trials, _ in cases for _ in range(-(-trials // max(1, budget // k)))]
+        assert [k for _, k in chunks] == k_of_chunks
+        assert all(rows * k <= budget or rows == 1 for rows, k in chunks)
+
     def test_the_narrowest_gap_fails_the_suite(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_widest_gap", narrowest_gap)
+        monkeypatch.setattr(oracle, "_widest_gaps", narrowest_gaps)
         report = irregular_spacing_check(4, [1.0, 3.0], trials=150, seed=11)
         assert not report.passed
         assert min(value for _, value in report.candidates) < 0.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theorem_scan(2),
+        lambda: theorem_scan(41),
+        lambda: enumerate_axis_nets(1, 1.5),
+        lambda: enumerate_axis_nets(60, 2.2),
+        lambda: irregular_spacing_check(4, [1.0, 3.0], 500, 3),
+        lambda: irregular_spacing_check(300, [4.2], 4, 0),
+    ],
+    ids=["theorem-2", "theorem-41", "enumerate-1", "enumerate-60", "irregular-4", "irregular-300"],
+)
+def test_a_suite_builds_at_most_one_net(monkeypatch, call):
+    # enumerate_axis_nets builds its predicted optimum; nothing else builds a Net
+    built = []
+    post_init = Net.__post_init__
+
+    def counted(self):
+        built.append(self.describe())
+        post_init(self)
+
+    monkeypatch.setattr(Net, "__post_init__", counted)
+    call()
+    assert len(built) <= 1
 
 
 class TestVerificationReport:
