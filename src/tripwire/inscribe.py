@@ -34,16 +34,18 @@ vertical and diagonal branches is exposed separately as `crossover_w`,
 the largest root of the cubic p^3 - 3n p^2 + p + n.
 
 Each public function checks its numbers once and then calls one
-unchecked core (`_sample`, `_diagonal`) that takes checked floats.
-`_samples` is `_sample` over arrays of n and p, broadcast against each
-other, in one numpy pass, bit for bit: the p-grid callers (the CLI
-tables, nets._base_curve, the curve-oracle suite) use it, and so does
-nets._hole_scales, which scores the theorem scans' (class, p) table and
-the irregular check's (p, trial) table in one call each.  So does
-nets.base_curve, the one-point case of nets._base_curve.  The other
-one-point callers keep `_sample`.  Both take the legs from
-`_legs`, or from `_huge_legs` from p = 2**512 on, where (p - 1)(p + 1)
-overflows.
+unchecked core that takes checked floats: `_sample`, the value and its
+label (curve_sample, placement), `_value`, the value alone with no exact
+tie test (curve_value, nets._hole_scale), and `_diagonal`.  Over arrays
+of n and p, broadcast against each other, one numpy pass (`_curve`)
+gives the values bit for bit.  `_values` returns them alone: for
+nets._hole_scales (the theorem scans' (class, p) table, the irregular
+check's (p, trial) table, base-curve overlays), nets._base_curve
+(base-curve tables and nets.base_curve) and the curve-oracle suite.
+`_samples` adds the branch labels, for the `curve` table alone.  In that
+pass math.hypot runs only where the diagonal can reach the value, and
+np.hypot bounds it elsewhere.  All take the legs from `_legs`, or from
+`_huge_legs` from p = 2**512 on, where (p - 1)(p + 1) overflows.
 """
 
 from __future__ import annotations
@@ -65,6 +67,11 @@ _LABELS = np.array((BRANCH_PLATEAU, BRANCH_VERTICAL, BRANCH_DIAGONAL), dtype=obj
 # scores alike.  Relative, because both fall like 1/p and an absolute
 # margin would tie everything at large p.
 TIE_RTOL = 1e-12
+
+# np.hypot lies within a few ulps of math.hypot: a point whose np.hypot
+# times 1 + HYPOT_MARGIN is below n/p keeps n/p (_curve).  Thousands of
+# ulps, and above TIE_RTOL, so no such point is in the label tie band.
+HYPOT_MARGIN = 2 * TIE_RTOL
 
 # Most samples a p range may ask for (p_grid).
 MAX_P_SAMPLES = 10**6
@@ -192,30 +199,63 @@ def _sample(n: float, p: float) -> tuple[float, str]:
     return max(vertical, diagonal), BRANCH_DIAGONAL if diagonal_wins else BRANCH_VERTICAL
 
 
-def _samples(n, ps) -> tuple[np.ndarray, list]:
-    """_sample at checked aspects n and p, broadcast against each other (n
-    a float or an array, ps an array or a list: a float p has no label
-    list to return), in one numpy pass: (c array, branch labels as nested
-    lists of the same shape), bit for bit _sample's at each point.
+def _value(n: float, p: float) -> float:
+    """_sample's c alone, for callers that read no label: no exact tie test."""
+    return 1.0 if p <= n else max(n / p, _diagonal(n, p)[2])
 
-    numpy's elementwise + - * / and maximum round as Python floats do, the
-    diagonal's c is math.hypot (np.hypot can differ in the last bit), and
-    the tie band's labels take the exact cubic point by point.
+
+def _curve(n, ps):
+    """The core of _values and _samples: the curve at checked aspects n and
+    p broadcast against each other (n a float or an array, ps an array or a
+    list), in one numpy pass.  Returns (c, above, n, p, vertical, diagonal):
+    c bit for bit _sample's at each point, above the mask p > n, and at the
+    points above, n, p and the two branches' scales.
+
+    numpy's elementwise + - * /, maximum and comparisons round as Python
+    floats do.  The diagonal's scale is math.hypot, as in _sample, wherever
+    it can reach c.  np.hypot (the platform libm's) can differ from
+    math.hypot in the last bit, so it serves only as a bound: both lie
+    within an ulp of the exact value, so where np.hypot * (1 + HYPOT_MARGIN)
+    is below n/p, math.hypot is below n/p too, c = n/p with the same bits,
+    and the diagonal is left 0.  Every other point (the diagonal wins or
+    nearly ties, or NaN) takes math.hypot.  So the values carry the bits of
+    this interpreter's math.hypot, which CPython 3.12 changed near rounding
+    midpoints.
     """
     n, p = np.broadcast_arrays(np.asarray(n, dtype=float), np.asarray(ps, dtype=float))
-    c = np.ones(p.shape)
-    code = np.zeros(p.shape, dtype=np.intp)  # index into _LABELS
     above = p > n
     n, p = n[above], p[above]
     a1, a2 = np.empty_like(p), np.empty_like(p)
     small = p < HUGE_P
     a1[small], a2[small] = _legs(n[small], p[small])
     a1[~small], a2[~small] = _huge_legs(n[~small], p[~small])
-    vertical, diagonal = n / p, np.array(list(map(math.hypot, a1.tolist(), a2.tolist())))
+    vertical, diagonal = n / p, np.zeros_like(p)
+    unsettled = np.flatnonzero(~(np.hypot(a1, a2) * (1.0 + HYPOT_MARGIN) < vertical))
+    hypots = map(math.hypot, a1[unsettled].tolist(), a2[unsettled].tolist())
+    diagonal[unsettled] = np.fromiter(hypots, float, unsettled.size)
+    c = np.ones(above.shape)
     c[above] = np.maximum(vertical, diagonal)
+    return c, above, n, p, vertical, diagonal
+
+
+def _values(n, ps) -> np.ndarray:
+    """_sample's c at checked aspects n and p broadcast against each other
+    (_curve), bit for bit: no branch labels and no exact tie test."""
+    return _curve(n, ps)[0]
+
+
+def _samples(n, ps) -> tuple[np.ndarray, list]:
+    """_sample at checked aspects n and p broadcast against each other
+    (_curve; a float p has no label list to return): (c array, branch
+    labels as nested lists of the same shape), bit for bit _sample's at
+    each point.  A point whose diagonal _curve left 0 is vertical, outside
+    the tie band; the tie band's labels take the exact cubic point by point.
+    """
+    c, above, n, p, vertical, diagonal = _curve(n, ps)
     diagonal_wins = diagonal > vertical
     for i in np.flatnonzero(ties(diagonal, vertical) & ties(vertical, diagonal)).tolist():
         diagonal_wins[i] = _cubic(float(n[i]), float(p[i])) > 0
+    code = np.zeros(c.shape, dtype=np.intp)  # index into _LABELS
     code[above] = 1 + diagonal_wins
     return c, _LABELS[code].tolist()
 
@@ -255,7 +295,7 @@ def curve_value(n: float, p: float) -> float:
     """The inscribing curve: max scale of a 1 x p intruder inside a 1 x n hole."""
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    return _sample(n, p)[0]
+    return _value(n, p)
 
 
 def crossover_w(n: float) -> float:

@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, check_count, check_real
-from .inscribe import _sample, _samples, check_aspect, ties
+from .inscribe import _value, _values, check_aspect, ties
 
 # Most elements of a (row, cut) array that one pass of a gap core builds:
 # longer inputs are taken in chunks of rows.
@@ -140,15 +140,16 @@ def hole_scale(w: float, h: float, p: float) -> float:
 def _hole_scale(w: float, h: float, p: float) -> float:
     """hole_scale for positive hole sides of a finite aspect and a checked p."""
     s = min(w, h)
-    return s * _sample(max(w, h) / s, p)[0]
+    return s * _value(max(w, h) / s, p)
 
 
 def _hole_scales(w, h, ps) -> np.ndarray:
     """_hole_scale with the hole sides w and h and the checked aspects ps
     broadcast against each other (w and h floats or arrays, ps an array or
-    a list, as inscribe._samples takes), in one pass."""
+    a list, as inscribe._values takes), in one pass: values only, with no
+    branch labels, and math.hypot only where the diagonal can win."""
     s = np.minimum(w, h)
-    return s * _samples(np.maximum(w, h) / s, ps)[0]
+    return s * _values(np.maximum(w, h) / s, ps)
 
 
 def net_scale_factor(net: Net, p: float) -> float:
@@ -202,12 +203,13 @@ def _line_count(k: int) -> int:
 
 def _base_curve(k: int, ps) -> tuple[np.ndarray, list[str]]:
     """base_curve for a checked line count k at each checked p in ps, in one
-    pass per family: (value array, family list)."""
-    parallel = _samples(float(k + 1), ps)[0] / (k + 1)
+    values-only pass per family (inscribe._values, or _hole_scales for the
+    odd-k grid): (value array, family list)."""
+    parallel = _values(float(k + 1), ps) / (k + 1)
     if k % 2:
         grid = _hole_scales(*evenly_spaced(k - k // 2, k // 2).widest_hole, ps)
     else:
-        grid = _samples(1.0, ps)[0] / (k // 2 + 1)
+        grid = _values(1.0, ps) / (k // 2 + 1)
     wins = ties(parallel, grid)
     return np.where(wins, parallel, grid), np.where(wins, "parallel", "grid").tolist()
 

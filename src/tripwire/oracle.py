@@ -6,8 +6,9 @@ which the curve-oracle suite compares with the closed form over a
 p-grid, and the perturbation experiment measures inscribed squares in
 the cells of a perturbed arrangement.  The others score nets with the
 closed curve under test (nets._hole_scale, and nets._hole_scales over
-arrays): net enumeration every split of k lines between the two axes,
-the theorem scans every split over a p-grid in one (class, p) table, and
+arrays, values only): net enumeration every split of k lines between
+the two axes, the theorem scans every split over a p-grid in one
+(class, p) table, built in chunks of p columns, and
 the irregular check the widest hole of jittered cuts of every split, all
 its trials at all its p in one (p, trial) table; the split check takes
 its short side from inscribe.diagonal_branch and re-solves the
@@ -37,7 +38,7 @@ from .cells import (
     perturbed_vertical_lines,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
-from .inscribe import TIE_RTOL, _samples, check_aspect, crossover_w, diagonal_branch, p_grid, ties
+from .inscribe import TIE_RTOL, _values, check_aspect, crossover_w, diagonal_branch, p_grid, ties
 
 # Largest relative deviation of the closed-form curve from the exact
 # rectangle kernel that the curve-oracle suite accepts.
@@ -116,7 +117,7 @@ def curve_oracle_check(n: float) -> VerificationReport:
     except DomainError as exc:
         raise DomainError(f"n={n!r} is too large for curve-oracle, which samples p = 1 .. 4n: {exc}") from None
     candidates, failures = [], []
-    for p, closed in zip(grid, _samples(n, grid)[0].tolist()):
+    for p, closed in zip(grid, _values(n, grid).tolist()):
         exact = oracle_curve_value(n, p)
         deviation = abs(closed - exact) / exact
         candidates.append((f"p={p:.9g}", deviation))
@@ -142,7 +143,10 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
     """
     k = check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
-    candidates = _split_candidates(k, _split_holes(k), p)
+    # every split v + h = k from v = k down, scored by its widest hole
+    widths, heights = _split_holes(k)[:, ::-1].tolist()
+    splits = zip(range(k, -1, -1), widths, heights)
+    candidates = tuple((f"N({v},{k - v})", nets._hole_scale(w, h, p)) for v, w, h in splits)
     best_value = min(value for _, value in candidates)
     tied = [name for name, value in candidates if ties(value, best_value)]
     predicted = nets.optimal_net(k, p).describe()
@@ -171,14 +175,6 @@ def _split_holes(k: int) -> np.ndarray:
     return nets._even_holes(v, k - v)
 
 
-def _split_candidates(k: int, holes: np.ndarray, p: float) -> tuple[tuple[str, float], ...]:
-    """("N(v,h)", score) of every split v + h = k, from v = k down: each split
-    scored at p by nets._hole_scale of its widest hole in holes (_split_holes)."""
-    widths, heights = holes[:, ::-1].tolist()
-    splits = zip(range(k, -1, -1), widths, heights)
-    return tuple((f"N({v},{k - v})", nets._hole_scale(w, h, p)) for v, w, h in splits)
-
-
 # The theorem scans' p-grid: [1, 8] in steps of 1/64, every point exact in binary.
 THEOREM_P_STEP = 1 / 64
 THEOREM_P_VALUES = tuple(p_grid(1.0, 8.0, THEOREM_P_STEP))
@@ -194,49 +190,57 @@ def theorem_scan(k: int) -> VerificationReport:
     between the parallel and grid families is accepted.  Each mismatch is
     a failure; the candidates are the enumeration table at the first grid
     p past the crossover, and odd k also reports the line-count variant
-    of the crossover (nets.odd_crossover_line_count) beside it.  Every
-    split's widest hole (nets._even_holes) comes from one pass, which
-    both the table and the candidates read.
+    of the crossover (nets.odd_crossover_line_count) beside it.
+
+    Every split's widest hole (nets._even_holes) comes from one pass.  A
+    (class, p) table scores each class's hole by nets._hole_scales, values
+    only, in chunks of p columns of at most nets.GAP_BUDGET scores (one
+    column when a column alone is longer).  The candidates read its column
+    at table_at_p: a split's mirror has its widest hole turned, from the
+    same _even_cuts division, and a hole's score does not depend on which
+    side is its width.
     """
     k = check_count(k, "line count k", minimum=2)
     x = nets.crossover_aspect(k)
     grid_class = k - k // 2
     classes = range(grid_class, k + 1)
-    # One (class, p) table: each class scores its split's widest hole.
-    holes = _split_holes(k)
-    values = nets._hole_scales(holes[0, grid_class:, None], holes[1, grid_class:, None], THEOREM_P_VALUES)
-    tied = ties(values, values.min(axis=0))
+    widths, heights = _split_holes(k)[:, grid_class:, None]
     ps = np.array(THEOREM_P_VALUES)
-    predicted = np.where(ps <= x, k, grid_class)
-    predicted_tied = tied[predicted - grid_class, np.arange(len(ps))]
-    wrong = ~predicted_tied | ((np.abs(ps - x) > CROSSOVER_WINDOW) & (tied.sum(axis=0) > 1))
+    above = int(np.searchsorted(ps, x + CROSSOVER_WINDOW, side="right"))  # first p past the crossover
+    columns = max(1, nets.GAP_BUDGET // len(classes))
     mismatches = []
-    for j in np.flatnonzero(wrong).tolist():
-        p, expected = THEOREM_P_VALUES[j], int(predicted[j])
-        argmin = [classes[i] for i in np.flatnonzero(tied[:, j]).tolist()]
-        if predicted_tied[j]:
-            mismatches.append(f"p={p!r}: unexpected tie set {argmin}, predicted {expected}")
-        else:
-            mismatches.append(f"p={p!r}: predicted class {expected} not in argmin set {argmin}")
-    p_above = next(p for p in THEOREM_P_VALUES if p > x + CROSSOVER_WINDOW)
+    for start in range(0, len(ps), columns):
+        chunk = ps[start : start + columns]
+        values = nets._hole_scales(widths, heights, chunk)
+        tied = ties(values, values.min(axis=0))
+        predicted = np.where(chunk <= x, k, grid_class)
+        predicted_tied = tied[predicted - grid_class, np.arange(len(chunk))]
+        wrong = ~predicted_tied | ((np.abs(chunk - x) > CROSSOVER_WINDOW) & (tied.sum(axis=0) > 1))
+        for j in np.flatnonzero(wrong).tolist():
+            p, expected = THEOREM_P_VALUES[start + j], int(predicted[j])
+            argmin = [classes[i] for i in np.flatnonzero(tied[:, j]).tolist()]
+            if predicted_tied[j]:
+                mismatches.append(f"p={p!r}: unexpected tie set {argmin}, predicted {expected}")
+            else:
+                mismatches.append(f"p={p!r}: predicted class {expected} not in argmin set {argmin}")
+        if start <= above < start + columns:
+            table = values[:, above - start].tolist()
     parameters = {
         "k": k,
         "crossover": x,
         "p_grid": {"min": THEOREM_P_VALUES[0], "max": THEOREM_P_VALUES[-1], "step": THEOREM_P_STEP},
         "checked": len(THEOREM_P_VALUES),
         "mismatches": mismatches[:10],
-        "table_at_p": p_above,
+        "table_at_p": THEOREM_P_VALUES[above],
         "tie_tolerance": TIE_RTOL,
     }
     if k % 2 == 1:
         alt = nets.odd_crossover_line_count(k)
         parameters["crossover_line_count_formula"] = alt
         parameters["formulas_disagree"] = abs(alt - x) > 1e-12
-    return VerificationReport(
-        candidates=_split_candidates(k, holes, p_above),
-        parameters=parameters,
-        failures=tuple(mismatches),
-    )
+    # N(v, k - v) scores as its class max(v, k - v) does
+    candidates = tuple((f"N({v},{k - v})", table[max(v, k - v) - grid_class]) for v in range(k, -1, -1))
+    return VerificationReport(candidates=candidates, parameters=parameters, failures=tuple(mismatches))
 
 
 def _diagonal_legs_in_hole(width: float, height: float, c_prime: float) -> tuple[float, float] | None:

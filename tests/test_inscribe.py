@@ -7,6 +7,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from tripwire import inscribe
+from tripwire.cli import OutputSpec, cmd_base_curve
 from tripwire.errors import DomainError
 from tripwire.inscribe import (
     BRANCH_DIAGONAL,
@@ -17,6 +19,8 @@ from tripwire.inscribe import (
     TIE_RTOL,
     _sample,
     _samples,
+    _value,
+    _values,
     check_aspect,
     crossover_w,
     curve_sample,
@@ -25,7 +29,7 @@ from tripwire.inscribe import (
     p_grid,
     placement,
 )
-from tripwire.oracle import oracle_curve_value
+from tripwire.oracle import irregular_spacing_check, oracle_curve_value, theorem_scan
 
 
 def cubic(n, p):
@@ -420,6 +424,69 @@ class TestSamples:
     def test_no_points(self):
         c, branches = _samples(2.0, [])
         assert c.shape == (0,) and branches == []
+
+
+# Hole aspects beside whose w_n the vertical and diagonal scales nearly tie.
+CROSSOVER_NS = (1.0, 4 / 3, 2.0, 2.5, 7.0, 163324.44039590604, 1e6, 1e12, 1e300)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestValues:
+    """The values-only cores against the one-point core _sample."""
+
+    @given(aspect_and_ps())
+    @settings(max_examples=300, deadline=None)
+    def test_bit_for_bit_the_one_point_core(self, case):
+        n, ps = case
+        assert _values(n, ps).tolist() == [_sample(n, p)[0] for p in ps]
+        assert [_value(n, p) for p in ps] == [_sample(n, p)[0] for p in ps]
+
+    @given(aspect_pairs())
+    @settings(max_examples=150, deadline=None)
+    def test_an_array_of_n_against_an_array_of_p(self, pairs):
+        ns, ps = np.array([n for n, _ in pairs]), np.array([p for _, p in pairs])
+        assert _values(ns, ps).tolist() == [_sample(n, p)[0] for n, p in pairs]
+
+    def test_beside_the_crossover(self):
+        # The np.hypot bound must settle none of these points: values and
+        # labels alike stay _sample's.
+        pairs = [(n, w + i * math.ulp(w)) for n in CROSSOVER_NS for w in [crossover_w(n)] for i in range(-16, 17)]
+        ns, ps = np.array([n for n, _ in pairs]), np.array([p for _, p in pairs])
+        assert _values(ns, ps).tolist() == [_sample(n, p)[0] for n, p in pairs]
+        c, branches = _samples(ns, ps)
+        assert list(zip(c.tolist(), branches)) == [_sample(n, p) for n, p in pairs]
+
+    @pytest.mark.parametrize("n", [1.0, 4 / 3, 2.0, 1e150])
+    def test_a_grid_across_2_512(self, n):
+        # At n = 4/3 the legs near 4 : 3 put the hypot near a rounding
+        # midpoint, where np.hypot and math.hypot can differ in the last bit.
+        ps = p_grid(1.0, 12.0, 0.01) + p_grid(1e150, 1e160, 1e157)
+        ps += [HUGE_P, math.nextafter(HUGE_P, 0.0), math.nextafter(HUGE_P, math.inf)]
+        assert _values(n, ps).tolist() == [_sample(n, p)[0] for p in ps]
+
+
+class Unread:
+    """Stands in for inscribe._cubic and inscribe._LABELS: calling or indexing it fails."""
+
+    def __call__(self, *args):
+        raise AssertionError("an exact tie test outside the curve table")
+
+    def __getitem__(self, index):
+        raise AssertionError("branch labels outside the curve table")
+
+
+def test_only_the_curve_table_reads_labels(monkeypatch, tmp_path):
+    monkeypatch.setattr(inscribe, "_cubic", Unread())
+    monkeypatch.setattr(inscribe, "_LABELS", Unread())
+    for k in range(2, 13):
+        assert theorem_scan(k).passed
+    # its evenly spaced 4-line parallel nets, of hole aspect 4.999999999999998,
+    # score in the tie band at p = 5
+    assert irregular_spacing_check(4, [1.0, 1.5, 2.0, 3.0, 5.0], 100, 4).passed
+    for fmt in ("csv", "json"):
+        cmd_base_curve(5, 1.0, 12.0, 0.02, OutputSpec(format=fmt, path=str(tmp_path / f"base.{fmt}")))
+    with pytest.raises(AssertionError, match="labels"):
+        _samples(2.0, [1.5, 3.0])
 
 
 class TestPlacement:

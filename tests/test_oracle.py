@@ -123,6 +123,27 @@ class TestTheoremScan:
         assert report.parameters["formulas_disagree"] is True
         assert report.parameters["table_at_p"] == 2 + 1 / 64
 
+    @pytest.mark.parametrize("k", range(2, 41))
+    def test_candidates_read_from_the_table_are_the_enumeration(self, k):
+        # the splits below the grid class read their mirror's row
+        report = theorem_scan(k)
+        assert report.candidates == enumerate_axis_nets(k, report.parameters["table_at_p"]).candidates
+
+    @pytest.mark.parametrize("budget", [1, 5, 449, 2000, nets.GAP_BUDGET])
+    @pytest.mark.parametrize("scores", ["closed form", "rounded aspect"])
+    def test_reports_do_not_depend_on_the_gap_budget(self, monkeypatch, budget, scores):
+        # The (class, p) table is scored in chunks of p columns: at most
+        # GAP_BUDGET scores each, and one column when a column is longer.
+        if scores == "rounded aspect":  # reports with failures
+            monkeypatch.setattr(nets, "_hole_scales", rounded_aspect_scales)
+        ks = [2, 5, 11, 40, 301]
+        expected = [theorem_scan(k).to_json() for k in ks]
+        shapes = one_call(monkeypatch, nets._hole_scales)
+        monkeypatch.setattr(nets, "GAP_BUDGET", budget)
+        assert [theorem_scan(k).to_json() for k in ks] == expected
+        assert all(rows * columns <= budget or columns == 1 for rows, columns in shapes)
+        assert sum(columns for _, columns in shapes) == len(ks) * len(THEOREM_P_VALUES)
+
 
 def rounded_aspect_scale(w, h, p):
     """A wrong hole score: the hole's aspect rounded to a whole number."""
