@@ -7,7 +7,9 @@
 full verification settings, and the full run adds the irregular check on
 nets of 300 lines: irregular-k300.json, and irregular-k300-t300.json,
 whose 300 trials span two nets.GAP_BUDGET chunks.  local-optimum runs at
-k = 3..6, one report local-optimum-k<k>.json each.
+k = 3..6, one report local-optimum-k<k>.json each, and at k = 6 with
+epsilon 0.1, local-optimum-k6-eps0.1.json, where the last line can leave
+through the right edge.
 """
 
 import argparse
@@ -42,6 +44,9 @@ def main() -> int:
         runs["irregular-k300-t300"] = ["irregular", "--k", "300", "--trials", "300", *seed]
     for k in range(3, 7):
         runs[f"local-optimum-k{k}"] = ["local-optimum", "--k", str(k), "--trials", local_trials, *seed]
+    # lines that can leave through the right edge: at seed 0 some trials
+    # are cut by cells._arrangement_faces
+    runs["local-optimum-k6-eps0.1"] = ["local-optimum", "--k", "6", "--epsilon", "0.1", "--trials", local_trials, *seed]
     worst = 0
     for name, suite_args in runs.items():
         code = cli_main(["verify", *suite_args, "--out", str(out / f"{name}.json")])

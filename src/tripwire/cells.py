@@ -21,8 +21,9 @@ each vertex against only the m - 2 rows outside its quadruple.
 
 Cells reach the kernel as stacked (G, m, 2) blocks, one per vertex
 count: largest_rectangles stacks the cells it is given, and the
-perturbation experiments hand it their arrangement faces already
-stacked.  Cells are normalised the same way: one numpy pass per block
+perturbation experiments hand it the faces of their trials as one
+(cells, 4, 2) block, with any faces of other counts stacked beside it.
+Cells are normalised the same way: one numpy pass per block
 checks them and turns them counter-clockwise, and a cell that drops
 vertices is normalised again in a block of its new count.  Every product
 of coordinates, in the area and turn tests as in the LP, is taken on the
@@ -31,7 +32,12 @@ overflows.  convex_cell is the one-cell case of that pass.  A batch
 raises the error of its failing cell of lowest index.
 
 arrangement_cells splits each face that a line cuts into both halves in
-one pass over the face's vertices.
+one pass over the face's vertices.  The perturbation experiments build
+the lines of many specs in one array pass (_perturbed_lines, whose
+one-spec case is perturbed_vertical_lines) and cut their faces in one
+pass per line (_perturbation_faces): in the usual case a line splits
+only the rightmost face, and a trial outside it goes through
+_arrangement_faces.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ GEO_TOL = 1e-15
 # Most elements in one of the kernel's work arrays: the five coefficients
 # (n_x, n_y, alpha, beta | b) of every row outside each quadruple of a
 # chunk of pieces, 5 (m - 2) per (piece, quadruple), or its 4 x 6 Laplace
-# terms per (piece, quadruple), whichever is larger.
+# terms per (piece, quadruple), whichever is larger.  Also the most
+# (spec, pair of lines) that _perturbed_lines compares at once.
 CHECK_BUDGET = 1 << 20
 
 # Height on each shifted line about which perturbed_vertical_lines pivots it.
@@ -478,32 +485,73 @@ def perturbed_vertical_lines(k: int, spec: PerturbationSpec) -> list[tuple[float
     spec: a shifted line that leaves the unit square, or two lines out of
     left-to-right order or crossing inside the open unit square (touching
     on its boundary is allowed), raise InvalidPerturbationError; a pivot
-    that is not near-vertical raises DomainError.
+    that is not near-vertical raises DomainError.  This is the one-spec
+    case of _perturbed_lines.
     """
     k = check_count(k, "line count k")
-    if spec.k != k:
-        raise DomainError(f"spec describes {spec.k} lines, expected {k}")
-    xs = [(i + 1) / (k + 1) + shift for i, shift in enumerate(spec.shifts)]
-    for i, x in enumerate(xs):
-        if x >= 1.0:
-            raise InvalidPerturbationError(f"shifted line {i} leaves the unit square (x={x!r})")
-    for angle in spec.pivots:
-        if math.cos(angle) <= 1e-9:
-            raise DomainError(f"arrangement lines must be near-vertical, got angle {angle!r}")
+    nx, ny, b = _perturbed_lines(k, np.array([spec.shifts], dtype=float), np.array([spec.pivots], dtype=float))
+    return list(zip(nx[0].tolist(), ny[0].tolist(), b[0].tolist()))
+
+
+def _perturbed_lines(k: int, shifts: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The lines (nx, ny, b), each (T, k), of T specs' shifts and pivots
+    (T, k), as perturbed_vertical_lines builds them, with its checks: this
+    raises the error that the spec of lowest index raises there.
+
+    cos, sin and tan are math's, taken element by element: numpy's tan
+    differs from it in the last bit at some angles, which can make two
+    lines that touch on the square's boundary cross.  The pair checks
+    run in chunks of specs of at most CHECK_BUDGET pairs.
+    """
+    if shifts.shape[1] != k:
+        raise DomainError(f"spec describes {shifts.shape[1]} lines, expected {k}")
+    xs = np.arange(1, k + 1) / (k + 1) + shifts
+    cos = _elementwise(math.cos, pivots)
+    leaves, steep = xs >= 1.0, cos <= 1e-9
+    checked = leaves.any(axis=1) | steep.any(axis=1)
+    # Only the specs before the first that fails those checks have lines
+    # in the square whose ends are worth comparing.
+    first = int(checked.argmax()) if checked.any() else len(shifts)
     # Each line's x at the bottom and the top of the square.
-    slopes = [math.tan(angle) for angle in spec.pivots]
-    ends = [(x - PIVOT_HEIGHT * t, x + (1.0 - PIVOT_HEIGHT) * t) for x, t in zip(xs, slopes)]
-    for i, j in itertools.combinations(range(k), 2):
-        d0 = ends[j][0] - ends[i][0]
-        d1 = ends[j][1] - ends[i][1]
-        if d0 < 0.0 and d1 < 0.0:
-            raise InvalidPerturbationError(f"lines {i} and {j} are out of left-to-right order")
-        if d0 * d1 < 0.0:
+    slopes = _elementwise(math.tan, pivots[:first])
+    bottom = xs[:first] - PIVOT_HEIGHT * slopes
+    top = xs[:first] + (1.0 - PIVOT_HEIGHT) * slopes
+    left, right = _line_pairs(k)
+    step = max(1, CHECK_BUDGET // max(1, len(left)))
+    for lo in range(0, first, step):
+        d0 = bottom[lo : lo + step, right] - bottom[lo : lo + step, left]
+        d1 = top[lo : lo + step, right] - top[lo : lo + step, left]
+        out_of_order = (d0 < 0.0) & (d1 < 0.0)
+        bad = out_of_order | (d0 * d1 < 0.0)
+        if bad.any():
+            spec, pair = np.unravel_index(bad.argmax(), bad.shape)
+            i, j = int(left[pair]), int(right[pair])
+            if out_of_order[spec, pair]:
+                raise InvalidPerturbationError(f"lines {i} and {j} are out of left-to-right order")
             raise InvalidPerturbationError(f"lines {i} and {j} cross inside the open unit square")
-    return [
-        (math.cos(angle), -math.sin(angle), math.cos(angle) * x - math.sin(angle) * PIVOT_HEIGHT)
-        for x, angle in zip(xs, spec.pivots)
-    ]
+    if first < len(shifts):
+        if leaves[first].any():
+            i = int(leaves[first].argmax())
+            raise InvalidPerturbationError(f"shifted line {i} leaves the unit square (x={float(xs[first, i])!r})")
+        angle = float(pivots[first, steep[first].argmax()])
+        raise DomainError(f"arrangement lines must be near-vertical, got angle {angle!r}")
+    sin = _elementwise(math.sin, pivots)
+    return cos, -sin, cos * xs - sin * PIVOT_HEIGHT
+
+
+@lru_cache(maxsize=32)
+def _line_pairs(k: int) -> tuple[np.ndarray, np.ndarray]:
+    """The first and the second line of every pair of k lines, in
+    itertools.combinations order, read-only."""
+    pairs = np.triu_indices(k, 1)
+    for table in pairs:
+        table.setflags(write=False)
+    return pairs
+
+
+def _elementwise(fn, values: np.ndarray) -> np.ndarray:
+    """fn of each element of a float array, in its shape."""
+    return np.fromiter(map(fn, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
 def arrangement_cells(lines: list[tuple[float, float, float]]) -> list[np.ndarray]:
@@ -551,6 +599,58 @@ def _arrangement_faces(lines) -> list[list[tuple[float, float]]]:
                 split.append(face)
         faces = split
     return faces
+
+
+def _perturbation_faces(nx: np.ndarray, ny: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, list]]:
+    """The faces that each of T arrangements of k lines (nx, ny, b), each
+    (T, k) with nx > 0, cuts the unit square into, as _arrangement_faces
+    gives them: a (T, k + 1, 4, 2) array, and {trial: faces} from
+    _arrangement_faces for the trials outside the usual case, whose rows
+    of the array hold no faces.
+
+    In the usual case each line in turn splits only the rightmost face
+    [A, (1, 0), (1, 1), D], whose vertices lie on its sides (-, +, +, -),
+    each past the tolerance, and no vertex of an earlier face lies past
+    the tolerance on its right, so no earlier face is split.  _halves then
+    gives [A, P, Q, D] and [P, (1, 0), (1, 1), Q], P on the bottom edge
+    and Q on the top, and one (trial,) pass per line repeats its IEEE
+    steps.  Every y there is exactly 0.0 or 1.0, so nx * x + ny * y - b is
+    nx * x - b on the bottom edge and nx * x + ny - b on the top, bit for
+    bit, and a side grows with x along either edge (nx > 0).
+    """
+    trials, k = nx.shape
+    tol = GEO_TOL * (np.abs(nx) + np.abs(ny) + np.abs(b))
+    right_bottom, right_top = nx - b, nx + ny - b
+    usual = ((right_bottom > tol) & (right_top > tol)).all(axis=1)
+    # The x of every face's corners on the bottom and the top edge.
+    bottom, top = np.zeros((2, trials, k + 2))
+    bottom[:, -1] = top[:, -1] = 1.0
+    for j in range(k):
+        a, d = bottom[:, j], top[:, j]
+        side_a = nx[:, j] * a - b[:, j]
+        side_d = nx[:, j] * d + ny[:, j] - b[:, j]
+        usual &= (side_a < -tol[:, j]) & (side_d < -tol[:, j])
+        cut_a, span_a = side_a, side_a - right_bottom[:, j]
+        cut_d, span_d = right_top[:, j], right_top[:, j] - side_d
+        if not usual.all():
+            # A trial past the usual case keeps its corners, all finite.
+            cut_a, cut_d = np.where(usual, cut_a, 0.0), np.where(usual, cut_d, 0.0)
+            span_a, span_d = np.where(usual, span_a, 1.0), np.where(usual, span_d, 1.0)
+        bottom[:, j + 1] = a + cut_a / span_a * (1.0 - a)
+        top[:, j + 1] = 1.0 + cut_d / span_d * (d - 1.0)
+    # The rightmost earlier corner on each edge has the largest side there.
+    left_bottom = np.maximum.accumulate(bottom[:, :k], axis=1)
+    left_top = np.maximum.accumulate(top[:, :k], axis=1)
+    usual &= ((nx * left_bottom - b <= tol) & (nx * left_top + ny - b <= tol)).all(axis=1)
+    faces = np.empty((trials, k + 1, 4, 2))
+    faces[..., 0, 0], faces[..., 1, 0] = bottom[:, :-1], bottom[:, 1:]
+    faces[..., 2, 0], faces[..., 3, 0] = top[:, 1:], top[:, :-1]
+    faces[..., 1] = (0.0, 0.0, 1.0, 1.0)
+    general = {
+        trial: _arrangement_faces(list(zip(nx[trial].tolist(), ny[trial].tolist(), b[trial].tolist())))
+        for trial in np.flatnonzero(~usual).tolist()
+    }
+    return faces, general
 
 
 def _halves(face, sides):

@@ -16,7 +16,11 @@ corner-contact equations per split.  ROADMAP item 4 moves them onto the
 kernel.  None builds a Net per split or per trial: the widest holes of
 evenly spaced splits come from one nets._even_holes pass, and the
 jittered widest gaps from one (trial, cut) pass per chunk of trials
-(_widest_gaps).  Each suite returns its finished VerificationReport.
+(_widest_gaps).  The perturbation suite builds no PerturbationSpec per
+trial either: one draw gives every trial's shifts and pivots, and their
+lines, faces and squares come from array passes over all trials
+(_spec_cell_values), the kernel scoring whole trials of up to SPEC_CELLS
+cells per call.  Each suite returns its finished VerificationReport.
 """
 
 from __future__ import annotations
@@ -31,11 +35,11 @@ from . import nets
 from .cells import (
     PIVOT_HEIGHT,
     PerturbationSpec,
-    _arrangement_faces,
     _face_blocks,
     _largest_rectangles,
+    _perturbation_faces,
+    _perturbed_lines,
     largest_rectangles,
-    perturbed_vertical_lines,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
 from .inscribe import TIE_RTOL, _values, check_aspect, crossover_w, diagonal_branch, p_grid, ties
@@ -47,6 +51,9 @@ CURVE_ORACLE_RTOL = 1e-12
 CROSSOVER_WINDOW = 1e-9
 # A perturbed arrangement fails when it scores this far below even spacing.
 PERTURBATION_TOL = 1e-9
+# Most cells that the perturbation experiments score in one kernel call, in
+# whole specs: the kernel's memory grows with its batch, not its values.
+SPEC_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -405,36 +412,70 @@ def _widest_gaps(splits: np.ndarray, jitter: np.ndarray) -> tuple[np.ndarray, np
     return widths, heights
 
 
-def _spec_cell_values(k: int, specs: list[PerturbationSpec]) -> np.ndarray:
-    """Largest inscribed square of every cell, one row per spec.
+def _spec_cell_values(k: int, shifts: np.ndarray, pivots: np.ndarray) -> np.ndarray:
+    """Largest inscribed square of every cell, one row per spec, for the
+    specs' shifts and pivots (specs, k).
 
     Each spec's perturbed lines must cut the unit square into k + 1
-    convex cells (DegenerateCellError otherwise); the cells of all specs
-    go to the kernel in one call, stacked into one block per vertex
-    count.  Every error names its spec, and the kernel's errors the cell
-    within that spec.
+    convex cells (DegenerateCellError otherwise).  The lines of all specs
+    are built and checked in one pass (cells._perturbed_lines), their
+    faces cut in one pass per line (cells._perturbation_faces), and the
+    kernel scores the faces of up to SPEC_CELLS cells, whole specs, per
+    call.  Errors are those of a loop over the specs, each spec's lines,
+    then its face count, then the kernel on every spec's faces: each
+    names its spec, and the kernel's errors the cell within that spec;
+    DomainError from the lines is raised as it is.
     """
-    faces_per_spec = []
-    for idx, spec in enumerate(specs):
-        try:
-            faces = _arrangement_faces(perturbed_vertical_lines(k, spec))
-        except InvalidPerturbationError as exc:
-            raise InvalidPerturbationError(f"spec {idx}: {exc}") from exc
-        if len(faces) != k + 1:
-            raise DegenerateCellError(f"spec {idx}: {k} lines cut {len(faces)} cells, not {k + 1}")
-        faces_per_spec.append(faces)
     try:
-        values = _largest_rectangles(*_face_blocks([face for faces in faces_per_spec for face in faces]), 1.0)
-    except (DegenerateCellError, DomainError):
-        # Rerun spec by spec (the kernel's values do not depend on its
-        # batch) so that the error names the cell within its spec.
-        for idx, faces in enumerate(faces_per_spec):
+        faces, general = _spec_faces(k, shifts, pivots)
+    except (InvalidPerturbationError, DegenerateCellError, DomainError):
+        # Rerun spec by spec (no spec's lines or faces depend on another's)
+        # so that the error is the first in spec order and names its spec.
+        for idx in range(len(shifts)):
             try:
-                _largest_rectangles(*_face_blocks(faces), 1.0)
-            except (DegenerateCellError, DomainError) as exc:
+                _spec_faces(k, shifts[idx : idx + 1], pivots[idx : idx + 1])
+            except (InvalidPerturbationError, DegenerateCellError) as exc:
                 raise type(exc)(f"spec {idx}: {exc}") from exc
         raise
-    return values.reshape(len(specs), k + 1)
+    values = np.empty((len(shifts), k + 1))
+    step = max(1, SPEC_CELLS // (k + 1))
+    for lo in range(0, len(shifts), step):
+        hi = min(lo + step, len(shifts))
+        try:
+            values[lo:hi] = _largest_rectangles(*_spec_cells(faces, general, lo, hi), 1.0).reshape(hi - lo, k + 1)
+        except (DegenerateCellError, DomainError):
+            # Rerun spec by spec (the kernel's values do not depend on its
+            # batch) so that the error names the cell within its spec.
+            for idx in range(lo, hi):
+                try:
+                    _largest_rectangles(*_spec_cells(faces, general, idx, idx + 1), 1.0)
+                except (DegenerateCellError, DomainError) as exc:
+                    raise type(exc)(f"spec {idx}: {exc}") from exc
+            raise
+    return values
+
+
+def _spec_faces(k: int, shifts: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, dict[int, list]]:
+    """The specs' faces as cells._perturbation_faces gives them, after the
+    checks of their lines and of their face counts."""
+    faces, general = _perturbation_faces(*_perturbed_lines(k, shifts, pivots))
+    for spec_faces in general.values():
+        if len(spec_faces) != k + 1:
+            raise DegenerateCellError(f"{k} lines cut {len(spec_faces)} cells, not {k + 1}")
+    return faces, general
+
+
+def _spec_cells(faces: np.ndarray, general: dict[int, list], lo: int, hi: int):
+    """The faces of specs lo to hi - 1 stacked as cells._stack stacks
+    cells, with no failures: face i of spec s is cell (s - lo)(k + 1) + i."""
+    cells = np.arange((hi - lo) * faces.shape[1]).reshape(hi - lo, -1)
+    others = [idx for idx in general if lo <= idx < hi]
+    usual = np.ones(hi - lo, dtype=bool)
+    usual[np.array(others, dtype=int) - lo] = False
+    blocks, failures = _face_blocks([face for idx in others for face in general[idx]])
+    other_cells = cells[~usual].ravel()
+    stacked = [(cells[usual].ravel(), faces[lo:hi][usual].reshape(-1, 4, 2))]
+    return stacked + [(other_cells[idxs], block) for idxs, block in blocks], failures
 
 
 def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> VerificationReport:
@@ -448,7 +489,7 @@ def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> Verificatio
     PERTURBATION_TOL.
     """
     k = check_count(k, "line count k", minimum=3)
-    (values,) = _spec_cell_values(k, [spec])
+    (values,) = _spec_cell_values(k, np.array([spec.shifts], dtype=float), np.array([spec.pivots], dtype=float))
     perturbed = float(values.max())
     regular = 1.0 / (k + 1)
     failures = []
@@ -477,25 +518,21 @@ def perturbation_suite(k: int, trials: int, epsilon: float, seed: int) -> Verifi
 
     Draws `trials` specs with shifts and pivots uniform in [0, epsilon]
     and checks that no perturbed arrangement scores more than
-    PERTURBATION_TOL below even spacing.  All trials' cells go through
-    one batched inscribed-square computation, which keeps large sweeps
-    fast; results are identical to running local_perturbation_experiment
-    per spec.
+    PERTURBATION_TOL below even spacing.  One draw of shape (trials, 2, k)
+    gives each spec's shifts, then its pivots: the doubles of two draws of
+    k per spec.  No PerturbationSpec is built, since a value drawn in
+    [0, epsilon) always passes its checks.  All trials go through one
+    batched pass from lines to inscribed squares (_spec_cell_values),
+    which keeps large sweeps fast; results are identical to running
+    local_perturbation_experiment per spec.
     """
     k = check_count(k, "line count k", minimum=3)
     trials = check_count(trials, "trials", minimum=1)
     seed = check_count(seed, "seed")
     epsilon = check_real(epsilon, "epsilon", 0.0)
-    rng = np.random.default_rng(seed)
-    specs = [
-        PerturbationSpec(
-            shifts=tuple(rng.uniform(0.0, epsilon, size=k)),
-            pivots=tuple(rng.uniform(0.0, epsilon, size=k)),
-            epsilon=epsilon,
-        )
-        for _ in range(trials)
-    ]
-    per_spec = [float(values.max()) for values in _spec_cell_values(k, specs)]
+    draws = np.random.default_rng(seed).uniform(0.0, epsilon, size=(trials, 2, k))
+    shifts, pivots = draws[:, 0], draws[:, 1]
+    per_spec = _spec_cell_values(k, shifts, pivots).max(axis=1).tolist()
     regular = 1.0 / (k + 1)
 
     failures = []
@@ -504,7 +541,7 @@ def perturbation_suite(k: int, trials: int, epsilon: float, seed: int) -> Verifi
         if value < regular - PERTURBATION_TOL:
             failures.append(f"spec {idx} scores {value!r} below even spacing {regular!r}")
             violating.append(
-                {"index": idx, "shifts": list(specs[idx].shifts), "pivots": list(specs[idx].pivots)}
+                {"index": idx, "shifts": shifts[idx].tolist(), "pivots": pivots[idx].tolist()}
             )
     worst_idx = int(np.argmin(per_spec))
     return VerificationReport(

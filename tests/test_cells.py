@@ -254,11 +254,139 @@ def generated_lines(kind, rng):
 
 
 def verdict(run):
-    """run()'s values as a list, or its error type and message."""
+    """run()'s result, or its error type and message."""
     try:
-        return run().tolist()
-    except (DegenerateCellError, DomainError) as exc:
+        return run()
+    except ValueError as exc:
         return type(exc), str(exc)
+
+
+def reference_lines(k, spec, tan=math.tan):
+    """Reference for cells._perturbed_lines: one spec's lines and checks in
+    a Python loop over its lines and their pairs, with `tan` for the
+    slopes."""
+    if spec.k != k:
+        raise DomainError(f"spec describes {spec.k} lines, expected {k}")
+    xs = [(i + 1) / (k + 1) + shift for i, shift in enumerate(spec.shifts)]
+    for i, x in enumerate(xs):
+        if x >= 1.0:
+            raise InvalidPerturbationError(f"shifted line {i} leaves the unit square (x={x!r})")
+    for angle in spec.pivots:
+        if math.cos(angle) <= 1e-9:
+            raise DomainError(f"arrangement lines must be near-vertical, got angle {angle!r}")
+    slopes = [tan(angle) for angle in spec.pivots]
+    ends = [(x - cells.PIVOT_HEIGHT * t, x + (1.0 - cells.PIVOT_HEIGHT) * t) for x, t in zip(xs, slopes)]
+    for i, j in itertools.combinations(range(k), 2):
+        d0 = ends[j][0] - ends[i][0]
+        d1 = ends[j][1] - ends[i][1]
+        if d0 < 0.0 and d1 < 0.0:
+            raise InvalidPerturbationError(f"lines {i} and {j} are out of left-to-right order")
+        if d0 * d1 < 0.0:
+            raise InvalidPerturbationError(f"lines {i} and {j} cross inside the open unit square")
+    return [
+        (math.cos(angle), -math.sin(angle), math.cos(angle) * x - math.sin(angle) * cells.PIVOT_HEIGHT)
+        for x, angle in zip(xs, spec.pivots)
+    ]
+
+
+def reference_cell_values(k, specs):
+    """Reference for oracle._spec_cell_values: spec by spec, its lines
+    (reference_lines), faces (cells._arrangement_faces) and face count,
+    then one kernel call over the faces of all specs, stacked by
+    cells._face_blocks, rerun spec by spec on an error."""
+    faces_per_spec = []
+    for idx, spec in enumerate(specs):
+        try:
+            faces = cells._arrangement_faces(reference_lines(k, spec))
+        except InvalidPerturbationError as exc:
+            raise InvalidPerturbationError(f"spec {idx}: {exc}") from exc
+        if len(faces) != k + 1:
+            raise DegenerateCellError(f"spec {idx}: {k} lines cut {len(faces)} cells, not {k + 1}")
+        faces_per_spec.append(faces)
+    try:
+        values = cells._largest_rectangles(*cells._face_blocks([face for faces in faces_per_spec for face in faces]), 1.0)
+    except (DegenerateCellError, DomainError):
+        for idx, faces in enumerate(faces_per_spec):
+            try:
+                cells._largest_rectangles(*cells._face_blocks(faces), 1.0)
+            except (DegenerateCellError, DomainError) as exc:
+                raise type(exc)(f"spec {idx}: {exc}") from exc
+        raise
+    return values.reshape(len(specs), k + 1)
+
+
+def reference_suite(k, trials, epsilon, seed):
+    """Reference for oracle.perturbation_suite (checked arguments): a
+    PerturbationSpec from two draws of k per trial, scored by
+    reference_cell_values."""
+    rng = np.random.default_rng(seed)
+    specs = [
+        PerturbationSpec(
+            shifts=tuple(rng.uniform(0.0, epsilon, size=k)),
+            pivots=tuple(rng.uniform(0.0, epsilon, size=k)),
+            epsilon=epsilon,
+        )
+        for _ in range(trials)
+    ]
+    per_spec = [float(values.max()) for values in reference_cell_values(k, specs)]
+    regular = 1.0 / (k + 1)
+    failures = []
+    violating = []
+    for idx, value in enumerate(per_spec):
+        if value < regular - oracle.PERTURBATION_TOL:
+            failures.append(f"spec {idx} scores {value!r} below even spacing {regular!r}")
+            violating.append({"index": idx, "shifts": list(specs[idx].shifts), "pivots": list(specs[idx].pivots)})
+    worst_idx = int(np.argmin(per_spec))
+    return oracle.VerificationReport(
+        candidates=(("evenly-spaced", regular), (f"worst perturbed (spec {worst_idx})", per_spec[worst_idx])),
+        parameters={
+            "k": k,
+            "trials": trials,
+            "epsilon": epsilon,
+            "pivot_height": cells.PIVOT_HEIGHT,
+            "tie_tolerance": oracle.PERTURBATION_TOL,
+            "min_perturbed": per_spec[worst_idx],
+            "violating_specs": violating[:10],
+        },
+        seed=seed,
+        failures=tuple(failures),
+    )
+
+
+def touching_lines(k, rng):
+    """k near-vertical lines (nx, ny, b), left to right, with their ends on
+    the bottom and the top edge drawn sorted in [-0.1, 1.1] (some outside
+    the square) and some shared with the line before: neighbours that
+    touch, or coincide, on the square's boundary."""
+    bottom, top = np.sort(rng.uniform(-0.1, 1.1, size=(2, k)), axis=1)
+    for i, share in enumerate(rng.integers(0, 4, size=k).tolist()):
+        if i and share in (1, 3):
+            bottom[i] = bottom[i - 1]
+        if i and share in (2, 3):
+            top[i] = top[i - 1]
+    lines = []
+    for low, high in zip(bottom.tolist(), top.tolist()):
+        angle = math.atan(high - low)
+        x = low + cells.PIVOT_HEIGHT * (high - low)
+        lines.append((math.cos(angle), -math.sin(angle), math.cos(angle) * x - math.sin(angle) * cells.PIVOT_HEIGHT))
+    return lines
+
+
+def random_spec(k, epsilon, rng):
+    """A PerturbationSpec of k shifts, then k pivots, uniform in [0, epsilon)."""
+    return PerturbationSpec(tuple(rng.uniform(0.0, epsilon, k)), tuple(rng.uniform(0.0, epsilon, k)), epsilon)
+
+
+def array_lines(k, specs):
+    """cells._perturbed_lines of specs, as one list of (nx, ny, b) per spec."""
+    nx, ny, b = cells._perturbed_lines(k, *spec_arrays(specs))
+    return [list(zip(*row)) for row in zip(nx.tolist(), ny.tolist(), b.tolist())]
+
+
+def spec_arrays(specs):
+    """The shifts and pivots of specs as (specs, k) arrays."""
+    shifts = np.array([spec.shifts for spec in specs], dtype=float)
+    return shifts, np.array([spec.pivots for spec in specs], dtype=float)
 
 
 def random_convex_polygon(count, rng):
@@ -851,8 +979,8 @@ class TestLargestRectangles:
         order = rng.permutation(len(polys))
         polys = [polys[i] for i in order.tolist()]
         for p in (1.0, 2.5):
-            stacked = verdict(lambda: cells._largest_rectangles(*cells._face_blocks(polys), p))
-            assert stacked == verdict(lambda: largest_rectangles([np.array(poly, dtype=float) for poly in polys], p))
+            stacked = verdict(lambda: cells._largest_rectangles(*cells._face_blocks(polys), p).tolist())
+            assert stacked == verdict(lambda: largest_rectangles([np.array(poly, dtype=float) for poly in polys], p).tolist())
 
     def test_chunks_give_the_same_sides(self, monkeypatch):
         # a budget this small solves one piece at a time, so a lone 16-gon's
@@ -1082,6 +1210,80 @@ class TestPerturbedVerticalLines:
         report = local_perturbation_experiment(3, spec)
         assert report.parameters["cell_values"] == pytest.approx([0.25, 1 / 3, 1 / 3, 0.25], rel=1e-12)
 
+    def test_array_lines_match_the_per_spec_loop(self):
+        # lines bit for bit (signed zeros included), or the error of the
+        # first failing spec: at epsilon 0.5 lines leave the square or
+        # cross, at 2 pivots pass pi/2
+        rng = np.random.default_rng(1)
+        for _ in range(300):
+            k, trials = int(rng.integers(0, 13)), int(rng.integers(1, 30))
+            epsilon = float(rng.choice([0.0, 0.02, 0.12, 0.5, 2.0]))
+            specs = [random_spec(k, epsilon, rng) for _ in range(trials)]
+            assert repr(verdict(lambda: array_lines(k, specs))) == repr(
+                verdict(lambda: [reference_lines(k, spec) for spec in specs])
+            )
+
+    def test_array_lines_take_the_slope_from_math_tan(self):
+        # line 1, pivoted by each angle and shifted so that its bottom end
+        # lands exactly on line 0's at (0.25, 0), touches line 0 on the
+        # square's edge; a slope one ulp above math.tan's, which numpy's tan
+        # gives at these angles on x86-64 with AVX-512, crosses them
+        touching = [
+            (0.6029914606819373, 0.09426871052662344),
+            (0.5754964714854587, 0.07437534633177123),
+            (0.49969770531887503, 0.02295502059945742),
+        ]
+        specs = [PerturbationSpec((0.0, shift, 0.24), (0.0, angle, 0.0), 0.61) for angle, shift in touching]
+        for spec in specs:
+            with pytest.raises(InvalidPerturbationError, match="lines 0 and 1 cross"):
+                reference_lines(3, spec, tan=lambda angle: math.nextafter(math.tan(angle), math.inf))
+        rng = np.random.default_rng(2)
+        batch = [random_spec(3, 0.02, rng) for _ in range(5)]
+        batch[2:2] = specs
+        assert array_lines(3, batch) == [reference_lines(3, spec) for spec in batch]
+        assert [perturbed_vertical_lines(3, spec) for spec in specs] == [reference_lines(3, spec) for spec in specs]
+
+
+class TestPerturbationFaces:
+    @given(
+        k=st.integers(min_value=1, max_value=12),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        kind=st.sampled_from(["spec 0", "spec 0.02", "spec 0.1", "spec 0.2", "touching"]),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_faces_match_arrangement_faces(self, k, seed, kind):
+        # every trial's faces, by repr, those of the usual case from the
+        # array and the others from _arrangement_faces: the lines of valid
+        # specs, or of neighbours that touch on the square's boundary
+        rng = np.random.default_rng(seed)
+        if kind == "touching":
+            trials = [touching_lines(k, rng) for _ in range(20)]
+        else:
+            epsilon = float(kind.split()[1])
+            trials = []
+            for _ in range(100):
+                spec = random_spec(k, epsilon, rng)
+                try:
+                    trials.append(reference_lines(k, spec))
+                except InvalidPerturbationError:
+                    pass
+            assume(trials)
+        faces, general = cells._perturbation_faces(*np.array(trials).transpose(2, 0, 1))
+        for trial, lines in enumerate(trials):
+            got = general[trial] if trial in general else [[tuple(v) for v in face] for face in faces[trial].tolist()]
+            assert repr(got) == repr(cells._arrangement_faces(lines))
+
+    def test_a_line_leaving_through_the_right_edge_takes_arrangement_faces(self):
+        # the local-optimum-k6-eps0.1 draws: the last line of these three
+        # trials leaves through the right edge, which makes a pentagon and
+        # a triangle
+        draws = np.random.default_rng(0).uniform(0.0, 0.1, size=(500, 2, 6))
+        faces, general = cells._perturbation_faces(*cells._perturbed_lines(6, draws[:, 0], draws[:, 1]))
+        assert {trial: [len(face) for face in spec_faces] for trial, spec_faces in general.items()} == {
+            trial: [4, 4, 4, 4, 4, 5, 3] for trial in (42, 142, 356)
+        }
+        assert faces.shape == (500, 7, 4, 2)
+
 
 class TestLocalPerturbationExperiment:
     def test_identity_perturbation(self):
@@ -1118,25 +1320,52 @@ class TestLocalPerturbationExperiment:
         zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
         coincident = PerturbationSpec(shifts=(0.25, 0.0, 0.0), pivots=(0.0, 0.0, 0.0), epsilon=0.25)
         with pytest.raises(DegenerateCellError, match=r"^spec 1: 3 lines cut 3 cells, not 4$"):
-            oracle._spec_cell_values(3, [zero, coincident])
+            oracle._spec_cell_values(3, *spec_arrays([zero, coincident]))
 
     def test_kernel_errors_name_the_spec_and_its_cell(self, monkeypatch):
-        # the second spec's third cell replaced by a zero-area one
-        # (a triangle, so it goes to the kernel in a block of its own count)
-        build = oracle._arrangement_faces
-        built = []
+        # the fourth spec's third cell replaced by a zero-area one (a
+        # triangle, so it goes to the kernel in a block of its own count),
+        # in the one kernel call or in the second of two-spec calls
+        build = oracle._perturbation_faces
 
-        def with_sliver(lines):
-            faces = build(lines)
-            built.append(faces)
-            if len(built) == 2:
-                faces[2] = [(0.5, 0.0), (0.5, 0.5), (0.5, 1.0)]
-            return faces
+        def with_sliver(*lines):
+            faces, general = build(*lines)
+            if len(faces) > 1:
+                general[3] = [[tuple(v) for v in face] for face in faces[3].tolist()]
+                general[3][2] = [(0.5, 0.0), (0.5, 0.5), (0.5, 1.0)]
+            return faces, general
 
-        monkeypatch.setattr(oracle, "_arrangement_faces", with_sliver)
+        monkeypatch.setattr(oracle, "_perturbation_faces", with_sliver)
         zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
-        with pytest.raises(DegenerateCellError, match=r"^spec 1: cell 2: cell has zero area"):
-            oracle._spec_cell_values(3, [zero, zero, zero])
+        for spec_cells in (oracle.SPEC_CELLS, 8):
+            monkeypatch.setattr(oracle, "SPEC_CELLS", spec_cells)
+            with pytest.raises(DegenerateCellError, match=r"^spec 3: cell 2: cell has zero area"):
+                oracle._spec_cell_values(3, *spec_arrays([zero] * 5))
+
+    def test_errors_come_in_the_order_of_the_per_spec_loop(self):
+        # each spec's lines, then its face count, spec by spec; a pivot
+        # that is not near-vertical raises DomainError without its spec
+        zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
+        coincident = PerturbationSpec(shifts=(0.25, 0.0, 0.0), pivots=(0.0, 0.0, 0.0), epsilon=0.25)
+        crossing = PerturbationSpec(shifts=(0, 0, 0), pivots=(0.5, 0.0, 0.5), epsilon=0.5)
+        leaving = PerturbationSpec(shifts=(0.0, 0.0, 0.5), pivots=(0.0, 0.0, 0.0), epsilon=0.5)
+        steep = PerturbationSpec(shifts=(0.0, 0.0, 0.0), pivots=(0.0, 2.0, 0.0), epsilon=2.0)
+        batches = [
+            [zero, coincident, crossing],
+            [zero, crossing, coincident],
+            [zero, steep, coincident],
+            [coincident, steep],
+            [zero, leaving, crossing, steep],
+            [zero, steep, leaving],
+            [zero, zero],
+        ]
+        for batch in batches:
+            got = verdict(lambda: oracle._spec_cell_values(3, *spec_arrays(batch)).tolist())
+            assert got == verdict(lambda: reference_cell_values(3, batch).tolist())
+        assert verdict(lambda: oracle._spec_cell_values(3, *spec_arrays([zero, steep]))) == (
+            DomainError,
+            "arrangement lines must be near-vertical, got angle 2.0",
+        )
 
     def test_requires_more_than_two_lines(self):
         with pytest.raises(DomainError):
@@ -1173,7 +1402,7 @@ class TestPerturbationSuite:
             specs.append(spec)
         faces = [arrangement_cells(perturbed_vertical_lines(k, spec)) for spec in specs]
         assert len({len(face) for spec_faces in faces for face in spec_faces}) > 1
-        values = oracle._spec_cell_values(k, specs)
+        values = oracle._spec_cell_values(k, *spec_arrays(specs))
         for row, spec_faces in zip(values, faces):
             assert np.array_equal(row, largest_squares(spec_faces))
 
@@ -1193,4 +1422,37 @@ class TestPerturbationSuite:
             dict(local_perturbation_experiment(k, spec).candidates)["perturbed"]
             for spec in specs
         )
-        assert suite.parameters["min_perturbed"] == pytest.approx(singles, abs=1e-12)
+        assert suite.parameters["min_perturbed"] == singles
+
+    @given(
+        k=st.integers(min_value=3, max_value=12),
+        trials=st.integers(min_value=1, max_value=60),
+        seed=st.integers(min_value=0, max_value=2**63),
+        epsilon=st.floats(min_value=0.0, max_value=0.12),
+    )
+    @settings(max_examples=120, deadline=None)
+    def test_reports_match_the_per_spec_loop(self, k, trials, seed, epsilon):
+        # the same JSON bytes, or the same error type and message
+        got = verdict(lambda: perturbation_suite(k, trials, epsilon, seed).to_json())
+        assert got == verdict(lambda: reference_suite(k, trials, epsilon, seed).to_json())
+
+    @pytest.mark.parametrize("trials", [50, 500])
+    def test_reports_through_arrangement_faces_match_the_per_spec_loop(self, trials):
+        # the local-optimum-k6-eps0.1 runs, with 1 and 3 trials past the
+        # usual case
+        assert perturbation_suite(6, trials, 0.1, 0).to_json() == reference_suite(6, trials, 0.1, 0).to_json()
+
+    @pytest.mark.parametrize("spec_cells, sizes", [(10, [8] * 20), (1, [4] * 40)])
+    def test_kernel_calls_take_whole_specs_up_to_spec_cells(self, monkeypatch, spec_cells, sizes):
+        whole = perturbation_suite(3, 40, 0.02, 5).to_json()
+        kernel = oracle._largest_rectangles
+        seen = []
+
+        def recorded(stacked, failures, p):
+            seen.append(sum(len(idxs) for idxs, _ in stacked))
+            return kernel(stacked, failures, p)
+
+        monkeypatch.setattr(oracle, "_largest_rectangles", recorded)
+        monkeypatch.setattr(oracle, "SPEC_CELLS", spec_cells)
+        assert perturbation_suite(3, 40, 0.02, 5).to_json() == whole
+        assert seen == sizes
