@@ -16,8 +16,9 @@ B = cp sin(theta) the rectangles of that piece are a polytope in
 (x, A, B).  The long side |(A, B)| is convex, so its maximum there is at
 a vertex (Rockafellar, Convex Analysis, section 32): largest_rectangles
 enumerates every vertex of every piece of non-zero width, batched over
-cells with the same edge count, in chunks of bounded size, and tests
-each vertex against only the m - 2 rows outside its quadruple.
+cells with the same edge count, in slices of cells and chunks of pieces
+of bounded size, and tests each vertex against only the m - 2 rows
+outside its quadruple.
 
 Cells reach the kernel as stacked (G, m, 2) blocks, one per vertex
 count: largest_rectangles stacks the cells it is given, and the
@@ -62,8 +63,10 @@ GEO_TOL = 1e-15
 # Most elements in one of the kernel's work arrays: the five coefficients
 # (n_x, n_y, alpha, beta | b) of every row outside each quadruple of a
 # chunk of pieces, 5 (m - 2) per (piece, quadruple), or its 4 x 6 Laplace
-# terms per (piece, quadruple), whichever is larger.  Also the most
-# (spec, pair of lines) that _perturbed_lines compares at once.
+# terms per (piece, quadruple), whichever is larger.  Also the most bytes
+# in the rows of one slice of the kernel's cells, so that its memory does
+# not grow with their number, and the most (spec, pair of lines) that
+# _perturbed_lines compares at once.
 CHECK_BUDGET = 1 << 20
 
 # Height on each shifted line about which perturbed_vertical_lines pivots it.
@@ -120,18 +123,6 @@ def _stack(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueE
         group[0].append(idx)
         group[1].append(poly)
     return [(np.array(idxs), np.array(polys)) for idxs, polys in shapes.values()], failures
-
-
-def _face_blocks(faces) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueError]]:
-    """Faces given as lists of float points, as _arrangement_faces gives
-    them, stacked as _stack stacks cells: one block per vertex count, and
-    no failures, since their coordinates are floats already."""
-    counts: dict[int, tuple[list, list]] = {}
-    for idx, face in enumerate(faces):
-        group = counts.setdefault(len(face), ([], []))
-        group[0].append(idx)
-        group[1].append(face)
-    return [(np.array(idxs), np.array(group, dtype=float)) for idxs, group in counts.values()], {}
 
 
 def _convex_blocks(blocks, failures: dict[int, ValueError]) -> list[tuple[np.ndarray, np.ndarray]]:
@@ -350,8 +341,18 @@ def largest_rectangles(cells, p) -> np.ndarray:
 
 def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> np.ndarray:
     """largest_rectangles of cells stacked as _stack stacks them, with
-    {index: error} for those that failed already, at a checked p."""
-    blocks = _convex_blocks(stacked, failures)
+    {index: error} for those that failed already, at a checked p.  Each
+    block is cut into slices of cells (one at least) whose (5, m + 2,
+    cells, pieces) rows, more than their minors, take CHECK_BUDGET bytes
+    at most; all are normalised before any is solved, so that neither a
+    value nor an error depends on the slicing."""
+    slices = []
+    for idxs, polys in stacked:
+        m = polys[:1].size // 2  # vertices per cell, before normalisation drops any
+        row_bytes = 5 * (m + 2) * (m if p == 1.0 else 2 * m) * polys.itemsize
+        step = max(1, CHECK_BUDGET // max(1, row_bytes))
+        slices += [(idxs[lo : lo + step], polys[lo : lo + step]) for lo in range(0, len(idxs), step)]
+    blocks = _convex_blocks(slices, failures)
     if failures:
         idx = min(failures)
         raise type(failures[idx])(f"cell {idx}: {failures[idx]}") from failures[idx]

@@ -96,20 +96,21 @@ def _even_cuts(counts) -> np.ndarray:
     return np.arange(counts.max() + 2) / (counts[..., None] + 1)
 
 
-def _even_holes(v, h) -> np.ndarray:
-    """evenly_spaced(v, h).widest_hole, bit for bit, for the line counts v
-    and h (int arrays of one shape): widths and heights stacked on a first
-    axis of 2.  Every count's gaps come from one _even_cuts division, in
-    chunks of at most GAP_BUDGET cuts (one count when its row is longer)."""
-    counts = np.stack((v, h)).reshape(-1)
-    widest = np.empty(counts.shape)
-    rows = max(1, GAP_BUDGET // (int(counts.max()) + 2))
-    for start in range(0, counts.size, rows):
-        chunk = counts[start : start + rows]
+def _widest_even_gaps(counts) -> np.ndarray:
+    """The widest gap of n evenly spaced cuts for each line count n in
+    counts (an int array), in its shape: evenly_spaced(v, h).widest_hole,
+    bit for bit, is the pair for v and h.  Every count's gaps come from one
+    _even_cuts division, in chunks of at most GAP_BUDGET cuts (one count
+    when its row is longer)."""
+    flat = np.ravel(counts)
+    widest = np.empty(flat.shape)
+    rows = max(1, GAP_BUDGET // (int(flat.max()) + 2))
+    for start in range(0, flat.size, rows):
+        chunk = flat[start : start + rows]
         gaps = np.diff(_even_cuts(chunk), axis=1)
         # the row of n cuts has n + 1 gaps; past them its cuts run beyond 1
         widest[start : start + rows] = np.where(np.arange(gaps.shape[1]) <= chunk[:, None], gaps, 0.0).max(axis=1)
-    return widest.reshape(2, *np.shape(v))
+    return widest.reshape(np.shape(counts))
 
 
 def holes(net: Net) -> HoleGrid:

@@ -12,15 +12,14 @@ the two axes, the theorem scans every split over a p-grid in one
 the irregular check the widest hole of jittered cuts of every split, all
 its trials at all its p in one (p, trial) table; the split check takes
 its short side from inscribe.diagonal_branch and re-solves the
-corner-contact equations per split.  ROADMAP item 4 moves them onto the
-kernel.  None builds a Net per split or per trial: the widest holes of
-evenly spaced splits come from one nets._even_holes pass, and the
-jittered widest gaps from one (trial, cut) pass per chunk of trials
-(_widest_gaps).  The perturbation suite builds no PerturbationSpec per
-trial either: one draw gives every trial's shifts and pivots, and their
-lines, faces and squares come from array passes over all trials
-(_spec_cell_values), the kernel scoring whole trials of up to SPEC_CELLS
-cells per call.  Each suite returns its finished VerificationReport.
+corner-contact equations per split.  The widest holes of evenly spaced
+splits come from one nets._widest_even_gaps pass, and the jittered
+widest gaps from one (trial, cut) pass per chunk of trials
+(_widest_gaps).  In the perturbation suite one draw gives every trial's
+shifts and pivots, and their lines, faces and squares come from array
+passes over all trials (_spec_cell_values), with one kernel call for
+all their cells: the kernel bounds its own memory.  Each suite returns
+its finished VerificationReport.
 """
 
 from __future__ import annotations
@@ -35,10 +34,10 @@ from . import nets
 from .cells import (
     PIVOT_HEIGHT,
     PerturbationSpec,
-    _face_blocks,
     _largest_rectangles,
     _perturbation_faces,
     _perturbed_lines,
+    _stack,
     largest_rectangles,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
@@ -51,9 +50,6 @@ CURVE_ORACLE_RTOL = 1e-12
 CROSSOVER_WINDOW = 1e-9
 # A perturbed arrangement fails when it scores this far below even spacing.
 PERTURBATION_TOL = 1e-9
-# Most cells that the perturbation experiments score in one kernel call, in
-# whole specs: the kernel's memory grows with its batch, not its values.
-SPEC_CELLS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -177,9 +173,11 @@ def enumerate_axis_nets(k: int, p: float) -> VerificationReport:
 
 def _split_holes(k: int) -> np.ndarray:
     """Widest holes of the evenly spaced nets N(v, k - v), v = 0 .. k:
-    widths and heights stacked on a first axis of 2 (nets._even_holes)."""
-    v = np.arange(k + 1)
-    return nets._even_holes(v, k - v)
+    widths and heights stacked on a first axis of 2.  Each count 0 .. k is
+    divided once (nets._widest_even_gaps): N(v, k - v) is as tall as
+    N(k - v, v) is wide."""
+    widths = nets._widest_even_gaps(np.arange(k + 1))
+    return np.stack((widths, widths[::-1]))
 
 
 # The theorem scans' p-grid: [1, 8] in steps of 1/64, every point exact in binary.
@@ -199,7 +197,7 @@ def theorem_scan(k: int) -> VerificationReport:
     p past the crossover, and odd k also reports the line-count variant
     of the crossover (nets.odd_crossover_line_count) beside it.
 
-    Every split's widest hole (nets._even_holes) comes from one pass.  A
+    Every split's widest hole comes from one _split_holes pass.  A
     (class, p) table scores each class's hole by nets._hole_scales, values
     only, in chunks of p columns of at most nets.GAP_BUDGET scores (one
     column when a column alone is longer).  The candidates read its column
@@ -334,7 +332,7 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     once from seed, and every p scores the same trials.  A net is scored
     by its widest hole alone (the widest gap of each axis, as
     nets.Net.widest_hole, from _widest_gaps for the jittered nets and
-    nets._even_holes for the evenly spaced ones), and the evenly spaced
+    nets._widest_even_gaps for the evenly spaced ones), and the evenly spaced
     net's score must tie or beat the jittered net's (ties).  Each p's
     candidate is its worst margin, the least jittered-minus-even score
     over its trials.  The draws of each chunk of trials, at most
@@ -366,7 +364,7 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     # once per (p, drawn split).
     jittered = nets._hole_scales(widths, heights, np.array(p_values)[:, None])
     drawn = np.flatnonzero(np.bincount(splits, minlength=k + 1))
-    even_holes = nets._even_holes(drawn, k - drawn).T.tolist()
+    even_holes = nets._widest_even_gaps(np.stack((drawn, k - drawn))).T.tolist()
     by_split = np.zeros((len(p_values), k + 1))
     by_split[:, drawn] = [[nets._hole_scale(w, h, p) for w, h in even_holes] for p in p_values]
     even = by_split[:, splits]
@@ -419,40 +417,37 @@ def _spec_cell_values(k: int, shifts: np.ndarray, pivots: np.ndarray) -> np.ndar
     Each spec's perturbed lines must cut the unit square into k + 1
     convex cells (DegenerateCellError otherwise).  The lines of all specs
     are built and checked in one pass (cells._perturbed_lines), their
-    faces cut in one pass per line (cells._perturbation_faces), and the
-    kernel scores the faces of up to SPEC_CELLS cells, whole specs, per
-    call.  Errors are those of a loop over the specs, each spec's lines,
-    then its face count, then the kernel on every spec's faces: each
-    names its spec, and the kernel's errors the cell within that spec;
-    DomainError from the lines is raised as it is.
+    faces cut in one pass per line (cells._perturbation_faces), and one
+    kernel call scores them all.  Errors are those of a loop over the
+    specs, each spec's lines, then its face count, then the kernel on
+    every spec's faces: each names its spec, and the kernel's errors the
+    cell within that spec; DomainError from the lines is raised as it is.
     """
+    specs = len(shifts)
+    # No spec's lines or faces depend on another's, and no value or error
+    # of the kernel depends on its batch.
+    faces, general = _by_spec(
+        specs, (InvalidPerturbationError, DegenerateCellError), lambda lo, hi: _spec_faces(k, shifts[lo:hi], pivots[lo:hi])
+    )
+    values = _by_spec(
+        specs, (DegenerateCellError, DomainError), lambda lo, hi: _largest_rectangles(*_spec_cells(faces, general, lo, hi), 1.0)
+    )
+    return values.reshape(specs, k + 1)
+
+
+def _by_spec(specs: int, named, run):
+    """The pass run(lo, hi) over specs lo .. hi - 1, run on all specs.  If it
+    fails, it is rerun spec by spec, and the first error is raised, prefixed
+    by its spec when its type is in `named`."""
     try:
-        faces, general = _spec_faces(k, shifts, pivots)
+        return run(0, specs)
     except (InvalidPerturbationError, DegenerateCellError, DomainError):
-        # Rerun spec by spec (no spec's lines or faces depend on another's)
-        # so that the error is the first in spec order and names its spec.
-        for idx in range(len(shifts)):
+        for spec in range(specs):
             try:
-                _spec_faces(k, shifts[idx : idx + 1], pivots[idx : idx + 1])
-            except (InvalidPerturbationError, DegenerateCellError) as exc:
-                raise type(exc)(f"spec {idx}: {exc}") from exc
+                run(spec, spec + 1)
+            except named as exc:
+                raise type(exc)(f"spec {spec}: {exc}") from exc
         raise
-    values = np.empty((len(shifts), k + 1))
-    step = max(1, SPEC_CELLS // (k + 1))
-    for lo in range(0, len(shifts), step):
-        hi = min(lo + step, len(shifts))
-        try:
-            values[lo:hi] = _largest_rectangles(*_spec_cells(faces, general, lo, hi), 1.0).reshape(hi - lo, k + 1)
-        except (DegenerateCellError, DomainError):
-            # Rerun spec by spec (the kernel's values do not depend on its
-            # batch) so that the error names the cell within its spec.
-            for idx in range(lo, hi):
-                try:
-                    _largest_rectangles(*_spec_cells(faces, general, idx, idx + 1), 1.0)
-                except (DegenerateCellError, DomainError) as exc:
-                    raise type(exc)(f"spec {idx}: {exc}") from exc
-            raise
-    return values
 
 
 def _spec_faces(k: int, shifts: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, dict[int, list]]:
@@ -472,7 +467,7 @@ def _spec_cells(faces: np.ndarray, general: dict[int, list], lo: int, hi: int):
     others = [idx for idx in general if lo <= idx < hi]
     usual = np.ones(hi - lo, dtype=bool)
     usual[np.array(others, dtype=int) - lo] = False
-    blocks, failures = _face_blocks([face for idx in others for face in general[idx]])
+    blocks, failures = _stack([np.array(face, dtype=float) for idx in others for face in general[idx]])
     other_cells = cells[~usual].ravel()
     stacked = [(cells[usual].ravel(), faces[lo:hi][usual].reshape(-1, 4, 2))]
     return stacked + [(other_cells[idxs], block) for idxs, block in blocks], failures

@@ -1,6 +1,7 @@
 import itertools
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -293,7 +294,7 @@ def reference_cell_values(k, specs):
     """Reference for oracle._spec_cell_values: spec by spec, its lines
     (reference_lines), faces (cells._arrangement_faces) and face count,
     then one kernel call over the faces of all specs, stacked by
-    cells._face_blocks, rerun spec by spec on an error."""
+    cells._stack, rerun spec by spec on an error."""
     faces_per_spec = []
     for idx, spec in enumerate(specs):
         try:
@@ -304,11 +305,11 @@ def reference_cell_values(k, specs):
             raise DegenerateCellError(f"spec {idx}: {k} lines cut {len(faces)} cells, not {k + 1}")
         faces_per_spec.append(faces)
     try:
-        values = cells._largest_rectangles(*cells._face_blocks([face for faces in faces_per_spec for face in faces]), 1.0)
+        values = cells._largest_rectangles(*cells._stack([face for faces in faces_per_spec for face in faces]), 1.0)
     except (DegenerateCellError, DomainError):
         for idx, faces in enumerate(faces_per_spec):
             try:
-                cells._largest_rectangles(*cells._face_blocks(faces), 1.0)
+                cells._largest_rectangles(*cells._stack(faces), 1.0)
             except (DegenerateCellError, DomainError) as exc:
                 raise type(exc)(f"spec {idx}: {exc}") from exc
         raise
@@ -979,8 +980,72 @@ class TestLargestRectangles:
         order = rng.permutation(len(polys))
         polys = [polys[i] for i in order.tolist()]
         for p in (1.0, 2.5):
-            stacked = verdict(lambda: cells._largest_rectangles(*cells._face_blocks(polys), p).tolist())
+            stacked = verdict(lambda: cells._largest_rectangles(*cells._stack(polys), p).tolist())
             assert stacked == verdict(lambda: largest_rectangles([np.array(poly, dtype=float) for poly in polys], p).tolist())
+
+    @pytest.mark.parametrize("p", [1.0, 1.7])
+    def test_slices_give_the_same_sides(self, monkeypatch, p):
+        # 3- to 8-gons, some of which drop a repeated or a collinear vertex
+        # in normalisation, at a budget of two quads' rows at p = 1: at
+        # most three triangles, two quads or one larger cell per slice
+        rng = np.random.default_rng(3)
+        batch = [random_convex_polygon(count, rng) for count in (3, 4, 4, 5, 8, 4, 3, 6, 4, 4, 7)]
+        batch += [poly.tolist() for poly in edited_convex_polygons(12, -2, 2, rng)]
+        whole = largest_rectangles(batch, p)
+        normalise, slices = cells._convex_blocks, []
+
+        def recorded(blocks, failures):
+            slices.extend(len(idxs) for idxs, _ in blocks)
+            return normalise(blocks, failures)
+
+        monkeypatch.setattr(cells, "_convex_blocks", recorded)
+        monkeypatch.setattr(cells, "CHECK_BUDGET", 2 * 5 * 6 * 4 * 8)
+        assert np.array_equal(largest_rectangles(batch, p), whole)
+        assert sum(slices) == len(batch) and max(slices) <= 3
+
+    def test_a_normalisation_error_in_a_late_slice_beats_an_earlier_empty_cell(self, monkeypatch):
+        # cell 1 (the diamond) is emptied as test_no_feasible_vertex_names_the_cell
+        # empties its quad; cell 6 has zero area.  Every slice is normalised
+        # before any is solved, so cell 6 is named whatever the slices.
+        halfplanes = cells._halfplanes
+
+        def emptied(poly):
+            normals, offsets = halfplanes(poly)
+            diamond = np.abs(np.abs(normals[..., 0, 0]) - math.sqrt(0.5)) < 1e-9
+            return normals, offsets - 2.0 * diamond[..., None]
+
+        monkeypatch.setattr(cells, "_halfplanes", emptied)
+        square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+        empty = [square, [(1, 0), (0, 1), (-1, 0), (0, -1)]] + [square] * 6
+        flat = empty[:6] + [[(0, 0), (1, 0), (2, 0), (3, 0)]] + empty[7:]
+        for batch, message in [(empty, "^cell 1 has no feasible LP vertex"), (flat, "^cell 6: cell has zero area")]:
+            outcomes = set()
+            for budget in (cells.CHECK_BUDGET, 1):
+                monkeypatch.setattr(cells, "CHECK_BUDGET", budget)
+                outcomes.add(verdict(lambda: largest_squares(batch)))
+            ((_, text),) = outcomes
+            assert re.match(message, text)
+
+    @pytest.mark.parametrize("p", [1.0, 1.7])
+    def test_memory_does_not_grow_with_the_cells(self, p):
+        # tracemalloc peaks of one call on 2048 and on 20480 random quads
+        def quads(count):
+            rng = np.random.default_rng(count)
+            t = np.sort(rng.uniform(0.0, 2.0 * math.pi, (count, 4)), axis=1)
+            a, b = rng.uniform(0.2, 2.0, (2, count, 1))
+            return list(np.stack((a * np.cos(t), b * np.sin(t)), axis=2) + rng.uniform(-3.0, 3.0, (count, 1, 2)))
+
+        def peak(cells_given):
+            tracemalloc.start()
+            try:
+                largest_rectangles(cells_given, p)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        largest_rectangles(quads(8), p)
+        small, large = quads(2048), quads(20480)
+        assert peak(large) <= 1.5 * peak(small)
 
     def test_chunks_give_the_same_sides(self, monkeypatch):
         # a budget this small solves one piece at a time, so a lone 16-gon's
@@ -1325,7 +1390,7 @@ class TestLocalPerturbationExperiment:
     def test_kernel_errors_name_the_spec_and_its_cell(self, monkeypatch):
         # the fourth spec's third cell replaced by a zero-area one (a
         # triangle, so it goes to the kernel in a block of its own count),
-        # in the one kernel call or in the second of two-spec calls
+        # with the kernel's cells in one slice or one cell per slice
         build = oracle._perturbation_faces
 
         def with_sliver(*lines):
@@ -1337,8 +1402,8 @@ class TestLocalPerturbationExperiment:
 
         monkeypatch.setattr(oracle, "_perturbation_faces", with_sliver)
         zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
-        for spec_cells in (oracle.SPEC_CELLS, 8):
-            monkeypatch.setattr(oracle, "SPEC_CELLS", spec_cells)
+        for budget in (cells.CHECK_BUDGET, 1):
+            monkeypatch.setattr(cells, "CHECK_BUDGET", budget)
             with pytest.raises(DegenerateCellError, match=r"^spec 3: cell 2: cell has zero area"):
                 oracle._spec_cell_values(3, *spec_arrays([zero] * 5))
 
@@ -1442,9 +1507,9 @@ class TestPerturbationSuite:
         # usual case
         assert perturbation_suite(6, trials, 0.1, 0).to_json() == reference_suite(6, trials, 0.1, 0).to_json()
 
-    @pytest.mark.parametrize("spec_cells, sizes", [(10, [8] * 20), (1, [4] * 40)])
-    def test_kernel_calls_take_whole_specs_up_to_spec_cells(self, monkeypatch, spec_cells, sizes):
-        whole = perturbation_suite(3, 40, 0.02, 5).to_json()
+    @pytest.mark.parametrize("k, trials", [(3, 1), (3, 40), (6, 500)])
+    def test_one_kernel_call_takes_every_trial(self, monkeypatch, k, trials):
+        # 500 trials at k = 6 are 3500 cells, more than one kernel slice
         kernel = oracle._largest_rectangles
         seen = []
 
@@ -1453,6 +1518,5 @@ class TestPerturbationSuite:
             return kernel(stacked, failures, p)
 
         monkeypatch.setattr(oracle, "_largest_rectangles", recorded)
-        monkeypatch.setattr(oracle, "SPEC_CELLS", spec_cells)
-        assert perturbation_suite(3, 40, 0.02, 5).to_json() == whole
-        assert seen == sizes
+        perturbation_suite(k, trials, 0.02, 5)
+        assert seen == [trials * (k + 1)]

@@ -11,7 +11,7 @@ from tripwire.errors import DomainError
 from tripwire.inscribe import curve_value
 from tripwire.nets import (
     Net,
-    _even_holes,
+    _widest_even_gaps,
     base_curve,
     crossover_aspect,
     evenly_spaced,
@@ -82,7 +82,7 @@ WIDEST_EVEN_GAPS = [python_widest_even_gap(n) for n in range(301)]
 
 
 class TestEvenHoles:
-    """nets._even_holes, bit for bit the widest hole of evenly_spaced."""
+    """nets._widest_even_gaps, bit for bit the widest hole of evenly_spaced."""
 
     def test_evenly_spaced_cuts_are_one_division_each(self):
         for n in range(301):
@@ -90,7 +90,7 @@ class TestEvenHoles:
 
     def test_every_net_up_to_64_lines_per_axis(self):
         v, h = np.meshgrid(np.arange(65), np.arange(65), indexing="ij")
-        widths, heights = _even_holes(v, h)
+        widths, heights = _widest_even_gaps(np.stack((v, h)))
         for a in range(65):
             for b in range(65):
                 assert (widths[a, b], heights[a, b]) == evenly_spaced(a, b).widest_hole
@@ -101,12 +101,12 @@ class TestEvenHoles:
         monkeypatch.setattr(nets, "GAP_BUDGET", budget)
         for k in range(150, 301):
             v = np.arange(k + 1)
-            widths, heights = _even_holes(v, k - v)
+            widths, heights = _widest_even_gaps(np.stack((v, k - v)))
             assert widths.tolist() == WIDEST_EVEN_GAPS[: k + 1]
             assert heights.tolist() == WIDEST_EVEN_GAPS[k::-1]
         for k in (150, 300):
             v = np.arange(k + 1)
-            holes = _even_holes(v, k - v).T.tolist()
+            holes = _widest_even_gaps(np.stack((v, k - v))).T.tolist()
             assert [tuple(hole) for hole in holes] == [evenly_spaced(a, k - a).widest_hole for a in range(k + 1)]
 
 
