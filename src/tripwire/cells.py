@@ -21,9 +21,9 @@ of bounded size, and tests each vertex against only the m - 2 rows
 outside its quadruple.
 
 Cells reach the kernel as stacked (G, m, 2) blocks, one per vertex
-count: largest_rectangles stacks the cells it is given, and the
-perturbation experiments hand it the faces of their trials as one
-(cells, 4, 2) block, with any faces of other counts stacked beside it.
+count: largest_rectangles stacks the cells it is given (_stack), and the
+perturbation experiments cut their trials' padded faces into one block
+per count (_padded_blocks), so that no padding reaches the kernel.
 Cells are normalised the same way: one numpy pass per block
 checks them and turns them counter-clockwise, and a cell that drops
 vertices is normalised again in a block of its new count.  Every product
@@ -36,9 +36,9 @@ arrangement_cells splits each face that a line cuts into both halves in
 one pass over the face's vertices.  The perturbation experiments build
 the lines of many specs in one array pass (_perturbed_lines, whose
 one-spec case is perturbed_vertical_lines) and cut their faces in one
-pass per line (_perturbation_faces): in the usual case a line splits
-only the rightmost face, and a trial outside it goes through
-_arrangement_faces.
+pass per line into one padded array with vertex counts
+(_perturbation_faces): in the usual case a line splits only the
+rightmost face, and a trial outside it goes through _arrangement_faces.
 """
 
 from __future__ import annotations
@@ -602,12 +602,13 @@ def _arrangement_faces(lines) -> list[list[tuple[float, float]]]:
     return faces
 
 
-def _perturbation_faces(nx: np.ndarray, ny: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, dict[int, list]]:
+def _perturbation_faces(nx: np.ndarray, ny: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The faces that each of T arrangements of k lines (nx, ny, b), each
     (T, k) with nx > 0, cuts the unit square into, as _arrangement_faces
-    gives them: a (T, k + 1, 4, 2) array, and {trial: faces} from
-    _arrangement_faces for the trials outside the usual case, whose rows
-    of the array hold no faces.
+    gives them: a (T, k + 1, V, 2) array padded with NaN and the (T, k + 1)
+    vertex counts, V > 4 only where a trial outside the usual case, cut by
+    _arrangement_faces, has a face of more; DegenerateCellError for the
+    lowest trial whose lines do not cut k + 1 faces.
 
     In the usual case each line in turn splits only the rightmost face
     [A, (1, 0), (1, 1), D], whose vertices lie on its sides (-, +, +, -),
@@ -647,11 +648,27 @@ def _perturbation_faces(nx: np.ndarray, ny: np.ndarray, b: np.ndarray) -> tuple[
     faces[..., 0, 0], faces[..., 1, 0] = bottom[:, :-1], bottom[:, 1:]
     faces[..., 2, 0], faces[..., 3, 0] = top[:, 1:], top[:, :-1]
     faces[..., 1] = (0.0, 0.0, 1.0, 1.0)
-    general = {
-        trial: _arrangement_faces(list(zip(nx[trial].tolist(), ny[trial].tolist(), b[trial].tolist())))
-        for trial in np.flatnonzero(~usual).tolist()
-    }
-    return faces, general
+    counts = np.full((trials, k + 1), 4)
+    for trial in np.flatnonzero(~usual).tolist():
+        spec_faces = _arrangement_faces(list(zip(nx[trial].tolist(), ny[trial].tolist(), b[trial].tolist())))
+        if len(spec_faces) != k + 1:
+            raise DegenerateCellError(f"{k} lines cut {len(spec_faces)} cells, not {k + 1}")
+        width = max(map(len, spec_faces))
+        if width > faces.shape[2]:
+            faces = np.concatenate((faces, np.full((trials, k + 1, width - faces.shape[2], 2), np.nan)), axis=2)
+        faces[trial] = np.nan
+        for i, face in enumerate(spec_faces):
+            faces[trial, i, : len(face)] = face
+            counts[trial, i] = len(face)
+    return faces, counts
+
+
+def _padded_blocks(faces: np.ndarray, counts: np.ndarray) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict]:
+    """Cells padded to V vertices (..., V, 2) with their vertex counts (...),
+    stacked as _stack stacks cells in flat order: a block per count, no failures."""
+    cells = faces.reshape(-1, *faces.shape[-2:])
+    keep = np.arange(cells.shape[1]) < counts.reshape(-1, 1)
+    return [(np.arange(len(cells))[rows], _cut(cells, rows, keep)) for _, rows, keep in _vertex_counts(keep)], {}
 
 
 def _halves(face, sides):

@@ -16,9 +16,9 @@ corner-contact equations per split.  The widest holes of evenly spaced
 splits come from one nets._widest_even_gaps pass, and the jittered
 widest gaps from one (trial, cut) pass per chunk of trials
 (_widest_gaps).  In the perturbation suite one draw gives every trial's
-shifts and pivots, and their lines, faces and squares come from array
-passes over all trials (_spec_cell_values), with one kernel call for
-all their cells: the kernel bounds its own memory.  Each suite returns
+shifts and pivots, and their lines, padded faces and squares come from
+array passes over all trials (_spec_cell_values), with one kernel call
+for all their cells, which bounds its own memory.  Each suite returns
 its finished VerificationReport.
 """
 
@@ -35,9 +35,9 @@ from .cells import (
     PIVOT_HEIGHT,
     PerturbationSpec,
     _largest_rectangles,
+    _padded_blocks,
     _perturbation_faces,
     _perturbed_lines,
-    _stack,
     largest_rectangles,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
@@ -417,20 +417,25 @@ def _spec_cell_values(k: int, shifts: np.ndarray, pivots: np.ndarray) -> np.ndar
     Each spec's perturbed lines must cut the unit square into k + 1
     convex cells (DegenerateCellError otherwise).  The lines of all specs
     are built and checked in one pass (cells._perturbed_lines), their
-    faces cut in one pass per line (cells._perturbation_faces), and one
-    kernel call scores them all.  Errors are those of a loop over the
-    specs, each spec's lines, then its face count, then the kernel on
-    every spec's faces: each names its spec, and the kernel's errors the
-    cell within that spec; DomainError from the lines is raised as it is.
+    faces cut in one pass per line into one padded array with vertex
+    counts (cells._perturbation_faces), and one kernel call scores them
+    all, a block per count (cells._padded_blocks).  Errors are those of a
+    loop over the specs, each spec's lines, then its face count, then the
+    kernel on every spec's faces: each names its spec, and the kernel's
+    errors the cell within that spec; DomainError from the lines names no spec.
     """
     specs = len(shifts)
     # No spec's lines or faces depend on another's, and no value or error
     # of the kernel depends on its batch.
-    faces, general = _by_spec(
-        specs, (InvalidPerturbationError, DegenerateCellError), lambda lo, hi: _spec_faces(k, shifts[lo:hi], pivots[lo:hi])
+    faces, counts = _by_spec(
+        specs,
+        (InvalidPerturbationError, DegenerateCellError),
+        lambda lo, hi: _perturbation_faces(*_perturbed_lines(k, shifts[lo:hi], pivots[lo:hi])),
     )
     values = _by_spec(
-        specs, (DegenerateCellError, DomainError), lambda lo, hi: _largest_rectangles(*_spec_cells(faces, general, lo, hi), 1.0)
+        specs,
+        (DegenerateCellError, DomainError),
+        lambda lo, hi: _largest_rectangles(*_padded_blocks(faces[lo:hi], counts[lo:hi]), 1.0),
     )
     return values.reshape(specs, k + 1)
 
@@ -448,29 +453,6 @@ def _by_spec(specs: int, named, run):
             except named as exc:
                 raise type(exc)(f"spec {spec}: {exc}") from exc
         raise
-
-
-def _spec_faces(k: int, shifts: np.ndarray, pivots: np.ndarray) -> tuple[np.ndarray, dict[int, list]]:
-    """The specs' faces as cells._perturbation_faces gives them, after the
-    checks of their lines and of their face counts."""
-    faces, general = _perturbation_faces(*_perturbed_lines(k, shifts, pivots))
-    for spec_faces in general.values():
-        if len(spec_faces) != k + 1:
-            raise DegenerateCellError(f"{k} lines cut {len(spec_faces)} cells, not {k + 1}")
-    return faces, general
-
-
-def _spec_cells(faces: np.ndarray, general: dict[int, list], lo: int, hi: int):
-    """The faces of specs lo to hi - 1 stacked as cells._stack stacks
-    cells, with no failures: face i of spec s is cell (s - lo)(k + 1) + i."""
-    cells = np.arange((hi - lo) * faces.shape[1]).reshape(hi - lo, -1)
-    others = [idx for idx in general if lo <= idx < hi]
-    usual = np.ones(hi - lo, dtype=bool)
-    usual[np.array(others, dtype=int) - lo] = False
-    blocks, failures = _stack([np.array(face, dtype=float) for idx in others for face in general[idx]])
-    other_cells = cells[~usual].ravel()
-    stacked = [(cells[usual].ravel(), faces[lo:hi][usual].reshape(-1, 4, 2))]
-    return stacked + [(other_cells[idxs], block) for idxs, block in blocks], failures
 
 
 def local_perturbation_experiment(k: int, spec: PerturbationSpec) -> VerificationReport:
