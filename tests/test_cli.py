@@ -1,5 +1,6 @@
 import json
 import math
+import os
 import re
 import subprocess
 import sys
@@ -325,6 +326,39 @@ def test_a_numpy_k_writes_what_an_int_k_writes(tmp_path, command, args, fmt):
     command(k, *rest, OutputSpec(format=fmt, path=str(tmp_path / "int")))
     command(np.int64(k), *rest, OutputSpec(format=fmt, path=str(tmp_path / "numpy")))
     assert (tmp_path / "int").read_bytes() == (tmp_path / "numpy").read_bytes()
+
+
+CURVE_JSON = ["curve", "--n", "2.5", "--p-max", "12", "--step", "0.01", "--format", "json"]
+
+
+class TestRewrite:
+    """An existing --out file is rewritten in place and cut to the new length."""
+
+    @pytest.mark.parametrize("first,second", [("17", "3"), ("3", "17")], ids=["shrinking", "growing"])
+    def test_a_rewrite_has_the_bytes_of_a_fresh_write(self, tmp_path, first, second):
+        out, fresh = tmp_path / "rewritten.json", tmp_path / "fresh.json"
+        assert run_main([*CURVE_JSON, "--precision", first, "--out", str(out)]) == 0
+        out.chmod(0o600)
+        before = out.stat()
+        assert run_main([*CURVE_JSON, "--precision", second, "--out", str(out)]) == 0
+        assert run_main([*CURVE_JSON, "--precision", second, "--out", str(fresh)]) == 0
+        after = out.stat()
+        assert (after.st_size < before.st_size) == (int(second) < int(first))
+        assert out.read_bytes() == fresh.read_bytes()
+        # the same file, as open(path, "w") would keep it
+        assert (after.st_ino, after.st_mode) == (before.st_ino, before.st_mode)
+
+    def test_a_new_file_gets_the_mode_that_open_gives(self, tmp_path):
+        umask = os.umask(0o002)
+        try:
+            assert run_main([*CURVE_JSON, "--out", str(tmp_path / "new.json")]) == 0
+        finally:
+            os.umask(umask)
+        assert (tmp_path / "new.json").stat().st_mode & 0o777 == 0o666 & ~0o002
+
+    def test_a_device_is_written_and_not_cut(self):
+        # ftruncate on /dev/null fails with EINVAL
+        assert run_main(["curve", "--n", "2", "--p-max", "3", "--out", os.devnull]) == 0
 
 
 class TestOptimalNetCommand:
