@@ -18,7 +18,9 @@ a vertex (Rockafellar, Convex Analysis, section 32): largest_rectangles
 enumerates every vertex of every piece of non-zero width, batched over
 cells with the same edge count, in slices of cells and chunks of pieces
 of bounded size, and tests each vertex against only the m - 2 rows
-outside its quadruple.
+outside its quadruple.  A chunk's vertices, residuals and slacks each
+take one stacked product and one sum in a fixed order, so that neither
+the slices nor the chunks change a bit.
 
 Cells reach the kernel as stacked (G, m, 2) blocks, one per vertex
 count: largest_rectangles stacks the cells it is given (_stack), and the
@@ -62,10 +64,10 @@ GEO_TOL = 1e-15
 
 # Most elements in one of the kernel's work arrays: the five coefficients
 # (n_x, n_y, alpha, beta | b) of every row outside each quadruple of a
-# chunk of pieces, 5 (m - 2) per (piece, quadruple), or its 4 x 6 Laplace
-# terms per (piece, quadruple), whichever is larger.  Also the most bytes
-# in the rows of one slice of the kernel's cells, so that its memory does
-# not grow with their number, and the most (spec, pair of lines) that
+# chunk of pieces, 5 (m - 2) per (piece, quadruple), or the six terms of
+# its six Laplace expansions, 6 x 6, whichever is larger.  Also the most
+# bytes in the rows of one slice of the kernel's cells, so that its memory
+# does not grow with their number, and the most (spec, pair of lines) that
 # _perturbed_lines compares at once.
 CHECK_BUDGET = 1 << 20
 
@@ -73,6 +75,15 @@ CHECK_BUDGET = 1 << 20
 PIVOT_HEIGHT = 0.5
 
 _QUARTER = math.pi / 2
+# Index tables.  _minors' factors (factor, side, term) of the terms
+# (u_i v_j, b_i v_j, u_i b_j) - (u_j v_i, b_j v_i, u_j b_i): their column of
+# (u, v, b) and their row, 0 for i and 1 for j.
+_MINOR_COLS = np.array([[[0, 2, 0]] * 2, [[1, 1, 2]] * 2])[..., None]
+_MINOR_ROWS = np.array([[[0] * 3, [1] * 3], [[1] * 3, [0] * 3]])
+# The piece minors of _vertices' expansions (size, det, x, y, A, B).
+_PIECE_TERMS = np.array([0, 1, 1, 1, 2, 3])[:, None, None]
+# The rows' (b, n_x, n_y, alpha, beta): the order of _vertices' factors.
+_RESIDUAL_ORDER = np.array([4, 0, 1, 2, 3])[:, None, None]
 
 
 def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -140,8 +151,8 @@ def _convex_blocks(blocks, failures: dict[int, ValueError]) -> list[tuple[np.nda
     done: list[tuple[np.ndarray, np.ndarray]] = []
     for idx, poly in blocks:
         shape = poly.shape[1:]
-        finite = np.isfinite(poly).all(axis=tuple(range(1, poly.ndim)))
-        if not finite.all():
+        if not np.isfinite(poly).all():
+            finite = np.isfinite(poly).all(axis=tuple(range(1, poly.ndim)))
             _fail(failures, idx[~finite], DomainError("cell vertex coordinates must be finite"))
             idx, poly = idx[finite], poly[finite]
         if len(shape) != 2 or shape[1] != 2 or shape[0] < 3:
@@ -221,10 +232,11 @@ def _convexity(idx, poly, unit, e, failures, done) -> None:
     """
     shrunk = np.ldexp(poly, -e[:, None, None])
     back = shrunk - _turn(shrunk, -1)
-    ahead = _turn(shrunk, 1) - shrunk
+    ahead = _turn(back, 1)
     cross = _cross2(back, ahead)
     reflex = (cross < (-1e-12 * unit * unit)[:, None]).any(axis=1)
-    straight = cross <= 1e-12 * np.hypot(back[..., 0], back[..., 1]) * np.hypot(ahead[..., 0], ahead[..., 1])
+    lengths = np.hypot(back[..., :1], back[..., 1:])
+    straight = cross <= (1e-12 * lengths * _turn(lengths, 1))[..., 0]
     if straight.any():
         straight &= ~np.roll(straight, 1, axis=1) | straight.all(axis=1)[:, None]
     if reflex.any():
@@ -243,10 +255,9 @@ def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Outward unit normals (..., m, 2) and offsets (..., m) of CCW cells
     (..., m, 2), so that each cell is {x : N x <= b}."""
     edges = _turn(poly, 1) - poly
-    lengths = np.hypot(edges[..., 0], edges[..., 1])
-    normals = np.stack((edges[..., 1], -edges[..., 0]), axis=-1) / lengths[..., None]
-    offsets = np.einsum("...ij,...ij->...i", normals, poly)
-    return normals, offsets
+    normals = edges[..., ::-1] / np.hypot(edges[..., :1], edges[..., 1:])
+    normals[..., 1] *= -1.0
+    return normals, normals[..., 0] * poly[..., 0] + normals[..., 1] * poly[..., 1]
 
 
 @lru_cache(maxsize=32)
@@ -271,36 +282,45 @@ def _quadruples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return pairs, lead, rest, outside
 
 
-def _minors(u: np.ndarray, v: np.ndarray, b: np.ndarray, pairs: np.ndarray) -> np.ndarray:
-    """(4, P, ...): for each pair (i, j) of rows, the 2x2 minor u_i v_j - u_j v_i
-    of the columns u, v (rows, ...), the sum |u_i v_j| + |u_j v_i| that
-    bounds its rounding, and the minors of the columns (b, v) and (u, b)."""
-    ui, uj, vi, vj, bi, bj = (c[k] for c in (u, v, b) for k in pairs)
-    left, right = ui * vj, uj * vi
-    return np.array((left - right, abs(left) + abs(right), bi * vj - bj * vi, ui * bj - uj * bi))
+def _minors(cols: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+    """(4, P, ...): for each pair (i, j) of rows of the columns (u, v, b),
+    stacked (3, rows, ...), |u_i v_j| + |u_j v_i|, which bounds the rounding
+    of the 2x2 minor u_i v_j - u_j v_i, then that minor and those of (b, v)
+    and (u, b), all three from one product."""
+    factors = cols[_MINOR_COLS, pairs[_MINOR_ROWS]]
+    products = factors[0] * factors[1]
+    minors = np.empty((4,) + products.shape[2:])
+    np.subtract(products[0], products[1], out=minors[1:])
+    np.add(abs(products[0, 0]), abs(products[1, 0]), out=minors[0])
+    return minors
 
 
-def _vertices(cell_minors, cell, alpha, beta, offsets, m: int) -> np.ndarray:
-    """The vertex (x, y, A, B) of every row quadruple of a chunk of K pieces:
-    a (4, Q, K) array, NaN where the quadruple is singular (GEO_TOL).
+def _vertices(cell_minors, cell, piece_cols, m: int) -> np.ndarray:
+    """The vertex of every row quadruple of a chunk of K pieces as the
+    factors (-1, x, y, A, B) of a row's (b, n_x, n_y, alpha, beta), whose
+    products summed in that order are the row's residual: a (5, Q, K)
+    array, NaN where the quadruple is singular (GEO_TOL).
 
     cell_minors (4, P, G): _minors of the cells' columns (n_x, n_y, b);
-    cell (K,): each piece's cell; alpha, beta, offsets (m + 2, K): each
-    piece's rows.  Cramer's rule, each determinant expanded along its
-    (n_x, n_y) columns: the six terms of every expansion are gathered one
-    axis at a time and summed in a fixed order, so that chunking does not
-    change a bit.
+    cell (K,): each piece's cell; piece_cols (3, m + 2, K): each piece's
+    columns (alpha, beta, b).  Cramer's rule, each determinant expanded
+    along its (n_x, n_y) columns: the six terms of the expansions of det's
+    size, det, x, y, A and B, (expansion, term, Q, K), take two products
+    and one sum in a fixed order, so that chunking does not change a bit.
     """
     pairs, lead, rest, _ = _quadruples(m)
-    piece_minors = _minors(alpha, beta, offsets, pairs[:, : pairs.shape[1] // 2])
-    xy, xy_size, by, xb = cell_minors[:, :, cell][:, lead]
-    ab, ab_size, b_beta, alpha_b = piece_minors[:, rest]
-    det, size, x, y, big_a, big_b = (
-        np.add.reduce(u * v, axis=0)
-        for u, v in ((xy, ab), (xy_size, ab_size), (by, ab), (xb, ab), (xy, b_beta), (xy, alpha_b))
-    )
-    det[~(np.abs(det) > GEO_TOL * size)] = np.nan
-    return np.array((x, y, big_a, big_b)) / det
+    # Each split's other pair's piece minors times its leading pair's cell
+    # minors: the size, det, (b, v) and (u, b), then det for A and B.
+    terms = _minors(piece_cols, pairs[:, : pairs.shape[1] // 2])[_PIECE_TERMS, rest]
+    cell_terms = cell_minors[:, lead].take(cell, axis=-1)
+    terms[:4] *= cell_terms
+    terms[4:] *= cell_terms[1]
+    sums = np.add.reduce(terms, axis=1)
+    det = sums[1]
+    det[~(np.abs(det) > GEO_TOL * sums[0])] = np.nan
+    vertices = sums[1:] / det
+    vertices[0] *= -1.0  # det / det is 1 exactly
+    return vertices
 
 
 def _centre(poly: np.ndarray) -> np.ndarray:
@@ -364,57 +384,54 @@ def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> n
         block = polys - _centre(polys)
         _, exponent = np.frexp(np.abs(block).max(axis=(1, 2)))
         normals, cell_offsets = _halfplanes(np.ldexp(block, -exponent[:, None, None]))
-        n1, n2 = normals[:, None, :, 0], normals[:, None, :, 1]
-
         breaks = np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER
         period = _QUARTER
         if p != 1.0:
             breaks = np.concatenate((breaks, breaks + _QUARTER), axis=1)
             period = math.pi
         breaks = np.sort(breaks, axis=1)
-        ends = np.concatenate((breaks[:, 1:], breaks[:, :1] + period), axis=1)
+        turns = np.concatenate((breaks, breaks[:, :1] + period), axis=1)
+        ends = turns[:, 1:]
         pieces = breaks.shape[1]
         mid = 0.5 * (breaks + ends)
-        cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
-        sign1 = q * np.sign(n1 * cos + n2 * sin)
-        sign2 = np.sign(n2 * cos - n1 * sin)
+        cos, sin = np.cos(mid), np.sin(mid)
         # Every piece's m + 2 rows (n_x, n_y, alpha, beta | b), rows first:
         # the cell's, then the start and end wedges, whose n and b are 0.
         cell_rows = np.zeros((3, m + 2, len(idxs)))
-        cell_rows[:, :m] = normals[..., 0].T, normals[..., 1].T, cell_offsets.T
+        cell_rows[:2, :m], cell_rows[2, :m] = normals.T, cell_offsets.T
         rows = np.empty((5, m + 2, len(idxs), pieces))
         rows[[0, 1, 4]] = cell_rows[..., None]
-        rows[2, :m] = (0.5 * (sign1 * n1 + sign2 * n2)).transpose(2, 0, 1)
-        rows[3, :m] = (0.5 * (sign1 * n2 - sign2 * n1)).transpose(2, 0, 1)
-        rows[2, m], rows[3, m] = np.sin(breaks), -np.cos(breaks)
-        rows[2, m + 1], rows[3, m + 1] = -np.sin(ends), np.cos(ends)
+        # (alpha, beta) = (q sign(n.d) n + sign(t.d) t) / 2, t = (n_y, -n_x), d = (cos, sin) at mid.
+        normal = cell_rows[:2, :m, :, None]
+        turned = np.concatenate((normal[1:], -normal[:1]))
+        signs = np.sign(normal * cos + turned * sin)
+        signs[0] *= q
+        np.multiply(0.5, signs[0] * normal + signs[1] * turned, out=rows[2:4, :m])
+        wedge = np.array((np.sin(turns), -np.cos(turns)))
+        rows[2:4, m], rows[2:4, m + 1] = wedge[..., :-1], -wedge[..., 1:]
         rows = rows.reshape(5, m + 2, -1)
 
         pairs, _, _, outside = _quadruples(m)
-        cell_minors = _minors(*cell_rows, pairs)
+        cell_minors = _minors(cell_rows, pairs)
         owner = np.repeat(np.arange(len(idxs)), pieces)
         cos, sin = cos.ravel(), sin.ravel()
         # A zero-width piece (a repeated breakpoint) starts where the next
         # one does, so only the others are solved.
         wide = np.flatnonzero(ends > breaks)
         best = np.full(len(owner), -np.inf)
-        step = max(1, CHECK_BUDGET // (len(outside) * max(5 * (m - 2), 24)))
+        step = max(1, CHECK_BUDGET // (len(outside) * max(5 * (m - 2), 36)))
         for lo in range(0, len(wide), step):
             chunk = wide[lo : lo + step]
             chunk_rows = rows[:, :, chunk]
-            vertices = _vertices(cell_minors, owner[chunk], *chunk_rows[2:], m)
-            # Each outside row's residual n . v + alpha A + beta B - b, and
+            vertices = _vertices(cell_minors, owner[chunk], chunk_rows[2:], m)
+            # Each outside row's residual -b + n . v + alpha A + beta B, and
             # GEO_TOL times its terms' magnitudes, which bound its rounding,
-            # each summed term by term in a fixed order.
-            coefs = chunk_rows[:, outside]
-            terms = coefs[:4] * vertices[:, :, None, :]
-            residual = -coefs[4]
-            slack = np.abs(residual)
-            for term, size in zip(terms, np.abs(terms)):
-                residual += term
-                slack += size
-            slack *= GEO_TOL
-            big_a, big_b = vertices[2:]
+            # each summed term by term in that order.
+            terms = chunk_rows[_RESIDUAL_ORDER, outside]
+            terms *= vertices[:, :, None, :]
+            residual = np.add.reduce(terms, axis=0)
+            slack = GEO_TOL * np.add.reduce(np.abs(terms, out=terms), axis=0)
+            big_a, big_b = vertices[3:]
             ahead = big_a * cos[chunk] + big_b * sin[chunk]
             ok = np.all(residual <= slack, axis=1) & (ahead >= 0.0) & np.isfinite(vertices).all(axis=0)
             best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=0)

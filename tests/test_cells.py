@@ -438,6 +438,24 @@ THIN_CELLS = {
     "thin-quad": [(-2.6950037, -1.35479803), (-1.23464422, -3.5324276), (-1.90850326, -2.52577591), (-1.93430169, -2.48726444)],
 }
 
+# The cells of the two strict xfails in TestLargestSquare: a square turned
+# so that its edge normals' breakpoints lie one ulp apart, and a pentagon
+# with two vertices 7.5e-16 apart.
+TURNED_SQUARE_SIDE, TURNED_SQUARE_ANGLE = 0.8228798948692264, 0.772388139569393
+TURNED_SQUARE = np.array([(0, 0), (1, 0), (1, 1), (0, 1)]) * TURNED_SQUARE_SIDE @ np.array(
+    [
+        [math.cos(TURNED_SQUARE_ANGLE), -math.sin(TURNED_SQUARE_ANGLE)],
+        [math.sin(TURNED_SQUARE_ANGLE), math.cos(TURNED_SQUARE_ANGLE)],
+    ]
+).T
+NEAR_DUPLICATE_PENTAGON = [
+    (1.0, 0.21255346213784934),
+    (1.0, 1.0),
+    (0.6895582320199798, 1.0),
+    (0.21918868983316103, 0.16708513886869147),
+    (0.21918868983316067, 0.1670851388686908),
+]
+
 
 def edited_convex_polygons(count, low, high, rng):
     """count random convex polygons of sizes 10**low to 10**high, some far
@@ -820,10 +838,7 @@ class TestLargestSquare:
     def test_a_square_turned_onto_breakpoints_one_ulp_apart(self):
         # A square that test_rectangles_at_any_angle can draw: it scores
         # 0.8229188289636598 at p = 1, and the right side at p = 1 + 1e-9.
-        angle, side = 0.772388139569393, 0.8228798948692264
-        rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
-        cell = np.array([(0, 0), (side, 0), (side, side), (0, side)]) @ rot.T
-        assert largest_square_in_cell(cell) == pytest.approx(side, abs=1e-8)
+        assert largest_square_in_cell(TURNED_SQUARE) == pytest.approx(TURNED_SQUARE_SIDE, abs=1e-8)
 
     @pytest.mark.xfail(
         strict=True,
@@ -836,13 +851,7 @@ class TestLargestSquare:
         # apart, so without the 4th it is the same region.  It scores
         # 0.4763924978483139; an LP sweep over 20 001 angles gives
         # 0.4825979870363908 for both cells.
-        pentagon = [
-            (1.0, 0.21255346213784934),
-            (1.0, 1.0),
-            (0.6895582320199798, 1.0),
-            (0.21918868983316103, 0.16708513886869147),
-            (0.21918868983316067, 0.1670851388686908),
-        ]
+        pentagon = NEAR_DUPLICATE_PENTAGON
         quad = pentagon[:3] + pentagon[4:]
         assert largest_square_in_cell(quad) == 0.48259798703639056
         assert largest_square_in_cell(pentagon) == pytest.approx(0.48259798703639056, rel=4e-15, abs=0.0)
@@ -1101,6 +1110,214 @@ class TestLargestRectangles:
         half_step = (math.pi / 2 if p == 1.0 else math.pi) / (count - 1) / 2
         value = largest_rectangles([cell], p)[0]
         assert zoomed * (1.0 - 1e-11) <= value <= grid * (math.cos(half_step) + p * math.sin(half_step))
+
+
+def frozen_halfplanes(poly):
+    edges = cells._turn(poly, 1) - poly
+    lengths = np.hypot(edges[..., 0], edges[..., 1])
+    normals = np.stack((edges[..., 1], -edges[..., 0]), axis=-1) / lengths[..., None]
+    offsets = np.einsum("...ij,...ij->...i", normals, poly)
+    return normals, offsets
+
+
+def frozen_minors(u, v, b, pairs):
+    ui, uj, vi, vj, bi, bj = (c[k] for c in (u, v, b) for k in pairs)
+    left, right = ui * vj, uj * vi
+    return np.array((left - right, abs(left) + abs(right), bi * vj - bj * vi, ui * bj - uj * bi))
+
+
+def frozen_vertices(cell_minors, cell, alpha, beta, offsets, m):
+    pairs, lead, rest, _ = cells._quadruples(m)
+    piece_minors = frozen_minors(alpha, beta, offsets, pairs[:, : pairs.shape[1] // 2])
+    xy, xy_size, by, xb = cell_minors[:, :, cell][:, lead]
+    ab, ab_size, b_beta, alpha_b = piece_minors[:, rest]
+    det, size, x, y, big_a, big_b = (
+        np.add.reduce(u * v, axis=0)
+        for u, v in ((xy, ab), (xy_size, ab_size), (by, ab), (xb, ab), (xy, b_beta), (xy, alpha_b))
+    )
+    det[~(np.abs(det) > cells.GEO_TOL * size)] = np.nan
+    return np.array((x, y, big_a, big_b)) / det
+
+
+def frozen_largest_rectangles(batch, p, halfplanes=frozen_halfplanes):
+    """Reference for cells.largest_rectangles: its LP as it stood before the
+    kernel ran its IEEE steps in fewer, stacked numpy passes (one product
+    and one reduce per Laplace expansion, a loop over the outside rows'
+    terms), on cells that cells._stack and cells._convex_blocks normalise,
+    with its own fixed budget for slices and chunks."""
+    budget = 1 << 20
+    p = check_real(p, "rectangle aspect p", 1.0)
+    stacked, failures = cells._stack(batch)
+    slices = []
+    for idxs, polys in stacked:
+        m = polys[:1].size // 2
+        row_bytes = 5 * (m + 2) * (m if p == 1.0 else 2 * m) * polys.itemsize
+        step = max(1, budget // max(1, row_bytes))
+        slices += [(idxs[lo : lo + step], polys[lo : lo + step]) for lo in range(0, len(idxs), step)]
+    blocks = cells._convex_blocks(slices, failures)
+    if failures:
+        idx = min(failures)
+        raise type(failures[idx])(f"cell {idx}: {failures[idx]}") from failures[idx]
+    result = np.zeros(sum(len(idxs) for idxs, _ in blocks))
+    q = 1.0 / p
+    for idxs, polys in blocks:
+        m = polys.shape[1]
+        block = polys - cells._centre(polys)
+        _, exponent = np.frexp(np.abs(block).max(axis=(1, 2)))
+        normals, cell_offsets = halfplanes(np.ldexp(block, -exponent[:, None, None]))
+        n1, n2 = normals[:, None, :, 0], normals[:, None, :, 1]
+        breaks = np.arctan2(normals[..., 1], normals[..., 0]) % (math.pi / 2)
+        period = math.pi / 2
+        if p != 1.0:
+            breaks = np.concatenate((breaks, breaks + math.pi / 2), axis=1)
+            period = math.pi
+        breaks = np.sort(breaks, axis=1)
+        ends = np.concatenate((breaks[:, 1:], breaks[:, :1] + period), axis=1)
+        pieces = breaks.shape[1]
+        mid = 0.5 * (breaks + ends)
+        cos, sin = np.cos(mid)[..., None], np.sin(mid)[..., None]
+        sign1 = q * np.sign(n1 * cos + n2 * sin)
+        sign2 = np.sign(n2 * cos - n1 * sin)
+        cell_rows = np.zeros((3, m + 2, len(idxs)))
+        cell_rows[:, :m] = normals[..., 0].T, normals[..., 1].T, cell_offsets.T
+        rows = np.empty((5, m + 2, len(idxs), pieces))
+        rows[[0, 1, 4]] = cell_rows[..., None]
+        rows[2, :m] = (0.5 * (sign1 * n1 + sign2 * n2)).transpose(2, 0, 1)
+        rows[3, :m] = (0.5 * (sign1 * n2 - sign2 * n1)).transpose(2, 0, 1)
+        rows[2, m], rows[3, m] = np.sin(breaks), -np.cos(breaks)
+        rows[2, m + 1], rows[3, m + 1] = -np.sin(ends), np.cos(ends)
+        rows = rows.reshape(5, m + 2, -1)
+        pairs, _, _, outside = cells._quadruples(m)
+        cell_minors = frozen_minors(*cell_rows, pairs)
+        owner = np.repeat(np.arange(len(idxs)), pieces)
+        cos, sin = cos.ravel(), sin.ravel()
+        wide = np.flatnonzero(ends > breaks)
+        best = np.full(len(owner), -np.inf)
+        step = max(1, budget // (len(outside) * max(5 * (m - 2), 24)))
+        for lo in range(0, len(wide), step):
+            chunk = wide[lo : lo + step]
+            chunk_rows = rows[:, :, chunk]
+            vertices = frozen_vertices(cell_minors, owner[chunk], *chunk_rows[2:], m)
+            coefs = chunk_rows[:, outside]
+            terms = coefs[:4] * vertices[:, :, None, :]
+            residual = -coefs[4]
+            slack = np.abs(residual)
+            for term, size in zip(terms, np.abs(terms)):
+                residual += term
+                slack += size
+            slack *= cells.GEO_TOL
+            big_a, big_b = vertices[2:]
+            ahead = big_a * cos[chunk] + big_b * sin[chunk]
+            ok = np.all(residual <= slack, axis=1) & (ahead >= 0.0) & np.isfinite(vertices).all(axis=0)
+            best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=0)
+        sides = np.ldexp(best.reshape(-1, pieces).max(axis=1), exponent) / p
+        bad = np.flatnonzero(~(sides > 0.0))
+        if len(bad):
+            i = bad[0]
+            failures[int(idxs[i])] = DegenerateCellError(
+                f"cell {idxs[i]} has no feasible LP vertex with a positive side "
+                f"(best {float(sides[i])!r}): {polys[i].tolist()}"
+            )
+        result[idxs] = sides
+    if failures:
+        raise failures[min(failures)]
+    return result
+
+
+def bits(run):
+    """run()'s float array as int64 bit patterns, or its error type and message."""
+    outcome = verdict(run)
+    return outcome if isinstance(outcome, tuple) else outcome.view(np.int64).tolist()
+
+
+FROZEN_ASPECTS = [1.0, 1.0 + 2.0**-40, 1.5, 1.7, 3.125, 100.0, 1e12]
+# Budgets of the default kernel, of slices of at most two quads' rows at
+# p = 1, and of one piece per chunk.
+FROZEN_BUDGETS = [pytest.param(None, id="default"), pytest.param(2 * 5 * 6 * 4 * 8, id="slices"), pytest.param(50, id="chunks")]
+FROZEN_HOLES = [hole(n) for n in np.logspace(0.0, 9.0, 19).tolist()]
+
+
+def frozen_cells(count, rng):
+    """count 3- to 16-gons scaled by 2**-600 to 2**600, some reversed, some
+    with a repeated or a collinear vertex."""
+    batch = []
+    for _ in range(count):
+        poly = random_convex_polygon(int(rng.integers(3, 17)), rng)
+        edit, i = int(rng.integers(4)), int(rng.integers(len(poly)))
+        if edit == 1:
+            poly = poly[::-1]
+        elif edit == 2:
+            poly = np.insert(poly, i, poly[i], axis=0)
+        elif edit == 3:
+            poly = np.insert(poly, i, 0.5 * (poly[i - 1] + poly[i]), axis=0)
+        batch.append(np.ldexp(poly, int(rng.integers(-600, 601))))
+    return batch
+
+
+def symmetric_cells(count, rng):
+    """count regular 3- to 8-gons and w x h rectangles, half of them
+    squares, of random size, turn and centre: their LP vertices lie within
+    rounding of more than four rows."""
+    batch = []
+    for _ in range(count):
+        side, angle, center = rng.uniform(0.1, 2.0), rng.uniform(0.0, 3.0), rng.uniform(-2.0, 2.0, 2)
+        if rng.random() < 0.5:
+            batch.append(regular_polygon(int(rng.integers(3, 9)), side, angle, center))
+        else:
+            h = side if rng.random() < 0.5 else rng.uniform(0.1, 2.0)
+            rot = np.array([[math.cos(angle), -math.sin(angle)], [math.sin(angle), math.cos(angle)]])
+            batch.append(np.array([(0, 0), (side, 0), (side, h), (0, h)]) @ rot.T + center)
+    return batch
+
+
+class TestFrozenKernel:
+    """The kernel gives the sides, bit for bit, and the errors of its LP as
+    it stood before its passes were stacked (frozen_largest_rectangles)."""
+
+    def assert_frozen(self, batch, p, alone=True):
+        # the batch, and each of its cells alone
+        assert bits(lambda: largest_rectangles(batch, p)) == bits(lambda: frozen_largest_rectangles(batch, p))
+        for cell in batch if alone else []:
+            assert bits(lambda: largest_rectangles([cell], p)) == bits(lambda: frozen_largest_rectangles([cell], p))
+
+    @given(seed=st.integers(min_value=0, max_value=2**32 - 1), p=st.sampled_from(FROZEN_ASPECTS))
+    @settings(max_examples=20, deadline=None)
+    def test_random_cells(self, seed, p):
+        # a dented or a zero-area cell in a fifth of the batches: the same
+        # error for the batch, the same sides for its other cells alone
+        rng = np.random.default_rng(seed)
+        batch = frozen_cells(int(rng.integers(1, 7)), rng) + symmetric_cells(int(rng.integers(0, 4)), rng)
+        if rng.random() < 0.2:
+            batch.insert(int(rng.integers(len(batch) + 1)), [DENTED_QUAD, [(0, 0), (1, 0), (2, 0)]][int(rng.integers(2))])
+        self.assert_frozen(batch, p)
+
+    @pytest.mark.parametrize("budget", FROZEN_BUDGETS)
+    @pytest.mark.parametrize("p", FROZEN_ASPECTS)
+    def test_fixed_cells(self, monkeypatch, p, budget):
+        # thin cells, the cells of the two strict xfails (the same wrong
+        # sides), holes of aspect 1 to 1e9, random and symmetric cells
+        if budget is not None:
+            monkeypatch.setattr(cells, "CHECK_BUDGET", budget)
+        batch = [*THIN_CELLS.values(), TURNED_SQUARE, NEAR_DUPLICATE_PENTAGON, *FROZEN_HOLES]
+        batch += frozen_cells(6, np.random.default_rng(0)) + symmetric_cells(24, np.random.default_rng(1))
+        self.assert_frozen(batch, p, alone=budget is None)
+
+    def test_no_feasible_vertex_is_named_alike(self, monkeypatch):
+        # the LP's own error, from a cell emptied as in
+        # test_no_feasible_vertex_names_the_cell, in both kernels
+        def emptied(halfplanes):
+            def run(poly):
+                normals, offsets = halfplanes(poly)
+                return normals, offsets - 2.0
+
+            return run
+
+        monkeypatch.setattr(cells, "_halfplanes", emptied(cells._halfplanes))
+        batch = [hole(2.0), MISSED_QUAD]
+        for p in (1.0, 1.7):
+            outcome = bits(lambda: largest_rectangles(batch, p))
+            assert outcome == bits(lambda: frozen_largest_rectangles(batch, p, emptied(frozen_halfplanes)))
+            assert outcome[0] is DegenerateCellError and "no feasible LP vertex" in outcome[1]
 
 
 class TestPerturbationSpec:
