@@ -31,8 +31,11 @@ checks them and turns them counter-clockwise, and a cell that drops
 vertices is normalised again in a block of its new count.  Every product
 of coordinates, in the area and turn tests as in the LP, is taken on the
 cell scaled by a power of two (exact) to a size below 1, so that none
-overflows.  convex_cell is the one-cell case of that pass.  A batch
-raises the error of its failing cell of lowest index.
+overflows.  The LP's frame, each cell centred and so scaled (_frame), is
+the one that the area test computed, handed on with its block where
+normalisation moved no vertex, and computed again only for a block that
+it reversed or cut.  convex_cell is the one-cell case of that pass.  A
+batch raises the error of its failing cell of lowest index.
 
 arrangement_cells splits each face that a line cuts into both halves in
 one pass over the face's vertices.  The perturbation experiments build
@@ -77,7 +80,7 @@ PIVOT_HEIGHT = 0.5
 _QUARTER = math.pi / 2
 # Index tables.  _minors' factors (factor, side, term) of the terms
 # (u_i v_j, b_i v_j, u_i b_j) - (u_j v_i, b_j v_i, u_j b_i): their column of
-# (u, v, b) and their row, 0 for i and 1 for j.
+# (u, v, b) and their row, 0 for i and 1 for j (see _minor_index).
 _MINOR_COLS = np.array([[[0, 2, 0]] * 2, [[1, 1, 2]] * 2])[..., None]
 _MINOR_ROWS = np.array([[[0] * 3, [1] * 3], [[1] * 3, [0] * 3]])
 # The piece minors of _vertices' expansions (size, det, x, y, A, B).
@@ -91,8 +94,17 @@ def _cross2(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def _turn(poly: np.ndarray, k: int) -> np.ndarray:
-    """Row i holds vertex i + k (cyclic); np.roll(poly, -k, axis=-2) at less call cost."""
-    return np.concatenate((poly[..., k:, :], poly[..., :k, :]), axis=-2)
+    """Row i holds vertex i + k (cyclic): np.roll(poly, -k, axis=-2) as one
+    gather through an index cached per (m, k), at less call cost."""
+    return poly.take(_cyclic(poly.shape[-2], k), axis=-2)
+
+
+@lru_cache(maxsize=128)
+def _cyclic(m: int, k: int) -> np.ndarray:
+    """(i + k) mod m for i = 0..m - 1, read-only."""
+    index = (np.arange(m) + k) % m
+    index.setflags(write=False)
+    return index
 
 
 def convex_cell(points) -> np.ndarray:
@@ -110,7 +122,7 @@ def convex_cell(points) -> np.ndarray:
     blocks = _convex_blocks(stacked, failures)
     if failures:
         raise failures[0]
-    ((_, poly),) = blocks
+    ((_, poly, _),) = blocks
     return poly[0]
 
 
@@ -136,19 +148,21 @@ def _stack(cells) -> tuple[list[tuple[np.ndarray, np.ndarray]], dict[int, ValueE
     return [(np.array(idxs), np.array(polys)) for idxs, polys in shapes.values()], failures
 
 
-def _convex_blocks(blocks, failures: dict[int, ValueError]) -> list[tuple[np.ndarray, np.ndarray]]:
+def _convex_blocks(blocks, failures: dict[int, ValueError]) -> list[tuple[np.ndarray, np.ndarray, tuple | None]]:
     """Normalise stacked cells as convex_cell does, one numpy pass per block
     of cells with the same vertex count.
 
     blocks are (indices, (G,) + shape float array), indices ascending
     within a block.  Returns the normalised blocks (indices, (G, m, 2)
-    cells), in the same form, and adds {index: error} for the cells that
-    fail to `failures`.  A cell that drops vertices goes on in a new block
-    of its new count, with the size, and so the tolerances and the
-    power-of-two frame, of the cell it was given; two blocks may share a
-    count.
+    cells, frame), and adds {index: error} for the cells that fail to
+    `failures`.  A block's frame is its cells' _frame (shrunk, e) where
+    normalisation left every vertex of every cell in its block where it
+    was given, and None where it dropped or reversed any.  A cell that
+    drops vertices goes on in a new block of its new count, with the
+    size, and so the tolerances and the power-of-two frame of the tests,
+    of the cell it was given; two blocks may share a count.
     """
-    done: list[tuple[np.ndarray, np.ndarray]] = []
+    done: list[tuple[np.ndarray, np.ndarray, tuple | None]] = []
     for idx, poly in blocks:
         shape = poly.shape[1:]
         if not np.isfinite(poly).all():
@@ -162,16 +176,26 @@ def _convex_blocks(blocks, failures: dict[int, ValueError]) -> list[tuple[np.nda
         # Tolerances follow each cell's own size along each axis, however
         # small, not its distance from the origin.  Drop consecutive
         # duplicates (closed polygon).
-        centred = poly - _centre(poly)
-        extent = np.abs(centred).max(axis=1)
-        scale = extent.max(axis=1)
-        distinct = ~(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent[:, None, :]).all(axis=2)
+        extent, shrunk, unit, e = _frame(poly)
+        distinct = ~np.logical_and.reduce(np.abs(poly - _turn(poly, 1)) <= 1e-15 * extent[:, None, :], axis=2)
         for m, rows, keep in _vertex_counts(distinct):
             if m < 3:
                 _fail(failures, idx[rows], DegenerateCellError("cell collapses to fewer than 3 distinct vertices"))
             else:
-                _orient(idx[rows], _cut(poly, rows, keep), _cut(centred, rows, keep), scale[rows], failures, done)
+                cut = _cut(poly, rows, keep), _cut(shrunk, rows, keep)
+                _orient(idx[rows], *cut, unit[rows], e[rows], m == shape[0], failures, done)
     return done
+
+
+def _frame(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The frame of every product of coordinates: cells (G, m, 2) centred
+    on their vertex mean and scaled by 2**-e (exact) to the size unit < 1.
+    Returns (extent (G, 2) of the centred cells along each axis, the
+    scaled cells, unit, e)."""
+    centred = poly - _centre(poly)
+    extent = np.abs(centred).max(axis=1)
+    unit, e = np.frexp(extent.max(axis=1))
+    return extent, np.ldexp(centred, -e[:, None, None]), unit, e
 
 
 def _fail(failures: dict[int, ValueError], idx: np.ndarray, exc: ValueError) -> None:
@@ -199,27 +223,30 @@ def _cut(block: np.ndarray, rows, keep) -> np.ndarray:
     return block[keep[rows]].reshape(len(block), -1, 2)
 
 
-def _orient(idx, poly, centred, scale, failures, done) -> None:
-    """Reject zero-area cells of a block and turn the others counter-clockwise."""
-    # The frame of every test: each cell scaled by 2**-e (exact) to the
-    # size `unit` < 1.  Here twice the signed area, against the size of the
-    # products it sums, in units of 4**e.
-    unit, e = np.frexp(scale)
-    shrunk = np.ldexp(centred, -e[:, None, None])
+def _orient(idx, poly, shrunk, unit, e, whole, failures, done) -> None:
+    """Reject zero-area cells of a block and turn the others counter-clockwise.
+
+    shrunk is the frame of every test, the block's cells as given centred
+    and scaled by 2**-e to the size unit (_frame), and `whole` says that
+    they dropped no vertex, so that it frames poly too.
+    """
+    # Twice the signed area, against the size of the products it sums, in
+    # units of 4**e.
     after = _turn(shrunk, 1)
     area2 = _cross2(shrunk, after).sum(axis=1)
     flat = np.abs(area2) <= 2e-15 * np.abs(shrunk * after[..., ::-1]).sum(axis=(1, 2))
     if flat.any():
-        for i in np.flatnonzero(flat).tolist():
+        for i in flat.nonzero()[0].tolist():
             failures[int(idx[i])] = DegenerateCellError(f"cell has zero area (2A = {float(area2[i])!r} * 4**{int(e[i])})")
-        idx, poly, unit, e, area2 = idx[~flat], poly[~flat], unit[~flat], e[~flat], area2[~flat]
+        ok = ~flat
+        idx, poly, shrunk, unit, e, area2 = idx[ok], poly[ok], shrunk[ok], unit[ok], e[ok], area2[ok]
     clockwise = area2 < 0.0
     if clockwise.any():
-        poly = np.where(clockwise[:, None, None], poly[:, ::-1], poly)
-    _convexity(idx, poly, unit, e, failures, done)
+        poly, whole = np.where(clockwise[:, None, None], poly[:, ::-1], poly), False
+    _convexity(idx, poly, unit, e, shrunk if whole else None, failures, done)
 
 
-def _convexity(idx, poly, unit, e, failures, done) -> None:
+def _convexity(idx, poly, unit, e, framed, failures, done) -> None:
     """Reject non-convex CCW cells of a block and drop their collinear vertices.
 
     Turns are taken on each cell scaled by 2**-e, whose size is then unit.
@@ -228,7 +255,8 @@ def _convexity(idx, poly, unit, e, failures, done) -> None:
     drops only the first vertex of each run of straight ones: the turn of
     the next is taken again on its new edge, so of two vertices closer than
     the rounding of a turn, whose short edge turns both of them by noise,
-    one goes and the corner they make stays.
+    one goes and the corner they make stays.  framed is poly's _frame
+    cells, or None; a cell that keeps every vertex leaves with its frame.
     """
     shrunk = np.ldexp(poly, -e[:, None, None])
     back = shrunk - _turn(shrunk, -1)
@@ -241,14 +269,16 @@ def _convexity(idx, poly, unit, e, failures, done) -> None:
         straight &= ~np.roll(straight, 1, axis=1) | straight.all(axis=1)[:, None]
     if reflex.any():
         _fail(failures, idx[reflex], DomainError("cell must be convex"))
-        idx, poly, unit, e, straight = idx[~reflex], poly[~reflex], unit[~reflex], e[~reflex], straight[~reflex]
+        ok = ~reflex
+        idx, poly, unit, e, straight = idx[ok], poly[ok], unit[ok], e[ok], straight[ok]
+        framed = None if framed is None else framed[ok]
     for m, rows, keep in _vertex_counts(~straight):
         if m == poly.shape[1]:
-            done.append((idx[rows], poly[rows]))
+            done.append((idx[rows], poly[rows], None if framed is None else (framed[rows], e[rows])))
         elif m < 3:
             _fail(failures, idx[rows], DegenerateCellError("cell has zero area after collinear-vertex removal"))
         else:
-            _convexity(idx[rows], _cut(poly, rows, keep), unit[rows], e[rows], failures, done)
+            _convexity(idx[rows], _cut(poly, rows, keep), unit[rows], e[rows], None, failures, done)
 
 
 def _halfplanes(poly: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -282,12 +312,26 @@ def _quadruples(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     return pairs, lead, rest, outside
 
 
-def _minors(cols: np.ndarray, pairs: np.ndarray) -> np.ndarray:
+@lru_cache(maxsize=32)
+def _minor_index(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """_minors' gathers on an m-gon, read-only: for all the pairs of
+    _quadruples(m), then for those with i < j, the (factor, side, term,
+    pair) rows of the m + 2 rows' columns (u, v, b), flattened column by
+    column, that _MINOR_COLS and _MINOR_ROWS name."""
+    pairs = _quadruples(m)[0]
+    tables = tuple(_MINOR_COLS * (m + 2) + some[_MINOR_ROWS] for some in (pairs, pairs[:, : pairs.shape[1] // 2]))
+    for table in tables:
+        table.setflags(write=False)
+    return tables
+
+
+def _minors(cols: np.ndarray, index: np.ndarray) -> np.ndarray:
     """(4, P, ...): for each pair (i, j) of rows of the columns (u, v, b),
-    stacked (3, rows, ...), |u_i v_j| + |u_j v_i|, which bounds the rounding
-    of the 2x2 minor u_i v_j - u_j v_i, then that minor and those of (b, v)
-    and (u, b), all three from one product."""
-    factors = cols[_MINOR_COLS, pairs[_MINOR_ROWS]]
+    stacked (3, m + 2, ...), |u_i v_j| + |u_j v_i|, which bounds the
+    rounding of the 2x2 minor u_i v_j - u_j v_i, then that minor and those
+    of (b, v) and (u, b), all three from one product.  index is a table of
+    _minor_index(m), so that its factors take one gather."""
+    factors = cols.reshape(-1, *cols.shape[2:]).take(index, axis=0)
     products = factors[0] * factors[1]
     minors = np.empty((4,) + products.shape[2:])
     np.subtract(products[0], products[1], out=minors[1:])
@@ -308,10 +352,10 @@ def _vertices(cell_minors, cell, piece_cols, m: int) -> np.ndarray:
     size, det, x, y, A and B, (expansion, term, Q, K), take two products
     and one sum in a fixed order, so that chunking does not change a bit.
     """
-    pairs, lead, rest, _ = _quadruples(m)
+    _, lead, rest, _ = _quadruples(m)
     # Each split's other pair's piece minors times its leading pair's cell
     # minors: the size, det, (b, v) and (u, b), then det for A and B.
-    terms = _minors(piece_cols, pairs[:, : pairs.shape[1] // 2])[_PIECE_TERMS, rest]
+    terms = _minors(piece_cols, _minor_index(m)[1])[_PIECE_TERMS, rest]
     cell_terms = cell_minors[:, lead].take(cell, axis=-1)
     terms[:4] *= cell_terms
     terms[4:] *= cell_terms[1]
@@ -376,14 +420,16 @@ def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> n
     if failures:
         idx = min(failures)
         raise type(failures[idx])(f"cell {idx}: {failures[idx]}") from failures[idx]
-    result = np.zeros(sum(len(idxs) for idxs, _ in blocks))
+    result = np.zeros(sum(len(idxs) for idxs, _, _ in blocks))
     q = 1.0 / p
 
-    for idxs, polys in blocks:
+    for idxs, polys, frame in blocks:
         m = polys.shape[1]
-        block = polys - _centre(polys)
-        _, exponent = np.frexp(np.abs(block).max(axis=(1, 2)))
-        normals, cell_offsets = _halfplanes(np.ldexp(block, -exponent[:, None, None]))
+        if frame is None:
+            _, shrunk, _, exponent = _frame(polys)
+        else:
+            shrunk, exponent = frame
+        normals, cell_offsets = _halfplanes(shrunk)
         breaks = np.arctan2(normals[..., 1], normals[..., 0]) % _QUARTER
         period = _QUARTER
         if p != 1.0:
@@ -411,13 +457,13 @@ def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> n
         rows[2:4, m], rows[2:4, m + 1] = wedge[..., :-1], -wedge[..., 1:]
         rows = rows.reshape(5, m + 2, -1)
 
-        pairs, _, _, outside = _quadruples(m)
-        cell_minors = _minors(cell_rows, pairs)
+        outside = _quadruples(m)[3]
+        cell_minors = _minors(cell_rows, _minor_index(m)[0])
         owner = np.repeat(np.arange(len(idxs)), pieces)
         cos, sin = cos.ravel(), sin.ravel()
         # A zero-width piece (a repeated breakpoint) starts where the next
         # one does, so only the others are solved.
-        wide = np.flatnonzero(ends > breaks)
+        wide = (ends > breaks).ravel().nonzero()[0]
         best = np.full(len(owner), -np.inf)
         step = max(1, CHECK_BUDGET // (len(outside) * max(5 * (m - 2), 36)))
         for lo in range(0, len(wide), step):
@@ -433,11 +479,11 @@ def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> n
             slack = GEO_TOL * np.add.reduce(np.abs(terms, out=terms), axis=0)
             big_a, big_b = vertices[3:]
             ahead = big_a * cos[chunk] + big_b * sin[chunk]
-            ok = np.all(residual <= slack, axis=1) & (ahead >= 0.0) & np.isfinite(vertices).all(axis=0)
+            ok = np.logical_and.reduce(residual <= slack, axis=1) & (ahead >= 0.0) & np.isfinite(vertices).all(axis=0)
             best[chunk] = np.where(ok, np.hypot(big_a, big_b), -np.inf).max(axis=0)
 
         sides = np.ldexp(best.reshape(-1, pieces).max(axis=1), exponent) / p
-        bad = np.flatnonzero(~(sides > 0.0))
+        bad = (~(sides > 0.0)).nonzero()[0]
         if len(bad):
             i = bad[0]
             failures[int(idxs[i])] = DegenerateCellError(

@@ -102,14 +102,24 @@ def _write(path: str, text: str) -> None:
     gives it.  Only a regular file is cut: a device such as /dev/null
     has no length, and ftruncate on it fails.
 
+    The text is encoded once, before the file is opened, so a text that
+    cannot be encoded leaves the file as it was, and its bytes go out
+    through os.write with no text layer between ("\n" stays "\n").
+
     The rewrite is not atomic, and neither was truncating at open: an
     interrupted write left a prefix of the new text then, and can leave
     the new text followed by a tail of the old one now.
     """
-    with open(os.open(path, os.O_WRONLY | os.O_CREAT, 0o666), "w", encoding="utf-8") as handle:
-        handle.write(text)
-        if stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
-            handle.truncate()
+    data = memoryview(text.encode("utf-8"))
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        rest = data
+        while rest:
+            rest = rest[os.write(fd, rest) :]
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dict, ps, cs, branches, plot) -> None:

@@ -38,7 +38,6 @@ from .cells import (
     _padded_blocks,
     _perturbation_faces,
     _perturbed_lines,
-    largest_rectangles,
 )
 from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
 from .inscribe import TIE_RTOL, _values, check_aspect, crossover_w, diagonal_branch, p_grid, ties
@@ -101,11 +100,13 @@ def oracle_curve_value(n: float, p: float) -> float:
     """The inscribing curve at (n, p) from the exact rectangle kernel.
 
     The largest c such that a c x cp rectangle fits in the [0,1] x [0,n]
-    hole, by cells.largest_rectangles on the hole as a convex cell.
+    hole, by cells.largest_rectangles on the hole as a convex cell, which
+    is handed to its kernel as the one block that cells._stack would make.
     """
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    return float(largest_rectangles([np.array(((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n)))], p)[0])
+    hole = np.array((((0.0, 0.0), (1.0, 0.0), (1.0, n), (0.0, n)),))
+    return float(_largest_rectangles([(np.zeros(1, dtype=np.intp), hole)], {}, p)[0])
 
 
 def curve_oracle_check(n: float) -> VerificationReport:
