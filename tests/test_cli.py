@@ -309,6 +309,29 @@ def test_any_column_prints_as_each_number_does(numbers, precision):
     assert tripwire.cli._nums(numbers, precision) == [format(x, f".{precision}g") for x in numbers]
 
 
+# Floats drawn where a %g text and the repr of its float are apt to differ.
+JSON_NUMBER_CASES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(-(10**17), 10**17).map(float),  # integral values
+    # %g's switch to exponents: below 1e-4 and at 10**P for every P
+    st.integers(-6, 17).flatmap(lambda e: st.floats(0.999 * 10.0**e, 1.001 * 10.0**e)),
+    st.floats(1e15, 1e16),
+    # 15-digit decimals: at 16 digits, %g can print their float as another decimal
+    st.integers(10**14, 10**15).map(lambda m: m / 10**14),
+    st.just(-0.0),
+    st.floats(-2.2250738585072014e-308, 2.2250738585072014e-308),  # subnormals
+    st.floats(min_value=2.0**512, allow_infinity=False),
+)
+
+
+@given(numbers=st.lists(st.one_of(JSON_NUMBER_CASES, JSON_NUMBER_CASES.map(lambda x: -x)), max_size=20))
+def test_a_json_number_is_the_repr_of_its_text(numbers):
+    for precision in range(1, 18):  # every precision on each draw: one draw costs more than the checks
+        printable = [x for x in numbers if math.isfinite(float(format(x, f".{precision}g")))]
+        texts = tripwire.cli._nums(printable, precision)
+        assert tripwire.cli._json_numbers(texts, precision) == [repr(float(text)) for text in texts]
+
+
 @pytest.mark.parametrize(
     "command,args,fmt",
     [

@@ -289,9 +289,9 @@ class TestIrregularSpacing:
         assert both.parameters["p_values"] == [2.0, 1.5]
 
     def test_failures_from_every_p(self, monkeypatch):
-        # even spacing scored far above any real score makes each jittered net beat it
-        scores = iter(range(10**6, 0, -1))
-        monkeypatch.setattr("tripwire.nets._hole_scale", lambda w, h, p: float(next(scores)))
+        # even spacing scored far above any real score, from gaps a million
+        # wide, makes each jittered net beat it
+        monkeypatch.setattr(nets, "_widest_even_gaps", lambda counts: np.full(np.shape(counts), 1e6))
         report = irregular_spacing_check(2, [1.0, 2.0], trials=3, seed=0)
         assert not report.passed
         assert [f[-5:] for f in report.failures] == ["p=1.0"] * 3 + ["p=2.0"] * 3
@@ -391,11 +391,13 @@ class TestIrregularGapLists:
 
     @pytest.mark.parametrize("k,trials", [(1, 30), (5, 30), (150, 3)])
     def test_failure_messages_match_one_net_per_trial(self, monkeypatch, k, trials):
-        # even spacing scored at twice its value: every trial fails
+        # even spacing scored at twice its value, exactly, from gaps twice as
+        # wide (a hole's score scales with its sides): every trial fails
         def doubled(w, h, p):
             return 2.0 * _hole_scale(w, h, p)
 
-        monkeypatch.setattr("tripwire.nets._hole_scale", doubled)
+        widest_even_gaps = nets._widest_even_gaps
+        monkeypatch.setattr(nets, "_widest_even_gaps", lambda counts: 2.0 * widest_even_gaps(counts))
         report = irregular_spacing_check(k, [1.0, 2.5, 1e12], trials, 7)
         assert len(report.failures) == min(10, 3 * trials)
         assert report.to_json() == per_trial_irregular_report(k, [1.0, 2.5, 1e12], trials, 7, doubled).to_json()
