@@ -6,7 +6,7 @@
 --quick trims trial counts for a fast smoke run; the defaults match the
 full verification settings, and the full run adds the irregular check on
 nets of 300 lines: irregular-k300.json, and irregular-k300-t300.json,
-whose 300 trials span two nets.GAP_BUDGET chunks.  local-optimum runs at
+whose 300 trials span two errors.MEMORY_BUDGET chunks.  local-optimum runs at
 k = 3..6, one report local-optimum-k<k>.json each, and at k = 6 with
 epsilon 0.1, local-optimum-k6-eps0.1.json, where the last line can leave
 through the right edge.

@@ -17,7 +17,8 @@ B = cp sin(theta) the rectangles of that piece are a polytope in
 a vertex (Rockafellar, Convex Analysis, section 32): largest_rectangles
 enumerates every vertex of every piece of non-zero width, batched over
 cells with the same edge count, in slices of cells and chunks of pieces
-of bounded size, and tests each vertex against only the m - 2 rows
+whose largest work arrays take at most errors.MEMORY_BUDGET bytes
+(errors._chunks), and tests each vertex against only the m - 2 rows
 outside its quadruple.  A chunk's vertices, residuals and slacks each
 take one stacked product and one sum in a fixed order, so that neither
 the slices nor the chunks change a bit.
@@ -55,7 +56,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
+from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, _chunks, check_count, check_real
 
 # Slack of the LP vertex test, per unit of the row's |n_x x| + |n_y y| +
 # |alpha A| + |beta B| + |b|: admits the rounding of a vertex tight on more
@@ -64,15 +65,6 @@ from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, 
 # magnitudes below which a quadruple's determinant counts as zero, and
 # arrangement_cells' bound on the rounding of n.x - b in the unit square.
 GEO_TOL = 1e-15
-
-# Most elements in one of the kernel's work arrays: the five coefficients
-# (n_x, n_y, alpha, beta | b) of every row outside each quadruple of a
-# chunk of pieces, 5 (m - 2) per (piece, quadruple), or the six terms of
-# its six Laplace expansions, 6 x 6, whichever is larger.  Also the most
-# bytes in the rows of one slice of the kernel's cells, so that its memory
-# does not grow with their number, and the most (spec, pair of lines) that
-# _perturbed_lines compares at once.
-CHECK_BUDGET = 1 << 20
 
 # Height on each shifted line about which perturbed_vertical_lines pivots it.
 PIVOT_HEIGHT = 0.5
@@ -406,16 +398,16 @@ def largest_rectangles(cells, p) -> np.ndarray:
 def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> np.ndarray:
     """largest_rectangles of cells stacked as _stack stacks them, with
     {index: error} for those that failed already, at a checked p.  Each
-    block is cut into slices of cells (one at least) whose (5, m + 2,
-    cells, pieces) rows, more than their minors, take CHECK_BUDGET bytes
-    at most; all are normalised before any is solved, so that neither a
-    value nor an error depends on the slicing."""
+    block is cut into the slices of cells that _chunks gives for their
+    (5, m + 2, cells, pieces) rows, which take more than their minors, and
+    each slice's pieces into the chunks it gives for their largest work
+    array; all slices are normalised before any is solved, so that neither
+    a value nor an error depends on the slicing."""
     slices = []
     for idxs, polys in stacked:
         m = polys[:1].size // 2  # vertices per cell, before normalisation drops any
         row_bytes = 5 * (m + 2) * (m if p == 1.0 else 2 * m) * polys.itemsize
-        step = max(1, CHECK_BUDGET // max(1, row_bytes))
-        slices += [(idxs[lo : lo + step], polys[lo : lo + step]) for lo in range(0, len(idxs), step)]
+        slices += [(idxs[lo:hi], polys[lo:hi]) for lo, hi in _chunks(len(idxs), row_bytes)]
     blocks = _convex_blocks(slices, failures)
     if failures:
         idx = min(failures)
@@ -465,9 +457,10 @@ def _largest_rectangles(stacked, failures: dict[int, ValueError], p: float) -> n
         # one does, so only the others are solved.
         wide = (ends > breaks).ravel().nonzero()[0]
         best = np.full(len(owner), -np.inf)
-        step = max(1, CHECK_BUDGET // (len(outside) * max(5 * (m - 2), 36)))
-        for lo in range(0, len(wide), step):
-            chunk = wide[lo : lo + step]
+        # A piece's largest work array: the 5 (m - 2) coefficients of the rows
+        # outside each quadruple, or its 6 x 6 Laplace terms, per quadruple.
+        for lo, hi in _chunks(len(wide), 8 * len(outside) * max(5 * (m - 2), 36)):
+            chunk = wide[lo:hi]
             chunk_rows = rows[:, :, chunk]
             vertices = _vertices(cell_minors, owner[chunk], chunk_rows[2:], m)
             # Each outside row's residual -b + n . v + alpha A + beta B, and
@@ -565,7 +558,7 @@ def _perturbed_lines(k: int, shifts: np.ndarray, pivots: np.ndarray) -> tuple[np
     cos, sin and tan are math's, taken element by element: numpy's tan
     differs from it in the last bit at some angles, which can make two
     lines that touch on the square's boundary cross.  The pair checks
-    run in chunks of specs of at most CHECK_BUDGET pairs.
+    run in the chunks of specs that _chunks gives for one float per pair.
     """
     if shifts.shape[1] != k:
         raise DomainError(f"spec describes {shifts.shape[1]} lines, expected {k}")
@@ -581,10 +574,9 @@ def _perturbed_lines(k: int, shifts: np.ndarray, pivots: np.ndarray) -> tuple[np
     bottom = xs[:first] - PIVOT_HEIGHT * slopes
     top = xs[:first] + (1.0 - PIVOT_HEIGHT) * slopes
     left, right = _line_pairs(k)
-    step = max(1, CHECK_BUDGET // max(1, len(left)))
-    for lo in range(0, first, step):
-        d0 = bottom[lo : lo + step, right] - bottom[lo : lo + step, left]
-        d1 = top[lo : lo + step, right] - top[lo : lo + step, left]
+    for lo, hi in _chunks(first, 8 * len(left)):
+        d0 = bottom[lo:hi, right] - bottom[lo:hi, left]
+        d1 = top[lo:hi, right] - top[lo:hi, left]
         out_of_order = (d0 < 0.0) & (d1 < 0.0)
         bad = out_of_order | (d0 * d1 < 0.0)
         if bad.any():

@@ -7,8 +7,9 @@ Subcommands
     verify       run a verification suite; exit 0 iff every assertion holds
 
 Exit codes: 0 success, 1 a failed assertion (verify), 2 bad input (a
-usage error), 3 a geometric or numerical failure (a degenerate cell or
-crossing perturbed lines), reported on one line of stderr.
+usage error, or an output path that cannot be written), 3 a geometric or
+numerical failure (a degenerate cell or crossing perturbed lines), each
+failure reported on one line of stderr.
 
 CSV outputs carry a mandatory header row after '#'-prefixed annotation
 lines; numbers are rendered at the requested precision (significant
@@ -44,7 +45,8 @@ from .oracle import (
     theorem_scan,
 )
 
-# Exit code for a geometric or numerical failure (module docstring).
+# Exit codes for bad input and for a geometric or numerical failure (module docstring).
+EXIT_BAD_INPUT = 2
 EXIT_NUMERICAL = 3
 
 
@@ -437,35 +439,39 @@ def _add_output_flags(cmd, formats=("csv", "json", "svg"), default_format="csv")
 def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    out_path = (args.out or f"verify-{args.suite}.json") if args.command == "verify" else args.out
     try:
         if args.command == "verify":
-            out_path = args.out or f"verify-{args.suite}.json"
             report = cmd_verify(args.suite, args, out_path)
-            if not report.passed:
-                print(f"{args.suite}: FAIL: {report.failures[0]}", file=sys.stderr)
-                return 1
-            print(f"{args.suite}: PASS ({out_path})")
-            return 0
-        out = OutputSpec(format=args.format, path=args.out, precision=args.precision)
-        if args.command == "curve":
-            cmd_curve(args.n, args.p_min, args.p_max, args.step, out)
-        elif args.command == "base-curve":
-            overlay = None
-            if args.overlay is not None:
-                try:
-                    v, h = (int(part) for part in args.overlay.split(","))
-                except ValueError:
-                    parser.error(f"--overlay expects 'v,h' integers, got {args.overlay!r}")
-                overlay = (v, h)
-            cmd_base_curve(args.k, args.p_min, args.p_max, args.step, out, overlay)
         else:
-            cmd_optimal_net(args.k, args.p, out)
-        return 0
+            out = OutputSpec(format=args.format, path=out_path, precision=args.precision)
+            if args.command == "curve":
+                cmd_curve(args.n, args.p_min, args.p_max, args.step, out)
+            elif args.command == "base-curve":
+                overlay = None
+                if args.overlay is not None:
+                    try:
+                        v, h = (int(part) for part in args.overlay.split(","))
+                    except ValueError:
+                        parser.error(f"--overlay expects 'v,h' integers, got {args.overlay!r}")
+                    overlay = (v, h)
+                cmd_base_curve(args.k, args.p_min, args.p_max, args.step, out, overlay)
+            else:
+                cmd_optimal_net(args.k, args.p, out)
+            return 0
     except DomainError as exc:
         parser.error(str(exc))
+    except OSError as exc:  # only _write touches a file
+        print(f"{parser.prog} {args.command}: cannot write {out_path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (DegenerateCellError, InvalidPerturbationError) as exc:
         print(f"{parser.prog} {args.command}: geometric or numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
+    if not report.passed:
+        print(f"{args.suite}: FAIL: {report.failures[0]}", file=sys.stderr)
+        return 1
+    print(f"{args.suite}: PASS ({out_path})")
+    return 0
 
 
 if __name__ == "__main__":

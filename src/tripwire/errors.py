@@ -1,4 +1,4 @@
-"""Exception types shared across the package, and the one check of each kind of number.
+"""Exception types, the one check of each kind of number, and the one memory budget.
 
 A real is a finite numbers.Real that is not a bool, so numpy scalars are
 reals and strings are not; a count is a numbers.Integral that is not a
@@ -8,10 +8,16 @@ cut position, stays with its caller.
 A number is checked once, at each public entry.  Functions whose names
 start with `_` take checked floats and check nothing; a public function
 is its checks followed by a call of such a core.
+
+Every batched pass takes its items in the chunks that _chunks gives, so
+that its largest work array takes MEMORY_BUDGET bytes at most (or one item).
 """
 
 import math
 import numbers
+
+# Most bytes of a batched pass's largest work array (_chunks).
+MEMORY_BUDGET = 1 << 19
 
 
 class DomainError(ValueError):
@@ -49,3 +55,10 @@ def check_count(value, name: str, minimum: int = 0) -> int:
     if value < minimum:
         raise DomainError(f"{name} must be >= {minimum}, got {value!r}")
     return int(value)
+
+
+def _chunks(count: int, item_bytes: int) -> list[tuple[int, int]]:
+    """Consecutive bounds (lo, hi) over range(count), each holding as many
+    items of item_bytes as MEMORY_BUDGET holds, and one item at least."""
+    step = max(1, MEMORY_BUDGET // max(1, item_bytes))
+    return [(lo, min(lo + step, count)) for lo in range(0, count, step)]

@@ -24,12 +24,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DomainError, check_count, check_real
+from .errors import DomainError, _chunks, check_count, check_real
 from .inscribe import _value, _values, check_aspect, ties
-
-# Most elements of a (row, cut) array that one pass of a gap core builds:
-# longer inputs are taken in chunks of rows.
-GAP_BUDGET = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -100,16 +96,15 @@ def _widest_even_gaps(counts) -> np.ndarray:
     """The widest gap of n evenly spaced cuts for each line count n in
     counts (an int array), in its shape: evenly_spaced(v, h).widest_hole,
     bit for bit, is the pair for v and h.  Every count's gaps come from one
-    _even_cuts division, in chunks of at most GAP_BUDGET cuts (one count
-    when its row is longer)."""
+    _even_cuts division, in the chunks of counts that errors._chunks gives
+    for rows of max(counts) + 2 float cuts."""
     flat = np.ravel(counts)
     widest = np.empty(flat.shape)
-    rows = max(1, GAP_BUDGET // (int(flat.max()) + 2))
-    for start in range(0, flat.size, rows):
-        chunk = flat[start : start + rows]
+    for lo, hi in _chunks(flat.size, 8 * (int(flat.max()) + 2)):
+        chunk = flat[lo:hi]
         gaps = np.diff(_even_cuts(chunk), axis=1)
         # the row of n cuts has n + 1 gaps; past them its cuts run beyond 1
-        widest[start : start + rows] = np.where(np.arange(gaps.shape[1]) <= chunk[:, None], gaps, 0.0).max(axis=1)
+        widest[lo:hi] = np.where(np.arange(gaps.shape[1]) <= chunk[:, None], gaps, 0.0).max(axis=1)
     return widest.reshape(np.shape(counts))
 
 

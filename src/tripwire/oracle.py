@@ -8,18 +8,19 @@ the cells of a perturbed arrangement.  The others score nets with the
 closed curve under test (nets._hole_scale, and nets._hole_scales over
 arrays, values only): net enumeration every split of k lines between
 the two axes, the theorem scans every split over a p-grid in one
-(class, p) table, built in chunks of p columns, and
-the irregular check the widest hole of jittered cuts of every split, all
-its trials at all its p in one (p, trial) table; the split check takes
-its short side from inscribe.diagonal_branch and re-solves the
-corner-contact equations per split.  The widest holes of evenly spaced
-splits come from one nets._widest_even_gaps pass, and the jittered
-widest gaps from one (trial, cut) pass per chunk of trials
-(_widest_gaps).  In the perturbation suite one draw gives every trial's
-shifts and pivots, and their lines, padded faces and squares come from
-array passes over all trials (_spec_cell_values), with one kernel call
-for all their cells, which bounds its own memory.  Each suite returns
-its finished VerificationReport.
+(class, p) table, and the irregular check the widest hole of jittered
+cuts of every split, all its trials at all its p in one (p, trial)
+table; the split check takes its short side from
+inscribe.diagonal_branch and re-solves the corner-contact equations per
+split.  The widest holes of evenly spaced splits come from one
+nets._widest_even_gaps pass, and the jittered widest gaps from one
+(trial, cut) pass per chunk of trials (_widest_gaps); the theorem
+table is built in chunks of p columns (errors._chunks, as the trials).
+In the perturbation suite one draw gives every trial's shifts and
+pivots, and their lines, padded faces and squares come from array
+passes over all trials (_spec_cell_values), with one kernel call for
+all their cells, which bounds its own memory.  Each suite returns its
+finished VerificationReport.
 """
 
 from __future__ import annotations
@@ -39,7 +40,7 @@ from .cells import (
     _perturbation_faces,
     _perturbed_lines,
 )
-from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, check_count, check_real
+from .errors import DegenerateCellError, DomainError, InvalidPerturbationError, _chunks, check_count, check_real
 from .inscribe import TIE_RTOL, _values, check_aspect, crossover_w, diagonal_branch, p_grid, ties
 
 # Largest relative deviation of the closed-form curve from the exact
@@ -200,8 +201,8 @@ def theorem_scan(k: int) -> VerificationReport:
 
     Every split's widest hole comes from one _split_holes pass.  A
     (class, p) table scores each class's hole by nets._hole_scales, values
-    only, in chunks of p columns of at most nets.GAP_BUDGET scores (one
-    column when a column alone is longer).  The candidates read its column
+    only, in the chunks of p columns that errors._chunks gives for a
+    column of float scores.  The candidates read its column
     at table_at_p: a split's mirror has its widest hole turned, from the
     same _even_cuts division, and a hole's score does not depend on which
     side is its width.
@@ -213,10 +214,9 @@ def theorem_scan(k: int) -> VerificationReport:
     widths, heights = _split_holes(k)[:, grid_class:, None]
     ps = np.array(THEOREM_P_VALUES)
     above = int(np.searchsorted(ps, x + CROSSOVER_WINDOW, side="right"))  # first p past the crossover
-    columns = max(1, nets.GAP_BUDGET // len(classes))
     mismatches = []
-    for start in range(0, len(ps), columns):
-        chunk = ps[start : start + columns]
+    for start, stop in _chunks(len(ps), 8 * len(classes)):
+        chunk = ps[start:stop]
         values = nets._hole_scales(widths, heights, chunk)
         tied = ties(values, values.min(axis=0))
         predicted = np.where(chunk <= x, k, grid_class)
@@ -229,7 +229,7 @@ def theorem_scan(k: int) -> VerificationReport:
                 mismatches.append(f"p={p!r}: unexpected tie set {argmin}, predicted {expected}")
             else:
                 mismatches.append(f"p={p!r}: predicted class {expected} not in argmin set {argmin}")
-        if start <= above < start + columns:
+        if start <= above < stop:
             table = values[:, above - start].tolist()
     parameters = {
         "k": k,
@@ -336,9 +336,8 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     nets._widest_even_gaps for the evenly spaced ones), and the evenly spaced
     net's score must tie or beat the jittered net's (ties).  Each p's
     candidate is its worst margin, the least jittered-minus-even score
-    over its trials.  The draws of each chunk of trials, at most
-    nets.GAP_BUDGET jitters (one trial when k is larger), feed one
-    _widest_gaps pass.
+    over its trials.  The draws of each chunk of trials that errors._chunks
+    gives for k float jitters per trial feed one _widest_gaps pass.
     """
     k = check_count(k, "line count k", minimum=1)
     try:
@@ -353,9 +352,7 @@ def irregular_spacing_check(k: int, p_values: list[float], trials: int, seed: in
     rng = np.random.default_rng(seed)
     splits = np.empty(trials, dtype=np.intp)
     widths, heights = np.empty(trials), np.empty(trials)
-    rows = max(1, nets.GAP_BUDGET // k)
-    for start in range(0, trials, rows):
-        stop = min(start + rows, trials)
+    for start, stop in _chunks(trials, 8 * k):
         jitter = np.empty((stop - start, k))
         for row in range(stop - start):
             splits[start + row] = rng.integers(0, k + 1)

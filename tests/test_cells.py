@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from tripwire import cells, oracle
+from tripwire import cells, errors, oracle
 from tripwire.cells import (
     PerturbationSpec,
     arrangement_cells,
@@ -1063,7 +1063,7 @@ class TestLargestRectangles:
             return normalise(blocks, failures)
 
         monkeypatch.setattr(cells, "_convex_blocks", recorded)
-        monkeypatch.setattr(cells, "CHECK_BUDGET", 2 * 5 * 6 * 4 * 8)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 2 * 5 * 6 * 4 * 8)
         assert np.array_equal(largest_rectangles(batch, p), whole)
         assert sum(slices) == len(batch) and max(slices) <= 3
 
@@ -1121,8 +1121,8 @@ class TestLargestRectangles:
         flat = empty[:6] + [[(0, 0), (1, 0), (2, 0), (3, 0)]] + empty[7:]
         for batch, message in [(empty, "^cell 1 has no feasible LP vertex"), (flat, "^cell 6: cell has zero area")]:
             outcomes = set()
-            for budget in (cells.CHECK_BUDGET, 1):
-                monkeypatch.setattr(cells, "CHECK_BUDGET", budget)
+            for budget in (errors.MEMORY_BUDGET, 1):
+                monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
                 outcomes.add(verdict(lambda: largest_squares(batch)))
             ((_, text),) = outcomes
             assert re.match(message, text)
@@ -1130,6 +1130,17 @@ class TestLargestRectangles:
     @pytest.mark.parametrize("p", [1.0, 1.7])
     def test_memory_does_not_grow_with_the_cells(self, p):
         # tracemalloc peaks of one call on 2048 and on 20480 random quads
+        # are at most `budgets` MEMORY_BUDGETs of work arrays and `per_quad`
+        # bytes per quad.  Work arrays: at p = 1 a slice's rows (120 floats
+        # per quad) take one budget at most, the gathered factors of its
+        # cells' minors (240) two more and their products (120) one, while
+        # the previous slice's rows, minors and angle arrays, still bound,
+        # take under four; p = 1.7 halves the quads per slice.  Per quad:
+        # the stacked quads and their indices (72 bytes), the normalised
+        # copies that every slice keeps until all are solved (about 70), the
+        # result (8), and 10 to spare.
+        budgets, per_quad = 8, 160
+
         def quads(count):
             rng = np.random.default_rng(count)
             t = np.sort(rng.uniform(0.0, 2.0 * math.pi, (count, 4)), axis=1)
@@ -1145,16 +1156,16 @@ class TestLargestRectangles:
                 tracemalloc.stop()
 
         largest_rectangles(quads(8), p)
-        small, large = quads(2048), quads(20480)
-        assert peak(large) <= 1.5 * peak(small)
+        for count in (2048, 20480):
+            assert peak(quads(count)) <= budgets * errors.MEMORY_BUDGET + per_quad * count
 
     def test_chunks_give_the_same_sides(self, monkeypatch):
-        # a budget this small solves one piece at a time, so a lone 16-gon's
-        # pieces are split over chunks
+        # a budget this small (50 floats) solves one piece at a time, so a
+        # lone 16-gon's pieces are split over chunks
         batch = [random_convex_polygon(count, np.random.default_rng(seed)) for count in (4, 5, 7) for seed in range(3)]
         batch.append(random_convex_polygon(16, np.random.default_rng(0)))
         whole = {p: largest_rectangles(batch, p) for p in (1.0, 2.5)}
-        monkeypatch.setattr(cells, "CHECK_BUDGET", 50)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 50 * 8)
         for p, values in whole.items():
             assert np.array_equal(largest_rectangles(batch, p), values)
 
@@ -1303,7 +1314,7 @@ def bits(run):
 FROZEN_ASPECTS = [1.0, 1.0 + 2.0**-40, 1.5, 1.7, 3.125, 100.0, 1e12]
 # Budgets of the default kernel, of slices of at most two quads' rows at
 # p = 1, and of one piece per chunk.
-FROZEN_BUDGETS = [pytest.param(None, id="default"), pytest.param(2 * 5 * 6 * 4 * 8, id="slices"), pytest.param(50, id="chunks")]
+FROZEN_BUDGETS = [pytest.param(None, id="default"), pytest.param(2 * 5 * 6 * 4 * 8, id="slices"), pytest.param(50 * 8, id="chunks")]
 FROZEN_HOLES = [hole(n) for n in np.logspace(0.0, 9.0, 19).tolist()]
 
 
@@ -1367,7 +1378,7 @@ class TestFrozenKernel:
         # thin cells, the cells of the three strict xfails (the same wrong
         # sides), holes of aspect 1 to 1e9, random and symmetric cells
         if budget is not None:
-            monkeypatch.setattr(cells, "CHECK_BUDGET", budget)
+            monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
         batch = [*THIN_CELLS.values(), TURNED_SQUARE, SECOND_TURNED_SQUARE, NEAR_DUPLICATE_PENTAGON, *FROZEN_HOLES]
         batch += frozen_cells(6, np.random.default_rng(0)) + symmetric_cells(24, np.random.default_rng(1))
         self.assert_frozen(batch, p, alone=budget is None)
@@ -1750,8 +1761,8 @@ class TestLocalPerturbationExperiment:
 
         monkeypatch.setattr(oracle, "_perturbation_faces", with_sliver)
         zero = PerturbationSpec(shifts=(0.0,) * 3, pivots=(0.0,) * 3, epsilon=0.0)
-        for budget in (cells.CHECK_BUDGET, 1):
-            monkeypatch.setattr(cells, "CHECK_BUDGET", budget)
+        for budget in (errors.MEMORY_BUDGET, 1):
+            monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
             with pytest.raises(DegenerateCellError, match=r"^spec 3: cell 2: cell has zero area"):
                 oracle._spec_cell_values(3, *spec_arrays([zero] * 5))
 

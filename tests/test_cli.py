@@ -384,6 +384,29 @@ class TestRewrite:
         assert run_main(["curve", "--n", "2", "--p-max", "3", "--out", os.devnull]) == 0
 
 
+class TestUnwritableOutput:
+    """An --out path that cannot be opened is bad input: exit 2 and one stderr line."""
+
+    @pytest.mark.parametrize(
+        "argv,out",
+        [
+            (["curve", "--n", "2", "--p-max", "3"], "x.csv"),
+            (["verify", "theorem-even", "--k", "2"], "x.json"),
+        ],
+        ids=["curve", "verify"],
+    )
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_exit_2_names_the_path_and_the_reason(self, tmp_path, capsys, argv, out, where):
+        path, reason = (tmp_path / "missing" / out, "No such file or directory")
+        if where == "directory":
+            path, reason = tmp_path, "Is a directory"
+        assert run_main([*argv, "--out", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"tripwire {argv[0]}: cannot write {path}: {reason}\n"
+        assert not (tmp_path / "missing").exists()
+
+
 class TestOptimalNetCommand:
     def test_k2_wide_intruder(self, tmp_path):
         out = tmp_path / "net.json"

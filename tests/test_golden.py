@@ -29,8 +29,8 @@ from pathlib import Path
 
 import pytest
 
-from tripwire import nets
 from tripwire.cli import main
+from tripwire.errors import _chunks
 
 
 def _curve(n, p_max, step, fmt, precision, p_min="1"):
@@ -76,7 +76,7 @@ CASES = {
        for k in (1, 4, 6) for trials in (40, 1000)},
     **{f"verify-irregular-k{k}-p4.2.json": ["verify", "irregular", "--k", str(k), "--trials", "4", "--p", "4.2"]
        for k in (150, 300)},
-    # 300 trials of 300 cuts: two nets.GAP_BUDGET chunks, as in the full verification run
+    # 300 trials of 300 cuts: two chunks of trials (errors._chunks), as in the full verification run
     "verify-irregular-k300-t300.json": ["verify", "irregular", "--k", "300", "--trials", "300"],
     # tables across p = 2**512, where the diagonal's legs change formula
     **{f"curve-n2-past-2-512.{fmt}": _curve("2", "1e160", "1e157", fmt, 17, p_min="1e150") for fmt in ("csv", "json")},
@@ -188,8 +188,8 @@ def test_every_case_has_a_digest():
 
 
 def test_an_irregular_report_spans_two_gap_chunks():
-    trials_per_chunk = nets.GAP_BUDGET // 300
-    assert trials_per_chunk < 300 <= 2 * trials_per_chunk
+    # the chunks of 300 trials of 300 float jitters each
+    assert len(_chunks(300, 8 * 300)) == 2
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

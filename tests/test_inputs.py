@@ -10,9 +10,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import tripwire as tw
-from tripwire import DomainError
+from tripwire import DomainError, errors
+from tripwire.errors import _chunks
 
 REAL, COUNT = "real", "count"
 
@@ -145,3 +148,19 @@ def test_bounds_and_messages():
         tw.check_real(10**400, "p")
     with pytest.raises(DomainError, match=r"^k must be >= 2, got 1$"):
         tw.check_count(1, "k", 2)
+
+
+@given(count=st.integers(0, 5000), item_bytes=st.integers(0, 1 << 21), budget=st.integers(1, 1 << 20))
+def test_chunks_cover_the_items_in_order_within_the_budget(count, item_bytes, budget):
+    # each chunk fits the budget or holds one item, and every chunk but
+    # the last holds as many items as fit
+    errors.MEMORY_BUDGET, saved = budget, errors.MEMORY_BUDGET
+    try:
+        bounds = _chunks(count, item_bytes)
+    finally:
+        errors.MEMORY_BUDGET = saved
+    assert [i for lo, hi in bounds for i in range(lo, hi)] == list(range(count))
+    sizes = [hi - lo for lo, hi in bounds]
+    assert all(size >= 1 for size in sizes)
+    assert all(size * item_bytes <= budget or size == 1 for size in sizes)
+    assert all((size + 1) * max(1, item_bytes) > budget for size in sizes[:-1])

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from tripwire import nets
+from tripwire import errors, nets
 from tripwire.errors import DomainError
 from tripwire.inscribe import curve_value
 from tripwire.nets import (
@@ -95,10 +95,10 @@ class TestEvenHoles:
             for b in range(65):
                 assert (widths[a, b], heights[a, b]) == evenly_spaced(a, b).widest_hole
 
-    @pytest.mark.parametrize("budget", [nets.GAP_BUDGET, 1, 1000])
-    def test_every_split_of_150_to_300_lines(self, monkeypatch, budget):
+    @pytest.mark.parametrize("floats", [errors.MEMORY_BUDGET // 8, 1, 1000])
+    def test_every_split_of_150_to_300_lines(self, monkeypatch, floats):
         # a budget below one row of cuts takes one count per chunk
-        monkeypatch.setattr(nets, "GAP_BUDGET", budget)
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", 8 * floats)
         for k in range(150, 301):
             v = np.arange(k + 1)
             widths, heights = _widest_even_gaps(np.stack((v, k - v)))

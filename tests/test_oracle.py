@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from tripwire.cells import PerturbationSpec
 from tripwire.errors import DomainError
-from tripwire import nets, oracle
+from tripwire import errors, nets, oracle
 from tripwire.inscribe import TIE_RTOL, _sample, _samples, crossover_w, curve_value, diagonal_branch, p_grid, ties
 from tripwire.nets import Net, _hole_scale, crossover_aspect, evenly_spaced, net_scale_factor, optimal_net
 from tripwire.oracle import (
@@ -129,19 +129,21 @@ class TestTheoremScan:
         report = theorem_scan(k)
         assert report.candidates == enumerate_axis_nets(k, report.parameters["table_at_p"]).candidates
 
-    @pytest.mark.parametrize("budget", [1, 5, 449, 2000, nets.GAP_BUDGET])
+    @pytest.mark.parametrize("floats", [1, 5, 449, 2000, errors.MEMORY_BUDGET // 8])
     @pytest.mark.parametrize("scores", ["closed form", "rounded aspect"])
-    def test_reports_do_not_depend_on_the_gap_budget(self, monkeypatch, budget, scores):
-        # The (class, p) table is scored in chunks of p columns: at most
-        # GAP_BUDGET scores each, and one column when a column is longer.
+    def test_reports_do_not_depend_on_the_gap_budget(self, monkeypatch, floats, scores):
+        # The (class, p) table is scored in chunks of p columns: scores of
+        # at most MEMORY_BUDGET bytes each, and one column when a column is
+        # larger.
         if scores == "rounded aspect":  # reports with failures
             monkeypatch.setattr(nets, "_hole_scales", rounded_aspect_scales)
         ks = [2, 5, 11, 40, 301]
         expected = [theorem_scan(k).to_json() for k in ks]
         shapes = one_call(monkeypatch, nets._hole_scales)
-        monkeypatch.setattr(nets, "GAP_BUDGET", budget)
+        budget = 8 * floats
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
         assert [theorem_scan(k).to_json() for k in ks] == expected
-        assert all(rows * columns <= budget or columns == 1 for rows, columns in shapes)
+        assert all(8 * rows * columns <= budget or columns == 1 for rows, columns in shapes)
         assert sum(columns for _, columns in shapes) == len(ks) * len(THEOREM_P_VALUES)
 
 
@@ -410,8 +412,8 @@ class TestIrregularGapLists:
         assert widths.tolist() == expected_widths.tolist()
         assert heights.tolist() == expected_heights.tolist()
 
-    @pytest.mark.parametrize("budget", [1, 9, 40, 150, 299, 301, 1200])
-    def test_reports_do_not_depend_on_the_gap_budget(self, monkeypatch, budget):
+    @pytest.mark.parametrize("floats", [1, 9, 40, 150, 299, 301, 1200])
+    def test_reports_do_not_depend_on_the_gap_budget(self, monkeypatch, floats):
         cases = [(4, [1.0, 3.0, 5.0], 60, 2), (300, [1.0, 4.2], 5, 9), (7, [2.5], 1, 0)]
         expected = [irregular_spacing_check(*case).to_json() for case in cases]
         widest_gaps, chunks = oracle._widest_gaps, []
@@ -421,12 +423,13 @@ class TestIrregularGapLists:
             return widest_gaps(splits, jitter)
 
         monkeypatch.setattr(oracle, "_widest_gaps", spied)
-        monkeypatch.setattr(nets, "GAP_BUDGET", budget)
+        budget = 8 * floats
+        monkeypatch.setattr(errors, "MEMORY_BUDGET", budget)
         assert [irregular_spacing_check(*case).to_json() for case in cases] == expected
         # each chunk holds as many trials as fit the budget, and at least one
-        k_of_chunks = [k for k, _, trials, _ in cases for _ in range(-(-trials // max(1, budget // k)))]
+        k_of_chunks = [k for k, _, trials, _ in cases for _ in range(-(-trials // max(1, budget // (8 * k))))]
         assert [k for _, k in chunks] == k_of_chunks
-        assert all(rows * k <= budget or rows == 1 for rows, k in chunks)
+        assert all(8 * rows * k <= budget or rows == 1 for rows, k in chunks)
 
     def test_the_narrowest_gap_fails_the_suite(self, monkeypatch):
         monkeypatch.setattr(oracle, "_widest_gaps", narrowest_gaps)
