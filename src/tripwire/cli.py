@@ -25,6 +25,7 @@ it to the new length.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
 import math
@@ -296,8 +297,7 @@ def cmd_optimal_net(k: int, p: float, out: OutputSpec) -> None:
     grid = nets.holes(net)
     scale = nets.net_scale_factor(net, p)
     i, j = nets.maximizing_hole(net, p)
-    x0 = sum(grid.widths[:i])
-    y0 = sum(grid.heights[:j])
+    x0, y0 = (0.0, *net.vertical)[i], (0.0, *net.horizontal)[j]  # the cuts left of and below it
     w, h = grid.widths[i], grid.heights[j]
     s = min(w, h)
     hole_aspect = max(w, h) / s
@@ -371,6 +371,11 @@ def cmd_verify(suite: str, args: argparse.Namespace, out_path: str) -> Verificat
     """Run one verification suite, write its JSON report and return the report."""
     if suite not in VERIFY_SUITES:
         raise DomainError(f"unknown verification suite {suite!r}")
+    # Before the suite runs, the OSError _write would raise for a directory
+    # or for a path in one that is missing (stat of "dir/" fails as open does).
+    if os.path.isdir(out_path):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out_path)
+    os.stat(os.path.join(os.path.dirname(out_path) or ".", ""))
     report = VERIFY_SUITES[suite](args)
     _write(out_path, report.to_json() + "\n")
     return report

@@ -35,13 +35,13 @@ the largest root of the cubic p^3 - 3n p^2 + p + n.
 
 Each public function checks its numbers once and then calls one
 unchecked core that takes checked floats: `_sample`, the value and its
-label (curve_sample, placement), `_value`, the value alone with no exact
-tie test (curve_value, nets._hole_scale), and `_diagonal`.  Over arrays
-of n and p, broadcast against each other, one numpy pass (`_curve`)
-gives the values bit for bit.  `_values` returns them alone: for
-nets._hole_scales (the theorem scans' (class, p) table, the irregular
-check's (p, trial) table, base-curve overlays), nets._base_curve
-(base-curve tables and nets.base_curve) and the curve-oracle suite.
+label (curve_sample, curve_value, placement, and nets._hole_scale for
+one hole at one p), and `_diagonal`.  Over arrays of n and p, broadcast
+against each other, one numpy pass (`_curve`) gives the values bit for
+bit.  `_values` returns them alone: for nets._hole_scales (the theorem
+scans' (class, p) table, the irregular check's (p, trial) table,
+base-curve overlays), nets._base_curve (base-curve tables and
+nets.base_curve) and the curve-oracle suite.
 `_samples` adds the branch labels, for the `curve` table alone.  In that
 pass math.hypot runs only where the diagonal can reach the value, and
 np.hypot bounds it elsewhere.  All take the legs from `_legs`, or from
@@ -199,11 +199,6 @@ def _sample(n: float, p: float) -> tuple[float, str]:
     return max(vertical, diagonal), BRANCH_DIAGONAL if diagonal_wins else BRANCH_VERTICAL
 
 
-def _value(n: float, p: float) -> float:
-    """_sample's c alone, for callers that read no label: no exact tie test."""
-    return 1.0 if p <= n else max(n / p, _diagonal(n, p)[2])
-
-
 def _curve(n, ps):
     """The core of _values and _samples: the curve at checked aspects n and
     p broadcast against each other (n a float or an array, ps an array or a
@@ -295,7 +290,7 @@ def curve_value(n: float, p: float) -> float:
     """The inscribing curve: max scale of a 1 x p intruder inside a 1 x n hole."""
     n = check_aspect(n, "hole aspect n")
     p = check_aspect(p, "intruder aspect p")
-    return _value(n, p)
+    return _sample(n, p)[0]
 
 
 def crossover_w(n: float) -> float:

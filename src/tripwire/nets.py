@@ -11,10 +11,10 @@ the hole where the widest column meets the tallest row decides it.
 The two candidate families of evenly spaced nets are k parallel lines
 (holes 1 x 1/(k+1)) and a near-square grid (holes
 1/(ceil(k/2)+1) x 1/(floor(k/2)+1)).  Their pointwise minimum over p is
-the base curve (`base_curve`, which also names the family that attains
-it); the aspect ratio where the two families exchange the lead is the
-crossover aspect, and the optimal net for a given (k, p) is whichever
-family is ahead.
+the base curve.  One rule names the winning family (`_parallel_limit`):
+parallel lines up to and at the crossover aspect, where the two exchange
+the lead, and the grid beyond it; `optimal_net` returns that family's
+net, and `base_curve` its value and name.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import DomainError, _chunks, check_count, check_real
-from .inscribe import _value, _values, check_aspect, ties
+from .inscribe import _sample, _values, check_aspect, ties
 
 
 @dataclass(frozen=True)
@@ -136,7 +136,7 @@ def hole_scale(w: float, h: float, p: float) -> float:
 def _hole_scale(w: float, h: float, p: float) -> float:
     """hole_scale for positive hole sides of a finite aspect and a checked p."""
     s = min(w, h)
-    return s * _value(max(w, h) / s, p)
+    return s * _sample(max(w, h) / s, p)[0]
 
 
 def _hole_scales(w, h, ps) -> np.ndarray:
@@ -163,18 +163,18 @@ def net_scale_factor(net: Net, p: float) -> float:
 def maximizing_hole(net: Net, p: float) -> tuple[int, int]:
     """(column, row) of the first hole, row-major, whose score ties the scale factor (ties).
 
-    Not simply the widest gaps: those of an evenly spaced net differ only
-    by rounding, so there every hole ties and the answer is (0, 0).
+    A hole's score grows with each side (as net_scale_factor assumes), so
+    that is the first column whose hole in the tallest row ties, and its
+    first row that ties: at most V + H + 1 scores.  Rounding spreads even
+    gaps beyond TIE_RTOL: N(25000,25000) at p = 3 answers (196, 12504).
     """
     p = check_aspect(p, "intruder aspect p")
-    scale = _hole_scale(*net.widest_hole, p)
-    grid = holes(net)
-    return next(
-        (i, j)
-        for i, w in enumerate(grid.widths)
-        for j, h in enumerate(grid.heights)
-        if ties(scale, _hole_scale(w, h, p))
-    )
+    width, height = net.widest_hole
+    scale, grid = _hole_scale(width, height, p), holes(net)
+    widest, tallest = grid.widths.index(width), grid.heights.index(height)  # the scale factor's own hole
+    i = next((i for i, w in enumerate(grid.widths[:widest]) if ties(scale, _hole_scale(w, height, p))), widest)
+    w = grid.widths[i]
+    return i, next((j for j, h in enumerate(grid.heights[:tallest]) if ties(scale, _hole_scale(w, h, p))), tallest)
 
 
 def base_curve(k: int, p: float) -> tuple[float, str]:
@@ -183,8 +183,8 @@ def base_curve(k: int, p: float) -> tuple[float, str]:
     Parallel N(k,0) gives (1/(k+1)) C_{k+1}(p).  The grid gives
     (1/(k/2+1)) C_1(p) for even k (square holes) and, for odd k, the
     scale factor of N(ceil(k/2), floor(k/2)), whose hole sides follow
-    from the hole count per axis.  "parallel" wins when it ties the
-    grid (ties); the value returned is the winning family's own.
+    from the hole count per axis.  The family is parallel for p up to
+    _parallel_limit(k), the grid beyond it, and the value is its own.
     """
     values, families = _base_curve(_line_count(k), [check_aspect(p, "intruder aspect p")])
     return values.tolist()[0], families[0]
@@ -201,12 +201,13 @@ def _base_curve(k: int, ps) -> tuple[np.ndarray, list[str]]:
     """base_curve for a checked line count k at each checked p in ps, in one
     values-only pass per family (inscribe._values, or _hole_scales for the
     odd-k grid): (value array, family list)."""
+    ps = np.asarray(ps, dtype=float)  # once, for both passes and the family rule
     parallel = _values(float(k + 1), ps) / (k + 1)
     if k % 2:
         grid = _hole_scales(*evenly_spaced(k - k // 2, k // 2).widest_hole, ps)
     else:
         grid = _values(1.0, ps) / (k // 2 + 1)
-    wins = ties(parallel, grid)
+    wins = ps <= _parallel_limit(k)
     return np.where(wins, parallel, grid), np.where(wins, "parallel", "grid").tolist()
 
 
@@ -220,6 +221,11 @@ def crossover_aspect(k: int) -> float:
     k = check_count(k, "line count k", minimum=2)
     # floor(k/2) == k/2 for even k, so one expression covers both parities.
     return (k + 1) / (k // 2 + 1)
+
+
+def _parallel_limit(k: int) -> float:
+    """The last p where parallel lines win: crossover_aspect(k); every p for k = 1, where both are N(1,0)."""
+    return crossover_aspect(k) if k > 1 else np.inf
 
 
 def odd_crossover_line_count(k: int) -> float:
@@ -242,15 +248,13 @@ def odd_crossover_line_count(k: int) -> float:
 def optimal_net(k: int, p: float) -> Net:
     """The optimal axis-aligned net with k lines against a 1 x p intruder.
 
-    Parallel lines N(k,0) up to the crossover aspect, the near-square
-    grid N(ceil(k/2), floor(k/2)) beyond it.  At the crossover both nets
-    tie and the parallel net is returned.
+    Parallel lines N(k,0) for p up to _parallel_limit(k), the crossover
+    aspect, where both nets tie; the near-square grid
+    N(ceil(k/2), floor(k/2)) beyond it.  base_curve names the same family.
     """
     k = check_count(k, "line count k", minimum=1)
     p = check_aspect(p, "intruder aspect p")
-    if k == 1:
-        return evenly_spaced(1, 0)
-    if p <= crossover_aspect(k):
+    if p <= _parallel_limit(k):
         return evenly_spaced(k, 0)
     return evenly_spaced(k - k // 2, k // 2)
 

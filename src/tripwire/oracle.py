@@ -193,8 +193,9 @@ def theorem_scan(k: int) -> VerificationReport:
     Splits are grouped into mirror classes by their larger line count
     (N(v,h) and N(h,v) always tie).  Away from the crossover the set of
     classes that tie the minimum (ties) must be exactly the predicted
-    family; at (or within CROSSOVER_WINDOW of) the crossover a tie
-    between the parallel and grid families is accepted.  Each mismatch is
+    family: parallel up to nets._parallel_limit, the grid beyond it.  At
+    (or within CROSSOVER_WINDOW of) the crossover a tie between the
+    parallel and grid families is accepted.  Each mismatch is
     a failure; the candidates are the enumeration table at the first grid
     p past the crossover, and odd k also reports the line-count variant
     of the crossover (nets.odd_crossover_line_count) beside it.
@@ -208,7 +209,7 @@ def theorem_scan(k: int) -> VerificationReport:
     side is its width.
     """
     k = check_count(k, "line count k", minimum=2)
-    x = nets.crossover_aspect(k)
+    x = nets._parallel_limit(k)  # the crossover aspect, as k >= 2
     grid_class = k - k // 2
     classes = range(grid_class, k + 1)
     widths, heights = _split_holes(k)[:, grid_class:, None]

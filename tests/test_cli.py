@@ -179,6 +179,16 @@ class TestBaseCurveCommand:
         # competitor branch switch w_2
         assert marks[3] == pytest.approx(5.7664354, abs=1e-6)
 
+    def test_the_grid_is_named_just_past_the_crossover(self, tmp_path):
+        # the two families tie within TIE_RTOL here, but the grid scores lower
+        out = tmp_path / "b2.csv"
+        run_main(["base-curve", "--k", "2", "--p-min", "1.5", "--p-max", "1.5000000000015",
+                  "--step", "3e-13", "--precision", "17", "--out", str(out)])
+        rows = read_csv_table(out)[1]
+        assert rows[0] == ["1.5", "0.33333333333333331", "parallel"]
+        assert rows[1] == ["1.5000000000003", "0.33333333333326665", "grid"]
+        assert [branch for _, _, branch in rows] == ["parallel"] + ["grid"] * 5
+
 
 def read_csv_table(path):
     """(notes, rows) of a sample table: '# key=value' lines, then the header and rows."""
@@ -406,6 +416,18 @@ class TestUnwritableOutput:
         assert captured.err == f"tripwire {argv[0]}: cannot write {path}: {reason}\n"
         assert not (tmp_path / "missing").exists()
 
+    @pytest.mark.parametrize("where", ["missing directory", "directory"])
+    def test_verify_checks_the_path_before_the_suite_runs(self, tmp_path, capsys, monkeypatch, where):
+        def suite(args):
+            raise AssertionError("the suite ran")
+
+        monkeypatch.setitem(tripwire.cli.VERIFY_SUITES, "local-optimum", suite)
+        path, reason = (tmp_path / "missing" / "x.json", "No such file or directory")
+        if where == "directory":
+            path, reason = tmp_path, "Is a directory"
+        assert run_main(["verify", "local-optimum", "--out", str(path)]) == 2
+        assert capsys.readouterr().err == f"tripwire verify: cannot write {path}: {reason}\n"
+
 
 class TestOptimalNetCommand:
     def test_k2_wide_intruder(self, tmp_path):
@@ -460,6 +482,18 @@ class TestOptimalNetCommand:
             assert hole["x0"] - 1e-9 <= x <= hole["x0"] + hole["width"] + 1e-9
             assert hole["y0"] - 1e-9 <= y <= hole["y0"] + hole["height"] + 1e-9
         assert doc.count('class="net-line"') == 4
+
+    def test_the_hole_corner_is_the_cuts_left_of_and_below_it(self, tmp_path):
+        # the gaps of 26 000 evenly spaced cuts drift by more than TIE_RTOL,
+        # so the maximizing hole is not the first one
+        out = tmp_path / "net.json"
+        run_main(["optimal-net", "--k", "52000", "--p", "3", "--precision", "17", "--out", str(out)])
+        data = json.loads(out.read_text())
+        net = tripwire.nets.net_from_dict(data["net"])
+        i, j = tripwire.nets.maximizing_hole(net, 3.0)
+        assert i > 0 and j > 0
+        assert data["maximizing_hole"]["x0"] == net.vertical[i - 1]
+        assert data["maximizing_hole"]["y0"] == net.horizontal[j - 1]
 
     def test_csv_format_rejected(self, tmp_path):
         with pytest.raises(SystemExit) as err:

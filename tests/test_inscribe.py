@@ -19,7 +19,6 @@ from tripwire.inscribe import (
     TIE_RTOL,
     _sample,
     _samples,
-    _value,
     _values,
     check_aspect,
     crossover_w,
@@ -439,7 +438,6 @@ class TestValues:
     def test_bit_for_bit_the_one_point_core(self, case):
         n, ps = case
         assert _values(n, ps).tolist() == [_sample(n, p)[0] for p in ps]
-        assert [_value(n, p) for p in ps] == [_sample(n, p)[0] for p in ps]
 
     @given(aspect_pairs())
     @settings(max_examples=150, deadline=None)

@@ -32,6 +32,22 @@ positions = st.lists(
 ).map(lambda xs: tuple(sorted(xs)))
 
 
+# Cut positions along one axis, up to 8: random, evenly spaced, or evenly
+# spaced and jittered by up to 49% of a gap.
+cut_sets = st.one_of(
+    st.lists(st.floats(min_value=0.001, max_value=0.999), max_size=8, unique=True).map(lambda xs: tuple(sorted(xs))),
+    st.integers(min_value=0, max_value=8).map(lambda n: evenly_spaced(n, 0).vertical),
+    st.lists(st.floats(min_value=-0.49, max_value=0.49), max_size=8).map(
+        lambda jitters: tuple((i + 1 + x) / (len(jitters) + 1) for i, x in enumerate(jitters))
+    ),
+)
+
+
+def family(k, p):
+    """The family of optimal_net(k, p), named as base_curve names it."""
+    return "parallel" if optimal_net(k, p) == evenly_spaced(k, 0) else "grid"
+
+
 def random_net(v_positions, h_positions):
     return Net(vertical=v_positions, horizontal=h_positions)
 
@@ -265,6 +281,36 @@ class TestMaximizingHole:
         net = Net(vertical=(0.4, 0.6), horizontal=(0.5,))
         assert maximizing_hole(net, 1.5) == (0, 0)
 
+    @given(v=cut_sets, h=cut_sets, p=st.floats(min_value=1.0, max_value=50.0))
+    @settings(max_examples=300, deadline=None)
+    def test_the_first_tied_hole_of_a_row_major_scan(self, v, h, p):
+        net = Net(vertical=v, horizontal=h)
+        grid = holes(net)
+        scale = net_scale_factor(net, p)
+        expected = next(
+            (i, j)
+            for i, w in enumerate(grid.widths)
+            for j, height in enumerate(grid.heights)
+            if ties(scale, hole_scale(w, height, p))
+        )
+        assert maximizing_hole(net, p) == expected
+
+    def test_one_pass_per_axis(self, monkeypatch):
+        # the gaps of 25 000 evenly spaced cuts drift by more than TIE_RTOL,
+        # so the first tied hole is deep inside the net: a scan of every
+        # hole scores about 196 * 25 001 of them before it
+        net = evenly_spaced(25000, 25000)
+        score, calls = nets._hole_scale, []
+
+        def counted(w, h, p):
+            calls.append(None)
+            if len(calls) > len(net.vertical) + len(net.horizontal) + 2:
+                raise AssertionError("more than V + H + 2 hole scores")
+            return score(w, h, p)
+
+        monkeypatch.setattr(nets, "_hole_scale", counted)
+        assert maximizing_hole(net, 3.0) == (196, 12504)
+
 
 class TestTies:
     def test_relative_to_the_best_score(self):
@@ -328,6 +374,18 @@ class TestBaseCurves:
     def test_line_count_checked(self, k):
         with pytest.raises(DomainError):
             base_curve(k, 2.0)
+
+    @pytest.mark.parametrize("k", range(1, 13))
+    def test_names_the_family_of_the_optimal_net(self, k):
+        # just above each crossover the two families tie within TIE_RTOL
+        # while the grid already scores lower: that band is 4 500 to
+        # 8 400 doubles wide for these k, sampled here every 37 ulps
+        aspects = list(THEOREM_P_VALUES[::5]) + [1e6, 1e12]
+        if k > 1:
+            x = crossover_aspect(k)
+            aspects += [x + i * math.ulp(x) for i in range(-100, int(2e-12 * x / math.ulp(x)), 37)]
+        for p in aspects:
+            assert base_curve(k, p)[1] == family(k, p), p
 
     @pytest.mark.parametrize("k", range(1, 13))
     def test_base_curve_dominates_every_split(self, k):
